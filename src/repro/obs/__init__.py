@@ -11,7 +11,7 @@ own service stack:
   scheduler and the job executor all report here.
 * :mod:`repro.obs.trace` -- trace IDs minted at job submission (or accepted
   via the ``X-Repro-Trace`` header / ``repro submit --trace``), carried on
-  the job, its journal lines and its lowered runtime tasks, and surfaced in
+  the job, its journal lines and its spans, and surfaced in
   ``GET /jobs/{id}`` next to the per-job state-transition timeline.
 * :mod:`repro.obs.spans` -- hierarchical spans over those trace IDs plus
   the aggregating engine-phase profiler: a bounded ring buffer of finished
@@ -35,7 +35,6 @@ metric, the trace lifecycle, and triage recipes built on these pieces.
 from repro.obs.metrics import (
     LATENCY_BUCKETS,
     REGISTRY,
-    SIZE_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -48,7 +47,6 @@ from repro.obs.trace import (
     current_trace_id,
     new_trace_id,
     normalize_trace_id,
-    tag_tasks,
 )
 from repro.obs.spans import (
     SPANS_SCHEMA,
@@ -70,7 +68,6 @@ __all__ = [
     "MetricFamily",
     "MetricsRegistry",
     "REGISTRY",
-    "SIZE_BUCKETS",
     "SPANS_SCHEMA",
     "SpanCollector",
     "TRACE_HEADER",
@@ -84,6 +81,5 @@ __all__ = [
     "span",
     "span_tree",
     "spans_payload",
-    "tag_tasks",
     "trace_document",
 ]

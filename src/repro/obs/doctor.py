@@ -484,7 +484,7 @@ def check_jobs(
     import time
 
     from repro.service.jobs import JobStore
-    from repro.service.retry import RetryPolicy, policy_for
+    from repro.service.scheduler import retry_policy
 
     store = JobStore(path)
     now = time.time()
@@ -499,9 +499,7 @@ def check_jobs(
         if job.timeline:
             last_stamp = float(job.timeline[-1].get("wall_time") or last_stamp)
         age = now - last_stamp
-        policy = (
-            RetryPolicy.from_dict(job.retry) if job.retry else policy_for(job.kind)
-        )
+        policy = retry_policy(job)
         if job.attempts > policy.max_attempts:
             over_budget.append(
                 {

@@ -43,7 +43,6 @@ __all__ = [
     "MetricsRegistry",
     "REGISTRY",
     "LATENCY_BUCKETS",
-    "SIZE_BUCKETS",
     "build_info",
     "record_build_info",
 ]
@@ -56,9 +55,6 @@ LATENCY_BUCKETS = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
     60.0, 120.0, 300.0,
 )
-
-#: Fixed count buckets for small-integer distributions (batch sizes).
-SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")

@@ -9,23 +9,17 @@ that follows one submission through the whole stack:
 * the scheduler stamps it on the :class:`~repro.service.jobs.Job`, so every
   journal line and every ``GET /jobs/{id}`` payload carries it;
 * the executor binds it for the duration of the job
-  (:func:`bind` / :func:`current_trace_id`) and tags the job's lowered
-  runtime tasks (:func:`tag_tasks`), so a task failure inside a worker
-  names the trace of the submission that caused it.
-
-Tagging rewrites only the task's display ``name``; the content-addressed
-cache key (callable + module source + parameters) is untouched, so tracing
-never perturbs caching or dedup.
+  (:func:`bind` / :func:`current_trace_id`); the job's spans, task spans
+  included, carry it too.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import re
 import uuid
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator
 
 from repro.exceptions import ConfigurationError
 
@@ -35,7 +29,6 @@ __all__ = [
     "normalize_trace_id",
     "bind",
     "current_trace_id",
-    "tag_tasks",
 ]
 
 #: The HTTP request header a client uses to supply its own trace ID.
@@ -79,20 +72,3 @@ def bind(trace_id: str | None) -> Iterator[str | None]:
         yield trace_id
     finally:
         _current.reset(token)
-
-
-def tag_tasks(tasks: Sequence[Any], trace_id: str | None) -> list[Any]:
-    """Stamp a trace onto runtime tasks' display names.
-
-    Returns copies (tasks are frozen dataclasses) renamed to
-    ``"<label> trace=<id>"``.  Content-addressed keys are unchanged -- the
-    key hashes the callable, module sources and parameters, never the name
-    -- so a traced task still hits the same cache entries as an untraced
-    one.  With ``trace_id=None`` the tasks are returned as-is.
-    """
-    if trace_id is None:
-        return list(tasks)
-    return [
-        dataclasses.replace(task, name=f"{task.label} trace={trace_id}")
-        for task in tasks
-    ]

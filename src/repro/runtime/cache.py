@@ -57,6 +57,7 @@ __all__ = [
     "CacheStats",
     "execution_key",
     "kernel_code_version",
+    "kernel_modules",
 ]
 
 SCHEMA_VERSION = 1
@@ -135,14 +136,19 @@ def kernel_code_version(kernel: Kernel) -> str:
     return _code_version_for_class(type(kernel))
 
 
-@lru_cache(maxsize=None)
-def _code_version_for_class(kernel_class: type) -> str:
+def kernel_modules(kernel_class: type) -> tuple[str, ...]:
+    """Modules defining a kernel class: its own, its ``Kernel`` bases' and the counters."""
     modules = {"repro.kernels.counters"}
     for klass in kernel_class.__mro__:
         if klass is not object and issubclass(klass, Kernel):
             modules.add(klass.__module__)
+    return tuple(sorted(modules))
+
+
+@lru_cache(maxsize=None)
+def _code_version_for_class(kernel_class: type) -> str:
     hasher = hashlib.sha256()
-    for module_name in sorted(modules):
+    for module_name in kernel_modules(kernel_class):
         module = sys.modules.get(module_name)
         try:
             hasher.update(inspect.getsource(module).encode())

@@ -7,9 +7,9 @@ by one-shot CLI processes; this package is the long-lived front end:
 
 * :mod:`repro.service.jobs` -- the :class:`Job` state machine and the
   thread-safe :class:`JobStore` with JSON-lines restart recovery;
-* :mod:`repro.service.scheduler` -- content-addressed dedup (identical
-  in-flight submissions run once) and batching of analytic sweeps onto the
-  vectorized evaluator;
+* :mod:`repro.service.scheduler` -- the :data:`JOB_TABLE` of job kinds
+  (how each kind is validated, keyed, run and retried) and the queue with
+  content-addressed dedup (identical in-flight submissions run once);
 * :mod:`repro.service.workers` -- the executor/worker-pool bridge onto
   :class:`~repro.runtime.tasks.TaskRunner` and
   :class:`~repro.runtime.engine.SweepRunner`, plus the :class:`JobService`
@@ -20,9 +20,9 @@ by one-shot CLI processes; this package is the long-lived front end:
 * :mod:`repro.service.client` -- the blocking Python client, with
   transient-connection retries, backpressure-aware submission and
   adaptive result polling;
-* :mod:`repro.service.retry` -- per-kind :class:`RetryPolicy` budgets
-  (bounded attempts, deterministic-jitter backoff, deadlines) that the
-  scheduler and the supervising :class:`WorkerPool` enforce.
+* :mod:`repro.service.retry` -- :class:`RetryPolicy` budgets (bounded
+  attempts, deterministic-jitter backoff, deadlines) that the scheduler and
+  the supervising :class:`WorkerPool` enforce.
 
 Resilience is part of the contract: the scheduler's queue can be bounded
 (saturated submissions shed with 429 + ``Retry-After``), crashed worker
@@ -31,7 +31,7 @@ injector in :mod:`repro.faults` can rehearse all of it reproducibly.
 
 Observability rides on :mod:`repro.obs`: every submission carries a trace
 ID (minted or taken from ``X-Repro-Trace``) through the scheduler, the
-journal and the executor's task labels; ``GET /jobs/{id}`` exposes the
+journal and the job's spans; ``GET /jobs/{id}`` exposes the
 per-job state-transition timeline; ``GET /metrics`` exposes the process
 metrics registry; ``repro doctor`` diagnoses cache/journal/worker health.
 See ``docs/operations.md``.
@@ -46,7 +46,6 @@ from repro.service.client import ServiceClient
 from repro.service.jobs import (
     DONE,
     FAILED,
-    JOB_KINDS,
     JOB_STATES,
     QUEUED,
     RUNNING,
@@ -54,17 +53,16 @@ from repro.service.jobs import (
     JobStore,
 )
 from repro.service.retry import (
-    DEFAULT_POLICIES,
     RetryPolicy,
     is_transient,
-    policy_for,
     transient_reason,
 )
 from repro.service.scheduler import (
+    JOB_TABLE,
+    JobKind,
     JobScheduler,
     SchedulerStats,
     analytic_sweep_payload,
-    evaluate_analytic_sweeps,
     job_key,
     normalize_job_params,
 )
@@ -76,16 +74,16 @@ from repro.service.workers import (
 )
 
 __all__ = [
-    "DEFAULT_POLICIES",
     "DONE",
     "FAILED",
-    "JOB_KINDS",
     "JOB_STATES",
+    "JOB_TABLE",
     "QUEUED",
     "RUNNING",
     "ExecutorStats",
     "Job",
     "JobExecutor",
+    "JobKind",
     "JobScheduler",
     "JobService",
     "JobStore",
@@ -96,11 +94,9 @@ __all__ = [
     "ServiceHTTPServer",
     "WorkerPool",
     "analytic_sweep_payload",
-    "evaluate_analytic_sweeps",
     "is_transient",
     "job_key",
     "normalize_job_params",
-    "policy_for",
     "serve",
     "transient_reason",
 ]

@@ -44,7 +44,6 @@ from repro.obs.metrics import REGISTRY
 __all__ = [
     "Job",
     "JobStore",
-    "JOB_KINDS",
     "JOB_STATES",
     "MAX_TIMELINE_EVENTS",
     "QUEUED",
@@ -52,9 +51,6 @@ __all__ = [
     "DONE",
     "FAILED",
 ]
-
-#: The work shapes the service accepts (see repro.service.scheduler).
-JOB_KINDS = ("sweep", "experiment", "suite")
 
 QUEUED = "queued"
 RUNNING = "running"
@@ -332,11 +328,6 @@ class JobStore:
         trace_id: str | None = None,
         retry: dict[str, Any] | None = None,
     ) -> Job:
-        if kind not in JOB_KINDS:
-            known = ", ".join(JOB_KINDS)
-            raise ConfigurationError(
-                f"unknown job kind {kind!r}; known kinds: {known}"
-            )
         job = Job(
             id=_new_job_id(),
             kind=kind,

@@ -1,4 +1,4 @@
-"""Retry policies: bounded attempts, exponential backoff, per-kind deadlines.
+"""Retry policies: bounded attempts, exponential backoff, deadlines.
 
 A :class:`RetryPolicy` answers two questions for a job that just failed in
 a *transient* way (a worker crash, an injected fault, an I/O error):
@@ -16,9 +16,10 @@ a *transient* way (a worker crash, an injected fault, an I/O error):
   single job's schedule is exactly reproducible -- the property the seeded
   chaos suite asserts on.
 
-The policy a job was admitted under is recorded on the job (and therefore
-in the journal), so a restarted service honors the budget the job started
-with rather than whatever the defaults have become since.
+Per-kind defaults live in :data:`~repro.service.scheduler.JOB_TABLE`.  The
+policy a job was admitted under is recorded on the job (and therefore in
+the journal), so a restarted service honors the budget the job started with
+rather than whatever the defaults have become since.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from repro.exceptions import ConfigurationError
 
 __all__ = [
     "RetryPolicy",
-    "DEFAULT_POLICIES",
-    "policy_for",
     "is_transient",
     "transient_reason",
 ]
@@ -109,29 +108,6 @@ class RetryPolicy:
                 else float(fields["deadline_seconds"])
             ),
         )
-
-
-#: Per-kind defaults: the heavier the job, the fewer attempts and the wider
-#: the deadline.  Suites take minutes, so one retry is all a crashed suite
-#: gets before a human should look at the worker logs.
-DEFAULT_POLICIES: dict[str, RetryPolicy] = {
-    "sweep": RetryPolicy(
-        max_attempts=3, base_delay=0.05, max_delay=2.0, deadline_seconds=300.0
-    ),
-    "experiment": RetryPolicy(
-        max_attempts=3, base_delay=0.1, max_delay=5.0, deadline_seconds=600.0
-    ),
-    "suite": RetryPolicy(
-        max_attempts=2, base_delay=0.25, max_delay=10.0, deadline_seconds=1800.0
-    ),
-}
-
-_FALLBACK_POLICY = RetryPolicy()
-
-
-def policy_for(kind: str) -> RetryPolicy:
-    """The default retry policy for one job kind."""
-    return DEFAULT_POLICIES.get(kind, _FALLBACK_POLICY)
 
 
 # ---------------------------------------------------------------------------

@@ -1,66 +1,67 @@
-"""Content-addressed job scheduling: dedup and vectorized batching.
+"""The job-kind table and the content-addressed job scheduler.
 
-Two ideas from the runtime carry over to the service queue:
+* **One table of job kinds.**  :data:`JOB_TABLE` holds, for every shape of
+  work the service accepts, how a submission is validated, keyed, run and
+  retried (:class:`JobKind`).  Admission, the scheduler, the executor and
+  ``repro doctor`` all read it, so adding a job kind is one table entry.
 
 * **Dedup by content address.**  Every job gets a key derived from the
   runtime's content-addressed task keys (callable identity + module source +
-  parameter fingerprint -- see :func:`repro.runtime.tasks.task_key` and
-  :func:`repro.runtime.cache.execution_key`).  While a job with a given key
-  is queued or running, identical submissions attach to it as *followers*:
-  the underlying work executes once and every submission observes the same
-  result.  Because code versions participate in the keys, editing a kernel
-  or experiment driver naturally stops dedup against stale in-flight work.
-
-* **Batching onto the vectorized path.**  Analytic sweep jobs are closed-form
-  evaluations over ``(N, M)`` grids.  When a worker claims one, the scheduler
-  hands over *every* queued analytic sweep at once; the batch is grouped by
-  kernel and each group evaluated as a single
-  :func:`repro.runtime.vectorized.cost_grid` array pass over the union grid.
-  Elementwise evaluation guarantees each job's slice of the union grid is
-  bitwise identical to evaluating that job alone.
+  parameter fingerprint -- see :func:`repro.runtime.tasks.task_key`).  While
+  a job with a given key is queued or running, identical submissions attach
+  to it as *followers*: the underlying work executes once and every
+  submission observes the same result.  Because code versions participate in
+  the keys, editing a kernel or experiment driver naturally stops dedup
+  against stale in-flight work.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro.analysis.sweep import normalize_memory_sizes
-from repro.core.registry import ComputationSpec, get as registry_get
-from repro.exceptions import ConfigurationError, QueueSaturatedError
+from repro.core.registry import get as registry_get
+from repro.exceptions import ConfigurationError, QueueSaturatedError, ReproError
+from repro.kernels.base import Kernel
 from repro.obs import spans as obs_spans
-from repro.obs.metrics import REGISTRY, SIZE_BUCKETS
+from repro.obs.metrics import REGISTRY
 from repro.obs.trace import new_trace_id, normalize_trace_id
-from repro.runtime.cache import execution_key
+from repro.runtime.cache import kernel_modules
 from repro.runtime.suites import (
     ExperimentScenario,
     build_kernel,
     get_suite,
+    run_suite,
 )
 from repro.runtime.tasks import task_key
 from repro.runtime.vectorized import cost_grid
-from repro.service.jobs import JOB_KINDS, Job, JobStore
-from repro.service.retry import RetryPolicy, policy_for
+from repro.service.jobs import Job, JobStore
+from repro.service.retry import RetryPolicy
+
+if TYPE_CHECKING:
+    from repro.service.workers import JobExecutor
 
 __all__ = [
+    "JOB_TABLE",
+    "JobKind",
     "JobScheduler",
     "SchedulerStats",
+    "job_kind",
     "job_key",
     "normalize_job_params",
+    "retry_policy",
     "experiment_scenario",
     "analytic_sweep_payload",
-    "evaluate_analytic_sweeps",
-    "is_analytic_sweep",
 ]
 
 ANALYTIC_SWEEP_SCHEMA = "repro-service-analytic-sweep/v1"
+SWEEP_SCHEMA = "repro-sweep-result/v1"
 
 # Scheduler instrumentation for ``GET /metrics``.  The gauge reports the
 # last-written queue depth of whichever scheduler updated it most recently;
@@ -75,11 +76,6 @@ _METRIC_SUBMITTED = REGISTRY.counter(
 _METRIC_DEDUP_ATTACHES = REGISTRY.counter(
     "repro_scheduler_dedup_attaches_total",
     "Submissions attached to an identical in-flight job instead of running.",
-)
-_METRIC_BATCH_JOBS = REGISTRY.histogram(
-    "repro_scheduler_batch_jobs",
-    "Jobs per claimed batch (analytic sweeps ride together).",
-    buckets=SIZE_BUCKETS,
 )
 _METRIC_JOBS_COMPLETED = REGISTRY.counter(
     "repro_jobs_completed_total", "Jobs finished successfully, by kind.",
@@ -116,44 +112,77 @@ _ANALYTIC_KEY_MODULES = ("repro.core.registry", "repro.runtime.vectorized")
 
 
 # ---------------------------------------------------------------------------
-# Job parameter validation and content addressing.
+# Each kind's normalize, key and run functions.
 # ---------------------------------------------------------------------------
 
 
-def normalize_job_params(kind: str, params: Mapping[str, Any]) -> dict[str, Any]:
-    """Validate a submission and reduce it to canonical JSON-native params.
+def _normalize_suite(params: Mapping[str, Any]) -> dict[str, Any]:
+    name = params.get("suite")
+    if not isinstance(name, str):
+        raise ConfigurationError("suite jobs need a 'suite' name")
+    get_suite(name)  # raises on unknown suites
+    return {"suite": name}
 
-    Raises :class:`~repro.exceptions.ConfigurationError` on anything the
-    executor could not run, so the API layer can reject bad submissions with
-    a 400 instead of queueing a job doomed to fail.
-    """
-    if kind not in JOB_KINDS:
-        known = ", ".join(JOB_KINDS)
-        raise ConfigurationError(f"unknown job kind {kind!r}; known kinds: {known}")
-    params = dict(params)
-    if kind == "suite":
-        name = params.get("suite")
-        if not isinstance(name, str):
-            raise ConfigurationError("suite jobs need a 'suite' name")
-        get_suite(name)  # raises on unknown suites
-        return {"suite": name}
-    if kind == "experiment":
-        experiment = params.get("experiment")
-        if not isinstance(experiment, str):
-            raise ConfigurationError("experiment jobs need an 'experiment' kind")
-        extra = params.get("params") or {}
-        if not isinstance(extra, Mapping):
-            raise ConfigurationError(
-                f"experiment 'params' must be a mapping, got {extra!r}"
-            )
-        # Constructing the scenario validates the kind; building its tasks
-        # (below, in job_key) validates the driver parameters.
-        experiment_scenario(experiment, extra)
-        return {"experiment": experiment, "params": dict(extra)}
-    kernel = params.get("kernel")
-    if not isinstance(kernel, str):
+
+def _suite_key(params: Mapping[str, Any]) -> str:
+    return task_key(get_suite, {"name": params["suite"]}, modules=_SUITE_KEY_MODULES)
+
+
+def _run_suite(executor: JobExecutor, params: Mapping[str, Any]) -> dict[str, Any]:
+    suite = get_suite(params["suite"])
+    result = run_suite(suite, executor.sweep_runner(), task_runner=executor.task_runner)
+    return result.as_dict()
+
+
+def experiment_scenario(experiment: str, params: Mapping[str, Any]) -> ExperimentScenario:
+    return ExperimentScenario(
+        name=f"job-{experiment}", experiment=experiment, params=dict(params)
+    )
+
+
+def _normalize_experiment(params: Mapping[str, Any]) -> dict[str, Any]:
+    experiment = params.get("experiment")
+    if not isinstance(experiment, str):
+        raise ConfigurationError("experiment jobs need an 'experiment' kind")
+    extra = params.get("params") or {}
+    if not isinstance(extra, Mapping):
+        raise ConfigurationError(
+            f"experiment 'params' must be a mapping, got {extra!r}"
+        )
+    # Constructing the scenario validates the kind; building its tasks
+    # (in the key) validates the driver parameters.
+    experiment_scenario(experiment, extra)
+    return {"experiment": experiment, "params": dict(extra)}
+
+
+def _experiment_key(params: Mapping[str, Any]) -> str:
+    scenario = experiment_scenario(params["experiment"], params["params"])
+    keys = sorted(task.key() for task in scenario.tasks())
+    return task_key(_run_experiment, {"task_keys": keys})
+
+
+def _run_experiment(executor: JobExecutor, params: Mapping[str, Any]) -> dict[str, Any]:
+    scenario = experiment_scenario(params["experiment"], params["params"])
+    tasks = scenario.tasks()
+    results = executor.task_runner.run(tasks)
+    return scenario.as_payload(results, task_keys=[task.key() for task in tasks])
+
+
+def _int_param(value: Any, label: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"sweep {label!r} must be an integer, got {value!r}"
+        ) from exc
+
+
+def _sweep_grid(params: Mapping[str, Any]) -> tuple[Kernel, list[int]]:
+    """The validated kernel and memory grid every sweep submission carries."""
+    name = params.get("kernel")
+    if not isinstance(name, str):
         raise ConfigurationError("sweep jobs need a 'kernel' name")
-    build_kernel(kernel)  # raises on unknown kernels
+    kernel = build_kernel(name)  # raises on unknown kernels
     memory_sizes = params.get("memory_sizes")
     if memory_sizes is None:
         raise ConfigurationError("sweep jobs need 'memory_sizes'")
@@ -171,177 +200,210 @@ def normalize_job_params(kind: str, params: Mapping[str, Any]) -> dict[str, Any]
         raise ConfigurationError(
             f"'memory_sizes' must be a list of integers, got {memory_sizes!r}"
         ) from exc
-    if params.get("analytic"):
-        problem_size = _int_param(params.get("problem_size", 4096), "problem_size")
-        if problem_size < 1:
-            raise ConfigurationError(
-                f"problem_size must be >= 1, got {problem_size!r}"
-            )
-        return {
-            "kernel": kernel,
-            "memory_sizes": sizes,
-            "problem_size": problem_size,
-            "analytic": True,
-        }
+    return kernel, sizes
+
+
+def _normalize_measured_sweep(params: Mapping[str, Any]) -> dict[str, Any]:
+    kernel, sizes = _sweep_grid(params)
     scale = params.get("scale")
     if scale is None:
         raise ConfigurationError("measured sweep jobs need a 'scale'")
+    scale = _int_param(scale, "scale")
+    if scale < 0:
+        # The scale seeds the kernel's problem generator, which rejects
+        # negative seeds; 0 is fine (kernels clamp the order to 2).
+        raise ConfigurationError(f"sweep 'scale' must be >= 0, got {scale!r}")
+    for size in sizes:
+        kernel.validate_memory(size)
     return {
-        "kernel": kernel,
+        "kernel": params["kernel"],
         "memory_sizes": sizes,
-        "scale": _int_param(scale, "scale"),
+        "scale": scale,
         "analytic": False,
     }
 
 
-def _int_param(value: Any, label: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(
-            f"sweep {label!r} must be an integer, got {value!r}"
-        ) from exc
-
-
-def experiment_scenario(experiment: str, params: Mapping[str, Any]) -> ExperimentScenario:
-    return ExperimentScenario(
-        name=f"job-{experiment}", experiment=experiment, params=dict(params)
-    )
-
-
-def is_analytic_sweep(job: Job) -> bool:
-    return job.kind == "sweep" and bool(job.params.get("analytic"))
-
-
-def _digest(parts: Sequence[str]) -> str:
-    hasher = hashlib.sha256()
-    for part in parts:
-        hasher.update(part.encode())
-        hasher.update(b"\n")
-    return hasher.hexdigest()
-
-
-def job_key(kind: str, params: Mapping[str, Any]) -> str:
-    """Content address of one job, built from the runtime's task keys.
-
-    ``params`` must already be canonical (:func:`normalize_job_params`).
-    """
-    if kind == "suite":
-        return task_key(
-            get_suite, {"name": params["suite"]}, modules=_SUITE_KEY_MODULES
-        )
-    if kind == "experiment":
-        scenario = experiment_scenario(params["experiment"], params["params"])
-        keys = sorted(task.key() for task in scenario.tasks())
-        return _digest(["experiment", *keys])
-    if params.get("analytic"):
-        return task_key(
-            analytic_sweep_payload,
-            {
-                "kernel": params["kernel"],
-                "memory_sizes": params["memory_sizes"],
-                "problem_size": params["problem_size"],
-            },
-            modules=_ANALYTIC_KEY_MODULES,
-        )
+def _measured_sweep_key(params: Mapping[str, Any]) -> str:
+    # The kernel's modules cover the seeded problem generator too, so the key
+    # never needs the generated problem arrays.
     kernel = build_kernel(params["kernel"])
-    keys = []
-    for size in params["memory_sizes"]:
-        kernel.validate_memory(size)
-        problem = kernel.problem_for_memory(size, params["scale"])
-        keys.append(execution_key(kernel, size, problem))
-    return _digest(["sweep", json.dumps(params, sort_keys=True), *keys])
+    return task_key(_run_measured_sweep, params, modules=kernel_modules(type(kernel)))
 
 
-# ---------------------------------------------------------------------------
-# The vectorized analytic-sweep path.
-# ---------------------------------------------------------------------------
+def _run_measured_sweep(executor: JobExecutor, params: Mapping[str, Any]) -> dict[str, Any]:
+    kernel = build_kernel(params["kernel"])
+    sweep = executor.sweep_runner().run_default(
+        kernel, params["memory_sizes"], params["scale"]
+    )
+    try:
+        fit = {
+            "power_law_exponent": sweep.power_law_fit().exponent,
+            "best_model": sweep.best_model(),
+            "computation_class": sweep.classification().computation_class.value,
+        }
+    except ReproError:
+        fit = None  # law fitting needs three or more points
+    return {
+        "schema": SWEEP_SCHEMA,
+        "kernel": params["kernel"],
+        "scale": params["scale"],
+        "memory_sizes": [int(size) for size in sweep.memory_sizes],
+        "rows": sweep.rows(),
+        "fit": fit,
+    }
 
 
-def _registry_spec(kernel: str) -> ComputationSpec:
-    # The registry may know a kernel under a different name than the CLI
-    # factory (e.g. sparse_matvec -> spmv); resolve through the kernel class.
-    registry_name = build_kernel(kernel).registry_name or kernel
-    return registry_get(registry_name)
+def _normalize_analytic_sweep(params: Mapping[str, Any]) -> dict[str, Any]:
+    _, sizes = _sweep_grid(params)
+    problem_size = _int_param(params.get("problem_size", 4096), "problem_size")
+    if problem_size < 1:
+        raise ConfigurationError(f"problem_size must be >= 1, got {problem_size!r}")
+    return {
+        "kernel": params["kernel"],
+        "memory_sizes": sizes,
+        "problem_size": problem_size,
+        "analytic": True,
+    }
 
 
-def _analytic_rows(
-    memory_sizes: Sequence[int],
-    *,
-    costs: Any,
-    intensities: np.ndarray,
-    row_index: int,
-    column_of: Mapping[int, int],
-) -> list[dict[str, float]]:
-    rows = []
-    for size in memory_sizes:
-        j = column_of[size]
-        rows.append(
-            {
-                "memory_words": float(size),
-                "model_intensity": float(intensities[j]),
-                "cost_intensity": float(costs.intensity[row_index, j]),
-                "compute_ops": float(costs.compute_ops[row_index, j]),
-                "io_words": float(costs.io_words[row_index, j]),
-            }
-        )
-    return rows
+def _analytic_sweep_key(params: Mapping[str, Any]) -> str:
+    return task_key(analytic_sweep_payload, params, modules=_ANALYTIC_KEY_MODULES)
 
 
 def analytic_sweep_payload(
     kernel: str, memory_sizes: Sequence[int], problem_size: int
 ) -> dict[str, Any]:
     """Evaluate one analytic sweep job (also the dedup key's callable)."""
-    (payload,) = evaluate_analytic_sweeps(
-        [{"kernel": kernel, "memory_sizes": list(memory_sizes), "problem_size": int(problem_size)}]
-    )
-    return payload
-
-
-def evaluate_analytic_sweeps(
-    jobs: Sequence[Mapping[str, Any]],
-) -> list[dict[str, Any]]:
-    """Evaluate many analytic sweep jobs, one array pass per kernel group.
-
-    Jobs sharing a kernel are merged onto the union ``(N, M)`` grid and
-    evaluated with a single :func:`repro.runtime.vectorized.cost_grid` call;
-    each job's rows are then sliced back out of the batch.  Payloads come
-    back in submission order and carry the size of the batch they rode in.
-    """
-    groups: dict[str, list[int]] = {}
-    for index, job in enumerate(jobs):
-        groups.setdefault(job["kernel"], []).append(index)
-
-    payloads: list[dict[str, Any] | None] = [None] * len(jobs)
-    for kernel, indices in groups.items():
-        spec = _registry_spec(kernel)
-        problem_sizes = sorted({int(jobs[i]["problem_size"]) for i in indices})
-        memories = sorted(
-            {int(size) for i in indices for size in jobs[i]["memory_sizes"]}
-        )
-        row_of = {size: i for i, size in enumerate(problem_sizes)}
-        column_of = {size: j for j, size in enumerate(memories)}
-        costs = cost_grid(spec, problem_sizes, memories)
-        intensities = spec.batch_intensity(np.asarray(memories, dtype=float))
-        for i in indices:
-            job = jobs[i]
-            payloads[i] = {
-                "schema": ANALYTIC_SWEEP_SCHEMA,
-                "kernel": job["kernel"],
-                "computation": spec.name,
-                "problem_size": int(job["problem_size"]),
-                "memory_sizes": [int(size) for size in job["memory_sizes"]],
-                "rows": _analytic_rows(
-                    job["memory_sizes"],
-                    costs=costs,
-                    intensities=intensities,
-                    row_index=row_of[int(job["problem_size"])],
-                    column_of=column_of,
-                ),
-                "batch_jobs": len(jobs),
-                "batch_grid_points": len(problem_sizes) * len(memories),
+    # The registry may know a kernel under a different name than the CLI
+    # factory (e.g. sparse_matvec -> spmv); resolve through the kernel class.
+    spec = registry_get(build_kernel(kernel).registry_name or kernel)
+    sizes = [int(size) for size in memory_sizes]
+    costs = cost_grid(spec, [int(problem_size)], sizes)
+    intensities = spec.batch_intensity(np.asarray(sizes, dtype=float))
+    return {
+        "schema": ANALYTIC_SWEEP_SCHEMA,
+        "kernel": kernel,
+        "computation": spec.name,
+        "problem_size": int(problem_size),
+        "memory_sizes": sizes,
+        "rows": [
+            {
+                "memory_words": float(size),
+                "model_intensity": float(intensities[j]),
+                "cost_intensity": float(costs.intensity[0, j]),
+                "compute_ops": float(costs.compute_ops[0, j]),
+                "io_words": float(costs.io_words[0, j]),
             }
-    return payloads  # type: ignore[return-value]
+            for j, size in enumerate(sizes)
+        ],
+    }
+
+
+def _run_analytic_sweep(_: JobExecutor, params: Mapping[str, Any]) -> dict[str, Any]:
+    return analytic_sweep_payload(
+        params["kernel"], params["memory_sizes"], params["problem_size"]
+    )
+
+
+# ---------------------------------------------------------------------------
+# The table.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class JobKind:
+    """How the service validates, keys, runs and retries one kind of job.
+
+    ``normalize`` reduces submitted params to canonical JSON-native params
+    and raises :class:`~repro.exceptions.ConfigurationError` (a 400) on
+    anything ``run`` could not execute.  ``key`` maps canonical params to the
+    job's content address; ``run`` executes them on a
+    :class:`~repro.service.workers.JobExecutor` and returns the payload.
+    ``retry`` is the default policy a job is admitted under; ``record`` says
+    whether payloads are ingested into the result store.  ``analytic``, when
+    set, is the entry for this kind's submissions with ``"analytic": true``.
+    """
+
+    normalize: Callable[[Mapping[str, Any]], dict[str, Any]]
+    key: Callable[[Mapping[str, Any]], str]
+    run: Callable[[JobExecutor, Mapping[str, Any]], dict[str, Any]]
+    retry: RetryPolicy
+    record: bool = True
+    analytic: JobKind | None = None
+
+
+_SWEEP_RETRY = RetryPolicy(
+    max_attempts=3, base_delay=0.05, max_delay=2.0, deadline_seconds=300.0
+)
+
+#: Every job kind the service accepts, by wire name.  Retry defaults: the
+#: heavier the job, the fewer attempts and the wider the deadline.  Suites
+#: take minutes, so one retry is all a crashed suite gets before a human
+#: should look at the worker logs.
+JOB_TABLE: dict[str, JobKind] = {
+    "sweep": JobKind(
+        normalize=_normalize_measured_sweep,
+        key=_measured_sweep_key,
+        run=_run_measured_sweep,
+        retry=_SWEEP_RETRY,
+        analytic=JobKind(
+            normalize=_normalize_analytic_sweep,
+            key=_analytic_sweep_key,
+            run=_run_analytic_sweep,
+            retry=_SWEEP_RETRY,
+            record=False,  # no store reader accepts the analytic payload
+        ),
+    ),
+    "experiment": JobKind(
+        normalize=_normalize_experiment,
+        key=_experiment_key,
+        run=_run_experiment,
+        retry=RetryPolicy(
+            max_attempts=3, base_delay=0.1, max_delay=5.0, deadline_seconds=600.0
+        ),
+    ),
+    "suite": JobKind(
+        normalize=_normalize_suite,
+        key=_suite_key,
+        run=_run_suite,
+        retry=RetryPolicy(
+            max_attempts=2, base_delay=0.25, max_delay=10.0, deadline_seconds=1800.0
+        ),
+    ),
+}
+
+
+def job_kind(kind: str, params: Mapping[str, Any]) -> JobKind:
+    """The table entry that handles one submission of ``kind``."""
+    entry = JOB_TABLE.get(kind)
+    if entry is None:
+        known = ", ".join(JOB_TABLE)
+        raise ConfigurationError(f"unknown job kind {kind!r}; known kinds: {known}")
+    if entry.analytic is not None and params.get("analytic"):
+        return entry.analytic
+    return entry
+
+
+def normalize_job_params(kind: str, params: Mapping[str, Any]) -> dict[str, Any]:
+    """Validate a submission and reduce it to canonical JSON-native params."""
+    return job_kind(kind, params).normalize(params)
+
+
+def job_key(kind: str, params: Mapping[str, Any]) -> str:
+    """Content address of one job; ``params`` must already be canonical."""
+    return job_kind(kind, params).key(params)
+
+
+def retry_policy(job: Job) -> RetryPolicy:
+    """The policy a job was admitted under, else its kind's default.
+
+    A kind missing from the table (a journal from another build) gets the
+    :class:`RetryPolicy` defaults.
+    """
+    if job.retry:
+        return RetryPolicy.from_dict(job.retry)
+    entry = JOB_TABLE.get(job.kind)
+    return entry.retry if entry is not None else RetryPolicy()
 
 
 # ---------------------------------------------------------------------------
@@ -355,28 +417,17 @@ class SchedulerStats:
 
     submitted: int = 0
     deduped: int = 0
-    batches: int = 0
-    batched_jobs: int = 0
     completed: int = 0
     failed: int = 0
     retried: int = 0
     rejected: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "submitted": self.submitted,
-            "deduped": self.deduped,
-            "batches": self.batches,
-            "batched_jobs": self.batched_jobs,
-            "completed": self.completed,
-            "failed": self.failed,
-            "retried": self.retried,
-            "rejected": self.rejected,
-        }
+        return asdict(self)
 
 
 class JobScheduler:
-    """FIFO job queue with dedup, batching, retry backoff and admission control.
+    """FIFO job queue with dedup, retry backoff and admission control.
 
     All state transitions happen under one condition variable, so a follower
     can never attach to a primary after its result has been fanned out.
@@ -450,9 +501,9 @@ class JobScheduler:
         trace_id = normalize_trace_id(trace_id) if trace_id else new_trace_id()
         submit_wall = time.time()
         submit_mono = time.monotonic()
-        params = normalize_job_params(kind, params)
-        key = job_key(kind, params)  # may be slow; computed outside the lock
-        policy = policy_for(kind)
+        entry = job_kind(kind, params)
+        params = entry.normalize(params)
+        key = entry.key(params)  # may be slow; computed outside the lock
         with self._cond:
             primary_id = self._inflight.get(key)
             if primary_id is not None:
@@ -491,7 +542,7 @@ class JobScheduler:
             _METRIC_SUBMITTED.labels(kind=kind).inc()
             job = self.store.create(
                 kind, params, key=key, trace_id=trace_id,
-                retry=policy.as_dict(),
+                retry=entry.retry.as_dict(),
             )
             self._inflight[key] = job.id
             self._queue.append(job.id)
@@ -566,9 +617,7 @@ class JobScheduler:
         and its incremented attempt count; it becomes claimable only after
         the policy's deterministic backoff delay.
         """
-        policy = (
-            RetryPolicy.from_dict(job.retry) if job.retry else policy_for(job.kind)
-        )
+        policy = retry_policy(job)
         age = time.time() - job.created_at
         if not policy.allows_retry(job.attempts, age):
             return False
@@ -597,74 +646,37 @@ class JobScheduler:
                 return job_id
         return None
 
-    def claim(self, timeout: float | None = None) -> list[Job]:
-        """Pop the next unit of work, marking every claimed job running.
+    def claim(self, timeout: float | None = None) -> Job | None:
+        """Pop the next claimable job and mark it running.
 
-        Returns one job -- or, when the head of the queue is an analytic
-        sweep, every *claimable* queued analytic sweep as one batch (jobs
-        still inside their retry-backoff window stay queued).  Returns
-        ``[]`` on timeout or shutdown.
+        Jobs still inside their retry-backoff window stay queued.  Returns
+        ``None`` on timeout or shutdown.
         """
         with self._cond:
             end = None if timeout is None else time.monotonic() + timeout
             while True:
-                head = self._pop_ready()
-                if head is not None:
+                job_id = self._pop_ready()
+                if job_id is not None:
                     break
                 if self._closed:
-                    return []
+                    return None
                 now = time.monotonic()
                 if end is not None and now >= end:
-                    return []
+                    return None
                 wait = None if end is None else end - now
                 held = [
-                    self._not_before[job_id] - now
-                    for job_id in self._queue
-                    if self._not_before.get(job_id, 0.0) > now
+                    self._not_before[queued] - now
+                    for queued in self._queue
+                    if self._not_before.get(queued, 0.0) > now
                 ]
                 if held:
                     soonest = max(0.001, min(held))
                     wait = soonest if wait is None else min(wait, soonest)
                 self._cond.wait(wait)
-            batch = [self.store.get(head)]
-            if is_analytic_sweep(batch[0]):
-                now = time.monotonic()
-                rest: deque[str] = deque()
-                while self._queue:
-                    job_id = self._queue.popleft()
-                    job = self.store.get(job_id)
-                    if (
-                        is_analytic_sweep(job)
-                        and self._not_before.get(job_id, 0.0) <= now
-                    ):
-                        self._not_before.pop(job_id, None)
-                        batch.append(job)
-                    else:
-                        rest.append(job_id)
-                self._queue = rest
-                if len(batch) > 1:
-                    self.stats.batches += 1
-                    self.stats.batched_jobs += len(batch)
             _METRIC_QUEUE_DEPTH.set(len(self._queue))
-            _METRIC_BATCH_JOBS.observe(len(batch))
-            claim_wall = time.time()
-            for job in batch:
-                self.store.mark_running(job)
-                # A zero-length marker on each claimed job's trace: when the
-                # claim rode a vectorized batch, the trace says so (and how
-                # many jobs shared the array pass).
-                root = getattr(job, "root_span", None)
-                if root is not None:
-                    obs_spans.record_span(
-                        "scheduler.batch",
-                        "scheduler",
-                        trace_id=job.trace_id,
-                        parent_id=root.span_id,
-                        start_wall=claim_wall,
-                        duration=0.0,
-                        attributes={"batch_jobs": len(batch)},
-                    )
-            return batch
+            job = self.store.get(job_id)
+            self.store.mark_running(job)
+            return job
 
     def finish(self, job: Job, result: Any) -> None:
         """Complete a job; its followers observe the same result."""

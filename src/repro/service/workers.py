@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
@@ -32,28 +32,14 @@ from repro.obs import trace as obs_trace
 from repro.service.retry import is_transient, transient_reason
 from repro.runtime.cache import ResultCache, TaskCache
 from repro.runtime.engine import SweepRunner
-from repro.runtime.suites import (
-    EXPERIMENT_PAYLOAD_SCHEMA,
-    build_kernel,
-    get_suite,
-    run_suite,
-)
 from repro.runtime.tasks import TaskRunner
 from repro.service.jobs import Job, JobStore
-from repro.service.scheduler import (
-    JobScheduler,
-    evaluate_analytic_sweeps,
-    experiment_scenario,
-    is_analytic_sweep,
-)
+from repro.service.scheduler import JobScheduler, job_kind
 from repro.store.core import ResultStore
 from repro.store.query import query, report_document
 from repro.store.readers import ingest_payload
 
 __all__ = ["ExecutorStats", "JobExecutor", "WorkerPool", "JobService"]
-
-SWEEP_SCHEMA = "repro-sweep-result/v1"
-EXPERIMENT_SCHEMA = EXPERIMENT_PAYLOAD_SCHEMA
 
 #: Per-kind job execution latency for ``GET /metrics``.  Observed around the
 #: executor's work only -- queueing delay is visible separately, as the gap
@@ -80,19 +66,11 @@ class ExecutorStats:
     """Counters accumulated over the lifetime of a :class:`JobExecutor`."""
 
     jobs_executed: int = 0
-    vector_batches: int = 0
-    vector_jobs: int = 0
     results_recorded: int = 0
     record_failures: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "jobs_executed": self.jobs_executed,
-            "vector_batches": self.vector_batches,
-            "vector_jobs": self.vector_jobs,
-            "results_recorded": self.results_recorded,
-            "record_failures": self.record_failures,
-        }
+        return asdict(self)
 
 
 class JobExecutor:
@@ -126,34 +104,15 @@ class JobExecutor:
 
     # -- job execution -------------------------------------------------------
 
-    def execute_batch(self, jobs: list[Job]) -> list[dict[str, Any]]:
-        """Resolve one claimed batch to result payloads, in claim order.
-
-        A batch is either one job of any kind, or several analytic sweeps
-        (the scheduler's vectorized-batching contract).
-        """
-        if len(jobs) > 1 or (jobs and is_analytic_sweep(jobs[0])):
-            start = time.perf_counter()
-            payloads = evaluate_analytic_sweeps([job.params for job in jobs])
-            elapsed = time.perf_counter() - start
-            with self._stats_lock:
-                self.stats.jobs_executed += len(jobs)
-                self.stats.vector_batches += 1
-                self.stats.vector_jobs += len(jobs)
-            # Each job in a vectorized batch observes the whole batch's wall
-            # time: that *is* the latency any one of them experienced.
-            for job in jobs:
-                _METRIC_JOB_SECONDS.labels(kind=job.kind).observe(elapsed)
-            return payloads
-        return [self.execute(job) for job in jobs]
-
     def execute(self, job: Job) -> dict[str, Any]:
+        """Run one claimed job through its table entry; returns the payload."""
+        run = job_kind(job.kind, job.params).run
         with self._stats_lock:
             self.stats.jobs_executed += 1
         start = time.perf_counter()
         # Bind the job's trace for the duration: anything that reads
-        # ``current_trace_id()`` below this frame (task labels, error
-        # messages) attributes its work to this submission.  The execution
+        # ``current_trace_id()`` below this frame (a suite's store record,
+        # log lines) attributes its work to this submission.  The execution
         # span parents under the job's root (opened at submission) so the
         # trace tree separates queue wait from run time; recovered jobs
         # without a live root simply start a fresh tree here.
@@ -168,54 +127,11 @@ class JobExecutor:
                         "attempt": job.attempts,
                     },
                 ):
-                    if job.kind == "suite":
-                        payload = self._execute_suite(job)
-                    elif job.kind == "experiment":
-                        payload = self._execute_experiment(job)
-                    else:
-                        payload = self._execute_sweep(job)
+                    payload = run(self, job.params)
         _METRIC_JOB_SECONDS.labels(kind=job.kind).observe(
             time.perf_counter() - start
         )
         return payload
-
-    def _execute_suite(self, job: Job) -> dict[str, Any]:
-        suite = get_suite(job.params["suite"])
-        result = run_suite(suite, self.sweep_runner(), task_runner=self.task_runner)
-        return result.as_dict()
-
-    def _execute_experiment(self, job: Job) -> dict[str, Any]:
-        scenario = experiment_scenario(
-            job.params["experiment"], job.params["params"]
-        )
-        # Trace-tagged display names (content-addressed keys unchanged): a
-        # task failure inside a worker then names the submission's trace.
-        tasks = obs_trace.tag_tasks(scenario.tasks(), job.trace_id)
-        results = self.task_runner.run(tasks)
-        return scenario.as_payload(results, task_keys=[task.key() for task in tasks])
-
-    def _execute_sweep(self, job: Job) -> dict[str, Any]:
-        params = job.params
-        kernel = build_kernel(params["kernel"])
-        sweep = self.sweep_runner().run_default(
-            kernel, params["memory_sizes"], params["scale"]
-        )
-        try:
-            fit = {
-                "power_law_exponent": sweep.power_law_fit().exponent,
-                "best_model": sweep.best_model(),
-                "computation_class": sweep.classification().computation_class.value,
-            }
-        except ReproError:
-            fit = None  # law fitting needs three or more points
-        return {
-            "schema": SWEEP_SCHEMA,
-            "kernel": params["kernel"],
-            "scale": params["scale"],
-            "memory_sizes": [int(size) for size in sweep.memory_sizes],
-            "rows": sweep.rows(),
-            "fit": fit,
-        }
 
     def record_payload(self, job: Job, payload: dict[str, Any]) -> None:
         """Ingest one finished job's result into the result store.
@@ -224,17 +140,16 @@ class JobExecutor:
         job that already finished.  Suite results record themselves inside
         ``run_suite`` under the same cache root, so this ingest dedups to a
         no-op for them -- the content-addressed run key makes the double
-        hook harmless.
+        hook harmless.  Kinds whose table entry says ``record=False`` are
+        not ingested.
         """
-        if self.result_store is None:
+        if self.result_store is None or not job_kind(job.kind, job.params).record:
             return
-        suite = job.params.get("suite")
         try:
             receipt = ingest_payload(
                 self.result_store,
                 payload,
                 run_id=payload.get("run_id") or job.id,
-                suite=suite if isinstance(suite, str) else None,
                 trace_id=job.trace_id,
             )
         except Exception:  # noqa: BLE001 - history is best-effort
@@ -304,7 +219,7 @@ class JobExecutor:
 class WorkerPool:
     """N supervised daemon threads draining the scheduler into the executor.
 
-    Every claimed batch is registered in an in-flight map before execution
+    Every claimed job is registered in an in-flight map before execution
     begins.  A *supervisor* thread watches the workers: when one dies --
     the chaos suite's ``task-crash`` fault, or any real bug that escapes
     the per-job guard -- the supervisor requeues its in-flight jobs through
@@ -337,7 +252,7 @@ class WorkerPool:
         self.supervise_interval = supervise_interval
         self._lock = threading.Lock()
         self._workers: dict[str, threading.Thread] = {}
-        self._inflight: dict[str, list[str]] = {}  # thread name -> job ids
+        self._inflight: dict[str, str] = {}  # thread name -> job id
         self._supervisor: threading.Thread | None = None
         self._next_index = 0
         self._stop = threading.Event()
@@ -417,8 +332,8 @@ class WorkerPool:
             self.hung_workers = hung
             self._workers = {}
             self._inflight = {
-                name: jobs
-                for name, jobs in self._inflight.items()
+                name: job_id
+                for name, job_id in self._inflight.items()
                 if name in hung
             }
         return not hung
@@ -437,44 +352,26 @@ class WorkerPool:
     def _loop(self) -> None:
         name = threading.current_thread().name
         while not self._stop.is_set():
-            batch = self.scheduler.claim(timeout=0.1)
-            if not batch:
+            job = self.scheduler.claim(timeout=0.1)
+            if job is None:
                 continue
             with self._lock:
-                self._inflight[name] = [job.id for job in batch]
+                self._inflight[name] = job.id
             try:
                 # The task-crash injection point sits between claim and
                 # execute -- the job is marked running and registered
                 # in-flight, exactly the window a real crash strands work.
                 # slow-task stalls here too, simulating a wedged job.
-                maybe_inject("task-crash", site=f"{name}:{batch[0].kind}")
-                maybe_inject("slow-task", site=f"{name}:{batch[0].kind}")
-                payloads = self.executor.execute_batch(batch)
+                maybe_inject("task-crash", site=f"{name}:{job.kind}")
+                maybe_inject("slow-task", site=f"{name}:{job.kind}")
+                payload = self.executor.execute(job)
             except Exception as exc:  # noqa: BLE001 - jobs must never kill a worker
                 with self._lock:
                     self._inflight.pop(name, None)
-                if len(batch) > 1:
-                    # One bad job must not poison the unrelated analytic
-                    # sweeps that happened to ride the same batch: retry each
-                    # alone so only the actual offenders fail.
-                    for job in batch:
-                        self._run_alone(job)
-                else:
-                    self._resolve_failure(batch[0], exc)
+                self._resolve_failure(job, exc)
                 continue
             with self._lock:
                 self._inflight.pop(name, None)
-            for job, payload in zip(batch, payloads):
-                self.executor.record_payload(job, payload)
-                self.scheduler.finish(job, payload)
-                self.executor.record_trace(job)
-
-    def _run_alone(self, job: Job) -> None:
-        try:
-            (payload,) = self.executor.execute_batch([job])
-        except Exception as exc:  # noqa: BLE001 - jobs must never kill a worker
-            self._resolve_failure(job, exc)
-        else:
             self.executor.record_payload(job, payload)
             self.scheduler.finish(job, payload)
             self.executor.record_trace(job)
@@ -510,7 +407,9 @@ class WorkerPool:
             ]
             orphans: list[str] = []
             for name in dead:
-                orphans.extend(self._inflight.pop(name, []))
+                job_id = self._inflight.pop(name, None)
+                if job_id is not None:
+                    orphans.append(job_id)
                 del self._workers[name]
             respawned = 0
             if not self._stop.is_set():

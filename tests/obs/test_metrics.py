@@ -232,7 +232,6 @@ class TestProcessRegistry:
             "repro_cache_store_bytes_total",
             "repro_scheduler_queue_depth",
             "repro_scheduler_dedup_attaches_total",
-            "repro_scheduler_batch_jobs",
             "repro_jobs_submitted_total",
             "repro_jobs_completed_total",
             "repro_jobs_failed_total",

@@ -1,4 +1,4 @@
-"""Tests for trace-ID minting, binding and task tagging (repro.obs.trace)."""
+"""Tests for trace-ID minting and binding (repro.obs.trace)."""
 
 from __future__ import annotations
 
@@ -13,13 +13,7 @@ from repro.obs.trace import (
     current_trace_id,
     new_trace_id,
     normalize_trace_id,
-    tag_tasks,
 )
-from repro.runtime.tasks import Task
-
-
-def _double(x: int) -> int:
-    return 2 * x
 
 
 class TestMinting:
@@ -66,22 +60,3 @@ class TestBinding:
         for thread in threads:
             thread.join()
         assert seen == {f"trace-{i:04d}": f"trace-{i:04d}" for i in range(4)}
-
-
-class TestTagTasks:
-    def test_tags_rewrite_names_only(self):
-        task = Task(fn=_double, params={"x": 3})
-        (tagged,) = tag_tasks([task], "abcd1234")
-        assert tagged.label.endswith("trace=abcd1234")
-        assert tagged.params == task.params
-        assert tagged.run() == 6
-
-    def test_tagging_never_perturbs_cache_keys(self):
-        task = Task(fn=_double, params={"x": 3})
-        (tagged,) = tag_tasks([task], "abcd1234")
-        assert tagged.key() == task.key()
-
-    def test_none_trace_is_a_no_op(self):
-        task = Task(fn=_double, params={"x": 3})
-        (untagged,) = tag_tasks([task], None)
-        assert untagged is task

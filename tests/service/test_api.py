@@ -17,6 +17,7 @@ from repro.runtime.cache import ResultCache
 from repro.runtime.suites import run_suite, task_runner_for
 from repro.service import JobService, ServiceClient, serve
 from repro.service.jobs import DONE
+from repro.service.scheduler import JOB_TABLE
 
 
 @pytest.fixture
@@ -110,10 +111,10 @@ class TestEndpoints:
         service, client = live_service(start=False)
         job = client.submit("experiment", {"experiment": "warp"})
 
-        def explode(jobs):
+        def explode(job):
             raise RuntimeError("boom")
 
-        service.executor.execute_batch = explode
+        service.executor.execute = explode
         service.start()
         with pytest.raises(ServiceError) as excinfo:
             client.wait(job["id"])
@@ -225,64 +226,30 @@ class TestAcceptance:
         assert all(entry == rows[0] for entry in rows)
 
 
-class TestVectorizedBatching:
-    def test_queued_analytic_sweeps_ride_one_batch(self, live_service):
-        service, client = live_service(start=False, workers=1)
-        jobs = [
-            client.submit(
-                "sweep",
-                {
-                    "kernel": "matmul",
-                    "memory_sizes": [16 * (i + 1), 64 * (i + 1)],
-                    "problem_size": 1024,
-                    "analytic": True,
-                },
-            )
-            for i in range(4)
-        ]
-        service.start()
-        documents = [client.wait(job["id"]) for job in jobs]
-        assert service.scheduler.stats.batches == 1
-        assert service.scheduler.stats.batched_jobs == 4
-        assert service.executor.stats.vector_batches == 1
-        for document in documents:
-            assert document["result"]["schema"].startswith(
-                "repro-service-analytic-sweep/"
-            )
-            assert document["result"]["batch_jobs"] == 4
-
-
-class TestBatchFailureIsolation:
-    def test_one_bad_analytic_job_does_not_poison_the_batch(
-        self, live_service, monkeypatch
-    ):
-        import repro.service.workers as workers_module
-
-        real = workers_module.evaluate_analytic_sweeps
-
-        def picky(jobs):
-            if any(job["kernel"] == "fft" for job in jobs):
-                raise RuntimeError("fft evaluation exploded")
-            return real(jobs)
-
-        monkeypatch.setattr(workers_module, "evaluate_analytic_sweeps", picky)
-
-        service, client = live_service(start=False, workers=1)
-        good = client.submit(
-            "sweep",
-            {"kernel": "matmul", "memory_sizes": [16, 64], "analytic": True},
-        )
-        bad = client.submit(
-            "sweep", {"kernel": "fft", "memory_sizes": [8, 32], "analytic": True}
-        )
-        service.start()
-
-        document = client.wait(good["id"])
-        assert document["result"]["kernel"] == "matmul"
+class TestJobKindTable:
+    def test_unknown_kind_400_lists_the_table(self, live_service):
+        _, client = live_service(start=False)
         with pytest.raises(ServiceError) as excinfo:
-            client.wait(bad["id"])
-        assert excinfo.value.status == 500
-        assert "fft evaluation exploded" in str(excinfo.value)
+            client.submit("compile", {})
+        assert excinfo.value.status == 400
+        assert all(kind in str(excinfo.value) for kind in JOB_TABLE)
+
+    def test_negative_scale_is_a_400_and_zero_is_admitted(self, live_service):
+        _, client = live_service(start=False)
+        spec = {"kernel": "matmul", "memory_sizes": [12, 48]}
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit("sweep", {**spec, "scale": -1})
+        assert excinfo.value.status == 400
+        assert "scale" in str(excinfo.value)
+        assert client.submit("sweep", {**spec, "scale": 0})["state"] == "queued"
+
+    def test_analytic_sweep_records_no_failures(self, live_service):
+        _, client = live_service()
+        document = client.submit_and_wait(
+            "sweep", {"kernel": "matmul", "memory_sizes": [16, 64], "analytic": True}
+        )
+        assert document["result"]["schema"] == "repro-service-analytic-sweep/v1"
+        assert client.health()["executor"]["record_failures"] == 0
 
 
 class TestTraceEndpoint:

@@ -19,13 +19,9 @@ from repro.faults import (
     torn_write_armed,
     uninstall,
 )
-from repro.service.retry import (
-    DEFAULT_POLICIES,
-    RetryPolicy,
-    is_transient,
-    policy_for,
-    transient_reason,
-)
+from repro.service.jobs import Job
+from repro.service.retry import RetryPolicy, is_transient, transient_reason
+from repro.service.scheduler import JOB_TABLE, retry_policy
 
 
 @pytest.fixture(autouse=True)
@@ -229,13 +225,15 @@ class TestRetryPolicy:
         assert RetryPolicy.from_dict(policy.as_dict()) == policy
 
     def test_per_kind_defaults(self):
-        assert set(DEFAULT_POLICIES) == {"sweep", "experiment", "suite"}
-        assert policy_for("sweep") is DEFAULT_POLICIES["sweep"]
-        assert policy_for("unknown-kind") == RetryPolicy()
         # Suites are the heavy kind: fewest attempts, widest deadline.
-        assert DEFAULT_POLICIES["suite"].max_attempts <= DEFAULT_POLICIES[
-            "sweep"
-        ].max_attempts
+        assert {kind: entry.retry for kind, entry in JOB_TABLE.items()} == {
+            "sweep": RetryPolicy(3, 0.05, 2.0, 300.0),
+            "experiment": RetryPolicy(3, 0.1, 5.0, 600.0),
+            "suite": RetryPolicy(2, 0.25, 10.0, 1800.0),
+        }
+        assert JOB_TABLE["sweep"].analytic.retry is JOB_TABLE["sweep"].retry
+        unknown = Job(id="j1", kind="unknown-kind", params={})
+        assert retry_policy(unknown) == RetryPolicy()
 
     def test_transient_classification(self):
         assert is_transient(OSError("disk"))

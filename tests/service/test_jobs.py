@@ -28,10 +28,6 @@ class TestJob:
         assert job.elapsed_seconds is None
         assert store.get(job.id) is job
 
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ConfigurationError):
-            JobStore().create("compile", {})
-
     def test_as_dict_hides_result_by_default(self):
         store = JobStore()
         job = store.create("suite", {"suite": "quick"})

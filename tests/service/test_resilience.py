@@ -356,16 +356,6 @@ class TestChaosAcceptance:
         )
     ]
 
-    @staticmethod
-    def _comparable(result: dict) -> dict:
-        # Batch bookkeeping depends on how jobs happened to ride together,
-        # which faults legitimately change; the science must not.
-        return {
-            key: value
-            for key, value in result.items()
-            if key not in ("batch_jobs", "batch_grid_points")
-        }
-
     def _run(self, tmp_path, name: str, *, port_client: bool = False):
         service = _fresh_service(tmp_path, name, workers=2)
         server = serve("127.0.0.1", 0, service)
@@ -389,10 +379,7 @@ class TestChaosAcceptance:
         for thread in threads:
             thread.join(10.0)
         assert all(ids), "every concurrent submission must be admitted"
-        results = [
-            self._comparable(client.wait(job_id, timeout=30.0)["result"])
-            for job_id in ids
-        ]
+        results = [client.wait(job_id, timeout=30.0)["result"] for job_id in ids]
         return service, server, client, results
 
     def test_chaos_run_matches_fault_free_run(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Tests for job content addressing, dedup and vectorized batching."""
+"""Tests for the job-kind table, job content addressing and dedup."""
 
 from __future__ import annotations
 
@@ -7,12 +7,12 @@ import pytest
 
 from repro.core.registry import get as registry_get
 from repro.exceptions import ConfigurationError
+from repro.kernels.base import Kernel
 from repro.runtime.vectorized import cost_grid
 from repro.service.jobs import DONE, FAILED, QUEUED, RUNNING, JobStore
 from repro.service.scheduler import (
     JobScheduler,
     analytic_sweep_payload,
-    evaluate_analytic_sweeps,
     job_key,
     normalize_job_params,
 )
@@ -120,7 +120,7 @@ class TestDedup:
         assert scheduler.stats.deduped == 1
         assert scheduler.queue_depth == 1  # the follower never queues
 
-        (claimed,) = scheduler.claim()
+        claimed = scheduler.claim()
         assert claimed.id == primary.id
         assert claimed.state == RUNNING and follower.state == QUEUED
 
@@ -133,7 +133,7 @@ class TestDedup:
         spec = {"experiment": "warp", "params": {}}
         primary = scheduler.submit("experiment", spec)
         follower = scheduler.submit("experiment", spec)
-        (claimed,) = scheduler.claim()
+        claimed = scheduler.claim()
         scheduler.fail(claimed, "worker died")
         assert primary.state == FAILED and follower.state == FAILED
         assert follower.error == "worker died"
@@ -143,7 +143,7 @@ class TestDedup:
         scheduler = JobScheduler(JobStore())
         spec = {"experiment": "warp", "params": {}}
         first = scheduler.submit("experiment", spec)
-        (claimed,) = scheduler.claim()
+        claimed = scheduler.claim()
         scheduler.finish(claimed, {})
         second = scheduler.submit("experiment", spec)
         assert second.deduped_into is None
@@ -163,7 +163,7 @@ class TestDedup:
         store = JobStore(path)
         scheduler = JobScheduler(store)
         job = scheduler.submit("experiment", {"experiment": "warp"})
-        (claimed,) = scheduler.claim()
+        claimed = scheduler.claim()
         assert claimed.state == RUNNING
 
         recovered_store = JobStore(path)
@@ -172,64 +172,48 @@ class TestDedup:
         recovered_scheduler.requeue(interrupted)
         assert interrupted.state == QUEUED
         assert interrupted.id == job.id
-        (reclaimed,) = recovered_scheduler.claim()
+        reclaimed = recovered_scheduler.claim()
         assert reclaimed.id == job.id
 
 
 class TestClaim:
     def test_claim_times_out_empty(self):
-        assert JobScheduler(JobStore()).claim(timeout=0.01) == []
+        assert JobScheduler(JobStore()).claim(timeout=0.01) is None
 
     def test_close_wakes_waiters(self):
         scheduler = JobScheduler(JobStore())
         scheduler.close()
-        assert scheduler.claim(timeout=10.0) == []
+        assert scheduler.claim(timeout=10.0) is None
 
-    def test_analytic_sweeps_claim_as_one_batch(self):
-        scheduler = JobScheduler(JobStore())
-        a = scheduler.submit(
-            "sweep",
-            {"kernel": "matmul", "memory_sizes": [16, 64], "analytic": True},
-        )
-        other = scheduler.submit("experiment", {"experiment": "warp"})
-        b = scheduler.submit(
-            "sweep",
-            {"kernel": "fft", "memory_sizes": [8, 32], "analytic": True},
-        )
-        batch = scheduler.claim()
-        assert [job.id for job in batch] == [a.id, b.id]
-        assert scheduler.stats.batches == 1
-        assert scheduler.stats.batched_jobs == 2
-        # The non-analytic job is still queued, in order.
-        (next_claim,) = scheduler.claim()
-        assert next_claim.id == other.id
 
-    def test_single_analytic_sweep_claims_alone(self):
+class TestJobKindTable:
+    MEASURED = {"kernel": "matvec", "memory_sizes": [16, 64, 256], "scale": 48}
+
+    def test_measured_admission_never_generates_problems(self, monkeypatch):
+        def refuse(self, memory_words, scale):
+            raise AssertionError("admission generated a problem instance")
+
+        monkeypatch.setattr(Kernel, "problem_for_memory", refuse)
+        job = JobScheduler(JobStore()).submit("sweep", dict(self.MEASURED))
+        assert job.state == QUEUED and job.key is not None
+
+    def test_identical_measured_specs_dedup(self):
         scheduler = JobScheduler(JobStore())
-        job = scheduler.submit(
-            "sweep", {"kernel": "matmul", "memory_sizes": [16], "analytic": True}
-        )
-        assert [j.id for j in scheduler.claim()] == [job.id]
-        assert scheduler.stats.batches == 0
+        primary = scheduler.submit("sweep", dict(self.MEASURED))
+        follower = scheduler.submit("sweep", dict(self.MEASURED))
+        assert follower.deduped_into == primary.id
+        assert follower.key == primary.key
+
+    def test_too_small_memory_still_rejected_at_admission(self):
+        scheduler = JobScheduler(JobStore())
+        with pytest.raises(ConfigurationError, match="requires at least"):
+            scheduler.submit(
+                "sweep", {"kernel": "matmul", "memory_sizes": [1, 48], "scale": 12}
+            )
+        assert scheduler.queue_depth == 0
 
 
 class TestVectorizedBatch:
-    def test_batch_slices_match_single_job_evaluation(self):
-        jobs = [
-            {"kernel": "matmul", "memory_sizes": [16, 64], "problem_size": 1024},
-            {"kernel": "matmul", "memory_sizes": [64, 256], "problem_size": 2048},
-            {"kernel": "fft", "memory_sizes": [8, 32], "problem_size": 4096},
-        ]
-        batched = evaluate_analytic_sweeps(jobs)
-        for job, payload in zip(jobs, batched):
-            alone = analytic_sweep_payload(**job)
-            assert payload["rows"] == alone["rows"]
-            assert payload["kernel"] == job["kernel"]
-        assert batched[0]["batch_jobs"] == 3
-        # Two matmul jobs merged onto one union grid: 2 problem sizes x 3
-        # distinct memory sizes.
-        assert batched[0]["batch_grid_points"] == 6
-
     def test_rows_match_the_vectorized_module_directly(self):
         payload = analytic_sweep_payload("matmul", [16, 64, 256], 4096)
         spec = registry_get("matmul")

@@ -6,7 +6,7 @@ at the classical systolic designs.  These benchmarks run the cycle-level
 simulations of an output-stationary matmul mesh, a linear matvec array and
 the Gentleman-Kung triangular QR array on streams of problem instances,
 checking numerical correctness and steady-state cell utilization -- and time
-the validating reference engine against the vectorized wavefront engine,
+the validating reference engine against the fast engine,
 writing the machine-readable ``BENCH_systolic.json`` artifact at the repo
 root (the perf baseline the CI perf-smoke job asserts against).
 """
@@ -79,8 +79,7 @@ def test_bench_wavefront_engine_vs_reference():
 
     The fast engines must be bitwise identical (outputs, cycle counts,
     active-cell counts) and not slower at order >= 16; the measured speedups
-    are recorded in the artifact (the tentpole target is >= 20x for the
-    order-32 matmul mesh).
+    are recorded in the artifact.
     """
     rng = np.random.default_rng(1986)
     rows: dict[str, list[dict]] = {"matmul": [], "matvec": [], "qr": []}
@@ -212,7 +211,7 @@ def test_bench_wavefront_engine_vs_reference():
         "schema": "repro-bench-systolic/v2",
         "description": (
             "Cycle-level systolic simulators: validating reference engine vs "
-            "vectorized wavefront engine (bitwise-identical outputs)"
+            "fast engine (bitwise-identical outputs)"
         ),
         "matmul": rows["matmul"],
         "matvec": rows["matvec"],
@@ -220,16 +219,17 @@ def test_bench_wavefront_engine_vs_reference():
     }
     BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     emit(
-        "Wavefront engine vs reference engine (BENCH_systolic.json)",
+        "Fast engine vs reference engine (BENCH_systolic.json)",
         "\n".join(lines) + f"\nwrote {BENCH_PATH.name}",
     )
 
-    # Speedup floors (the CI perf-smoke job re-asserts these from the
-    # artifact).  The floors are conservative fractions of the typical
-    # factors -- matmul-32 usually lands 30-70x, QR-64 10-15x with the
-    # banded anti-diagonal engine, matvec-256 5-13x -- so a miss means a
-    # real regression, not runner jitter.  Fast-only rows (null reference)
-    # have no speedup to assert.
+    # Speedup floors.  The floors are conservative fractions of the typical
+    # factors -- matmul-32 ~1500x and matvec-256/512 ~120-180x with the
+    # schedule-free engines, QR-64 10-15x with the banded anti-diagonal
+    # engine -- so a miss means a real regression, not runner jitter.  The
+    # CI perf-smoke job re-asserts tighter floors from the artifact (mesh
+    # >= 100x, matvec >= 40x); tier-1 keeps these loose ones because it runs
+    # on any host.  Fast-only rows (null reference) have no speedup to assert.
     timed = [
         row
         for row in rows["matmul"] + rows["matvec"] + rows["qr"]

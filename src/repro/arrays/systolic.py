@@ -21,9 +21,15 @@ several problem instances are streamed back to back.
 Each simulator runs on one of two engines (see
 :mod:`repro.arrays.wavefront`): ``engine="reference"`` walks every cell with
 the scalar Python loops below -- the validating specification -- while
-``engine="fast"`` (the default) replays the identical dataflow with
-whole-array numpy updates per cycle, producing bitwise-identical outputs,
-cycle counts and active-cell counts at a fraction of the interpreter cost.
+``engine="fast"`` (the default) applies each cell's multiply-adds as
+whole-batch updates in the same order and takes the cycle and active-cell
+counts from the skew schedule's closed forms, producing bitwise-identical
+outputs and counts at a fraction of the interpreter cost.
+
+The reference engine treats a NaN in a register as "no operand here", so
+a NaN operand would silently drop terms from its instance and misplace
+others into the next; :meth:`run` rejects NaN operands before either
+engine starts.
 """
 
 from __future__ import annotations
@@ -48,6 +54,15 @@ __all__ = [
     "OutputStationaryMatmulArray",
     "LinearMatvecArray",
 ]
+
+
+def _reject_nan_operands(batch: int, *operands: np.ndarray) -> None:
+    """Refuse a problem instance holding NaN: the cells read it as no operand."""
+    if any(np.isnan(operand).any() for operand in operands):
+        raise ConfigurationError(
+            f"problem instance {batch} has a NaN operand; the array reads NaN "
+            "as an empty register"
+        )
 
 
 @dataclass(frozen=True)
@@ -97,13 +112,14 @@ class OutputStationaryMatmulArray:
             raise ConfigurationError("at least one problem instance is required")
         a_list = []
         b_list = []
-        for a, b in problems:
+        for batch, (a, b) in enumerate(problems):
             a = np.asarray(a, dtype=float)
             b = np.asarray(b, dtype=float)
             if a.shape != (n, n) or b.shape != (n, n):
                 raise ConfigurationError(
                     f"problem matrices must be {n} x {n}, got {a.shape} and {b.shape}"
                 )
+            _reject_nan_operands(batch, a, b)
             a_list.append(a)
             b_list.append(b)
 
@@ -218,13 +234,14 @@ class LinearMatvecArray:
             raise ConfigurationError("at least one problem instance is required")
         a_list = []
         x_list = []
-        for a, x in problems:
+        for batch, (a, x) in enumerate(problems):
             a = np.asarray(a, dtype=float)
             x = np.asarray(x, dtype=float)
             if a.shape != (n, n) or x.shape != (n,):
                 raise ConfigurationError(
                     f"problem must be an {n} x {n} matrix and length-{n} vector"
                 )
+            _reject_nan_operands(batch, a, x)
             a_list.append(a)
             x_list.append(x)
 

@@ -1,4 +1,4 @@
-"""Vectorized wavefront engines for the cycle-level systolic simulators.
+"""Fast engines for the cycle-level systolic simulators.
 
 The reference simulators in :mod:`repro.arrays.systolic` and
 :mod:`repro.arrays.triangular_qr` walk every cell with Python loops --
@@ -7,20 +7,32 @@ O(cycles x cells) interpreter operations -- which is the right shape for a
 module provides the trusted fast engines behind the shared
 ``engine="reference" | "fast"`` selector, mirroring the pebble game's
 trusted-fast design (``repro.pebble.game``): the scalar engines remain the
-specification, and the fast engines replay the identical dataflow with
-whole-array numpy updates per simulated cycle --
+specification, and the fast engines compute what they compute without
+replaying their cycles.
 
-* register propagation as array slicing (the skewed operand streams shift
-  one cell per cycle),
-* source injection gathered from the closed-form skew schedule
-  (``cycle = i + j + k`` for the output-stationary mesh),
-* activity accounting as nan-masked reductions.
+* **Matmul mesh and matvec array: schedule-free.**  Their register shifts
+  only route operands; no datum depends on when it moves.  Each output
+  cell accumulates ``acc + a*b`` from +0.0 over ascending ``k`` (the mesh)
+  or ``j`` (the matvec array), so the engines apply one whole-batch update
+  per ``k`` or ``j`` in that order and never step a cycle.  The cycle and
+  active-cell counts follow in closed form from the paper's skew schedule:
+  ``batches*n + 2(n-1)`` and ``batches*n**3`` for the mesh,
+  ``batches*n + n`` and ``batches*n**2`` for the matvec array.
+* **Triangular QR array: banded anti-diagonal steps.**  Its boundary cells
+  generate data-dependent rotations, so the engine keeps the wavefront
+  order and runs each anti-diagonal as whole-band updates (see
+  :func:`qr_wavefront`).
 
 Every elementary floating-point operation is performed in the same order as
 in the reference engine, so outputs are *bitwise* identical -- not merely
 close -- and cycle counts and active-cell counts match exactly.  The
 equivalence suite (``tests/arrays/test_wavefront_equivalence.py``) asserts
-this over random orders, batch counts and the degenerate one-cell arrays.
+this over random orders, batch counts, signed zeros and the degenerate
+one-cell arrays.  With infinite operands the NaN results (``inf - inf``,
+``inf * 0``) agree in position and every finite result in its bits; IEEE
+754 leaves the NaNs' sign and payload unspecified.  NaN operands are
+rejected before either engine runs, because the scalar engines read NaN as
+an empty register.
 """
 
 from __future__ import annotations
@@ -46,7 +58,7 @@ __all__ = [
 ]
 
 #: The recognised simulation engines, in trust order: ``reference`` is the
-#: scalar per-cell specification, ``fast`` the vectorized wavefront replay.
+#: scalar per-cell specification, ``fast`` the vectorized engines below.
 ENGINES = ("reference", "fast")
 
 
@@ -134,78 +146,27 @@ def batched_verification_report(
 def matmul_wavefront(
     a_stack: np.ndarray, b_stack: np.ndarray
 ) -> tuple[np.ndarray, int, int]:
-    """Vectorized replay of the output-stationary mesh dataflow.
+    """Schedule-free engine for the output-stationary mesh.
 
     ``a_stack`` and ``b_stack`` are the problem instances stacked to shape
-    ``(batches, n, n)``.  Returns ``(outputs, cycles, active_cell_cycles)``
-    with ``outputs`` of shape ``(batches, n, n)``.
+    ``(batches, n, n)``; every operand must be non-NaN (the scalar engine
+    reads NaN as an empty register, so the array classes reject it).
+    Returns ``(outputs, cycles, active_cell_cycles)`` with ``outputs`` of
+    shape ``(batches, n, n)``.
 
-    Per cycle the whole mesh advances at once: the operand registers shift
-    one cell right/down (slice assignment), the boundary cells gather their
-    operands from the skewed streams (``A[i, k]`` enters row ``i`` at cycle
-    ``i + k``), and every cell holding two non-nan operands accumulates --
-    the same multiply-add, in the same ``k`` order, as the reference engine.
+    Cell ``(i, j)`` of batch ``b`` starts from +0.0 and adds
+    ``A[i, k] * B[k, j]`` at cycle ``b*n + i + j + k``, in ascending ``k``
+    -- so each ``k`` is one whole-batch rank-1 update.  The sum is never
+    handed to ``a @ b``: BLAS reorders and fuses it, which changes bits.
     """
     batches, n, _ = a_stack.shape
-    total_cycles = batches * n + 2 * (n - 1)
-    stream_len = batches * n
-    # a_stream[i, idx] is the value entering row i at cycle idx + i;
-    # b_stream[idx, j] is the value entering column j at cycle idx + j.
-    a_stream = np.ascontiguousarray(a_stack.transpose(1, 0, 2)).reshape(n, stream_len)
-    b_stream = b_stack.reshape(stream_len, n)
-
-    lanes = np.arange(n)
-    accumulators = np.zeros((n, n))
-    accumulated_terms = np.zeros((n, n), dtype=np.int64)
-    a_regs = np.full((n, n), np.nan)
-    b_regs = np.full((n, n), np.nan)
     outputs = np.zeros((batches, n, n))
-    active_cell_cycles = 0
-
-    # One aggregate phase sample over the whole cycle loop: an order-256
-    # mesh runs ~10^3 cycles and must not emit a span per cycle.
     with obs_spans.phase("matmul_wavefront.cycles"):
-        for cycle in range(total_cycles):
-            index = cycle - lanes
-            valid = (index >= 0) & (index < stream_len)
-            safe = np.where(valid, index, 0)
-            a_col = np.where(valid, a_stream[lanes, safe], np.nan)
-            b_row = np.where(valid, b_stream[safe, lanes], np.nan)
-
-            new_a = np.empty((n, n))
-            new_a[:, 0] = a_col
-            new_a[:, 1:] = a_regs[:, :-1]
-            new_b = np.empty((n, n))
-            new_b[0, :] = b_row
-            new_b[1:, :] = b_regs[:-1, :]
-
-            active = ~(np.isnan(new_a) | np.isnan(new_b))
-            # acc + a*b is evaluated exactly where the reference performs its
-            # scalar multiply-accumulate; inactive cells keep their bits.
-            accumulators = np.where(
-                active, accumulators + new_a * new_b, accumulators
-            )
-            accumulated_terms += active
-            active_cell_cycles += int(np.count_nonzero(active))
-
-            done = active & (accumulated_terms == n)
-            if done.any():
-                row_idx, col_idx = np.nonzero(done)
-                batch_idx = (cycle - row_idx - col_idx) // n
-                if (batch_idx < 0).any() or (batch_idx >= batches).any():
-                    raise SimulationError(
-                        "systolic dataflow produced a result outside "
-                        "any problem instance"
-                    )
-                outputs[batch_idx, row_idx, col_idx] = accumulators[
-                    row_idx, col_idx
-                ]
-                accumulators[row_idx, col_idx] = 0.0
-                accumulated_terms[row_idx, col_idx] = 0
-
-            a_regs, b_regs = new_a, new_b
-
-    return outputs, total_cycles, active_cell_cycles
+        for k in range(n):
+            outputs += a_stack[:, :, k, None] * b_stack[:, None, k, :]
+    # The last multiply-add (batch B-1, k = n-1, cell (n-1, n-1)) falls on
+    # cycle B*n + 2(n-1) - 1; each cell is busy n cycles per instance.
+    return outputs, batches * n + 2 * (n - 1), batches * n**3
 
 
 # ---------------------------------------------------------------------------
@@ -216,49 +177,31 @@ def matmul_wavefront(
 def matvec_wavefront(
     a_stack: np.ndarray, x_stack: np.ndarray
 ) -> tuple[np.ndarray, int, int]:
-    """Vectorized replay of the linear matvec array dataflow.
+    """Schedule-free engine for the linear matvec array.
 
     ``a_stack`` has shape ``(batches, n, n)``, ``x_stack`` ``(batches, n)``.
     Returns ``(outputs, cycles, active_cell_cycles)`` with ``outputs`` of
-    shape ``(batches, n)``.  Per cycle the partial sums shift one cell right
-    and every active cell adds its ``A[i, j] * x[j]`` term, gathered from the
-    skew schedule ``global_row = cycle - j``.
+    shape ``(batches, n)``.  The partial sum of ``y[i]`` starts from 0.0
+    and cell ``j`` adds ``A[i, j] * x[j]``, so the columns are added in
+    ascending order, one whole-batch update each.
+
+    A NaN partial sum entering cells ``1..n-1`` (e.g. after ``inf - inf``)
+    is a missing partial sum to the dataflow, which raises
+    :class:`~repro.exceptions.SimulationError`.  NaN is sticky under
+    addition, so checking the sums once, before the last column's term,
+    catches every such cell.
     """
     batches, n, _ = a_stack.shape
-    total_cycles = batches * n + n
-    stream_len = batches * n
-    a_stream = a_stack.reshape(stream_len, n)
-
-    cells = np.arange(n)
-    partial_regs = np.full(n, np.nan)
     outputs = np.zeros((batches, n))
-    active_cell_cycles = 0
-
     with obs_spans.phase("matvec_wavefront.cycles"):
-        for cycle in range(total_cycles):
-            global_row = cycle - cells
-            active = (global_row >= 0) & (global_row < stream_len)
-            safe = np.where(active, global_row, 0)
-
-            incoming = np.empty(n)
-            incoming[0] = 0.0
-            incoming[1:] = partial_regs[:-1]
-            if bool(np.any(active & np.isnan(incoming))):
-                raise SimulationError(
-                    "partial sum missing where the dataflow expects one"
-                )
-
-            a_values = a_stream[safe, cells]
-            x_values = x_stack[safe // n, cells]
-            updated = incoming + a_values * x_values
-            active_cell_cycles += int(np.count_nonzero(active))
-
-            if active[n - 1]:
-                batch, i = divmod(cycle - (n - 1), n)
-                outputs[batch, i] = updated[n - 1]
-            partial_regs = np.where(active, updated, np.nan)
-
-    return outputs, total_cycles, active_cell_cycles
+        for j in range(n - 1):
+            outputs += a_stack[:, :, j] * x_stack[:, j, None]
+        if np.isnan(outputs).any():
+            raise SimulationError("partial sum missing where the dataflow expects one")
+        outputs += a_stack[:, :, n - 1] * x_stack[:, n - 1, None]
+    # Stream row r enters cell 0 at cycle r and leaves cell n-1 at cycle
+    # r + n, so the last of the B*n rows is out after B*n + n cycles.
+    return outputs, batches * n + n, batches * n * n
 
 
 # ---------------------------------------------------------------------------

@@ -1182,7 +1182,7 @@ def build_parser() -> argparse.ArgumentParser:
     systolic.add_argument(
         "--engine", choices=("reference", "fast"), default="fast",
         help="cycle-level engine: validating scalar loops or the vectorized "
-        "wavefront engine (bitwise identical, default)",
+        "fast engines (bitwise identical, default)",
     )
     systolic.add_argument(
         "--matvec-length", type=int, default=None,

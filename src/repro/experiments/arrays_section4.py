@@ -228,8 +228,8 @@ def run_systolic_experiment(
     ``batches * qr_order``).  ``matvec_length`` and ``qr_order`` default to
     ``order``, but can be set independently so large-order scenarios can
     stress one design without inflating the others.  ``engine`` selects the
-    validating scalar simulators (``"reference"``) or the vectorized
-    wavefront engines (``"fast"``, bitwise identical).
+    validating scalar simulators (``"reference"``) or the fast engines of
+    :mod:`repro.arrays.wavefront` (``"fast"``, bitwise identical).
     """
     matvec_length = order if matvec_length is None else matvec_length
     qr_order = order if qr_order is None else qr_order

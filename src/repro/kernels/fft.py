@@ -14,7 +14,10 @@ transfers, so the intensity is ``Theta(log2 M)`` and rebalancing requires
 Within a pass, the indices that interact form independent groups of ``B``
 points; every group is gathered into local memory, its butterflies are
 applied with the correct global twiddle factors, and it is scattered back.
-The result is verified against ``numpy.fft.fft``.
+The result is verified against ``numpy.fft.fft``.  The groups of a pass are
+disjoint, so the kernel runs each stage over all of a pass's groups at once
+and charges the pass once; an equivalence suite holds it bitwise- and
+count-identical to the block-by-block scalar loop.
 
 :func:`decomposition_plan` exposes the pass/group structure itself so the
 Figure 2 experiment can reconstruct the paper's picture for ``N=16, M=4``.
@@ -81,17 +84,10 @@ def decomposition_plan(n_points: int, memory_words: int) -> list[FFTPass]:
     for the final pass when ``log2 N`` is not a multiple of ``log2 B``) and
     lists the groups of global indices that are co-resident in local memory.
     """
-    if n_points < 2 or n_points & (n_points - 1):
-        raise ConfigurationError(f"FFT size must be a power of two >= 2, got {n_points}")
-    block = min(block_points_for_memory(memory_words), n_points)
-    total_stages = int(math.log2(n_points))
-    stages_per_pass = int(math.log2(block))
+    _check_size(n_points)
     passes: list[FFTPass] = []
-    stage = 0
-    while stage < total_stages:
-        last = min(stage + stages_per_pass, total_stages)
-        span = last - stage
-        group_size = 1 << span
+    for stage, last in _pass_stages(n_points, memory_words):
+        group_size = 1 << (last - stage)
         mid_mask = ((1 << last) - 1) ^ ((1 << stage) - 1)
         groups: list[tuple[int, ...]] = []
         seen: set[int] = set()
@@ -110,8 +106,62 @@ def decomposition_plan(n_points: int, memory_words: int) -> list[FFTPass]:
                 groups=tuple(groups),
             )
         )
-        stage = last
     return passes
+
+
+def _check_size(n_points: int) -> None:
+    if n_points < 2 or n_points & (n_points - 1):
+        raise ConfigurationError(f"FFT size must be a power of two >= 2, got {n_points}")
+
+
+def _pass_stages(n_points: int, memory_words: int) -> list[tuple[int, int]]:
+    """``(first_stage, last_stage)`` of each pass: ``log2 B`` stages apiece."""
+    block = min(block_points_for_memory(memory_words), n_points)
+    total_stages = n_points.bit_length() - 1
+    stages_per_pass = block.bit_length() - 1
+    return [
+        (stage, min(stage + stages_per_pass, total_stages))
+        for stage in range(0, total_stages, stages_per_pass)
+    ]
+
+
+def _bit_reversed_copy(x: np.ndarray) -> np.ndarray:
+    """The input as complex points in the bit-reversed order DIT starts from.
+
+    As in Figure 2, the shuffles between subcomputation blocks are realised
+    purely by how blocks gather and scatter their words in external memory
+    -- they move no data of their own -- so the bit-reversal is an
+    addressing convention, not an I/O pass: every word is still charged
+    exactly once per pass when its block reads and writes it.
+    """
+    data = np.array(x, dtype=complex, copy=True)
+    _check_size(data.shape[0])
+    return data[_bit_reverse_indices(data.shape[0])]
+
+
+def _butterfly_stage(data: np.ndarray, stage: int) -> None:
+    """Apply butterfly stage ``stage`` to every pair of ``data`` in place.
+
+    The pairs ``(low, low + half)`` of one stage are disjoint, so running
+    them all at once gives each point the operation sequence the per-block
+    loop gives it.  The twiddle of a pair depends on ``low % half`` only.
+    The product ``w * high`` is written out in real arithmetic, which rounds
+    exactly as numpy's scalar complex product does.  Numpy's SIMD complex
+    multiply fuses its multiply-adds: on an x86-64 host with FMA it differed
+    from the scalar product in the last bit for about half of 10,000 random
+    operand pairs.
+    """
+    half = 1 << stage
+    pairs = data.reshape(-1, 2, half)
+    low = pairs[:, 0, :]
+    high = pairs[:, 1, :]
+    w = np.exp(-2j * np.pi * np.arange(half) / (2 * half))
+    t = np.empty_like(high)
+    t.real = w.real * high.real - w.imag * high.imag
+    t.imag = w.real * high.imag + w.imag * high.real
+    upper = low + t
+    high[...] = low - t
+    low[...] = upper
 
 
 class BlockedFFT(Kernel):
@@ -140,57 +190,67 @@ class BlockedFFT(Kernel):
         return ComputationCost(ops, io_words)
 
     def _run(self, ctx: ExecutionContext, *, x: np.ndarray) -> np.ndarray:
-        data = np.array(x, dtype=complex, copy=True)
+        data = _bit_reversed_copy(x)
         n = data.shape[0]
-        if n < 2 or n & (n - 1):
-            raise ConfigurationError(f"FFT size must be a power of two >= 2, got {n}")
-
-        # The decimation-in-time ordering starts from bit-reversed input.  As
-        # in Figure 2, the shuffles between subcomputation blocks are
-        # realised purely by how blocks gather and scatter their words in
-        # external memory -- they move no data of their own -- so the
-        # bit-reversal is an addressing convention, not an I/O pass: every
-        # word is still charged exactly once per pass when its block reads
-        # and writes it.
-        permutation = _bit_reverse_indices(n)
-        data = data[permutation]
-
-        plan = decomposition_plan(n, ctx.memory.capacity_words)
-        for fft_pass in plan:
-            pass_ops = 0.0
-            pass_io = 0.0
-            for group in fft_pass.groups:
-                group_size = len(group)
-                words = group_size * WORDS_PER_COMPLEX
-                with ctx.memory.buffer("fft_block", words):
-                    ctx.io.read(words)
-                    pass_io += words
-                    block = data[list(group)]
-
-                    for stage in range(fft_pass.first_stage, fft_pass.last_stage):
-                        local_bit = stage - fft_pass.first_stage
-                        half = 1 << local_bit
-                        span = 1 << (stage + 1)
-                        for j in range(group_size):
-                            if j & half:
-                                continue
-                            partner = j | half
-                            global_index = group[j]
-                            twiddle_exponent = global_index % (1 << stage)
-                            w = np.exp(-2j * np.pi * twiddle_exponent / span)
-                            t = w * block[partner]
-                            u = block[j]
-                            block[j] = u + t
-                            block[partner] = u - t
-                            ctx.ops.add(OPS_PER_BUTTERFLY)
-                            pass_ops += OPS_PER_BUTTERFLY
-
-                    data[list(group)] = block
-                    ctx.io.write(words)
-                    pass_io += words
-            ctx.phases.record(
-                f"stages[{fft_pass.first_stage}:{fft_pass.last_stage}]",
-                pass_ops,
-                pass_io,
-            )
+        # Every pass reads and writes all N points, one memory-sized group of
+        # B points at a time; the groups of a pass are disjoint and equally
+        # sized, so each pass is charged once and runs stage by stage over
+        # all of its groups at the same time.
+        pass_io = 2.0 * n * WORDS_PER_COMPLEX
+        for first, last in _pass_stages(n, ctx.memory.capacity_words):
+            pass_ops = float(OPS_PER_BUTTERFLY * (n // 2) * (last - first))
+            block_words = (1 << (last - first)) * WORDS_PER_COMPLEX
+            with ctx.memory.buffer("fft_block", block_words):
+                ctx.io.read(n * WORDS_PER_COMPLEX)
+                for stage in range(first, last):
+                    _butterfly_stage(data, stage)
+                ctx.ops.add(pass_ops)
+                ctx.io.write(n * WORDS_PER_COMPLEX)
+            ctx.phases.record(f"stages[{first}:{last}]", pass_ops, pass_io)
         return data
+
+
+def _blocked_fft_reference(ctx: ExecutionContext, x: np.ndarray) -> np.ndarray:
+    """The scalar specification of :meth:`BlockedFFT._run`: block by block,
+    one butterfly at a time.  Only the equivalence tests call it."""
+    data = _bit_reversed_copy(x)
+    n = data.shape[0]
+    plan = decomposition_plan(n, ctx.memory.capacity_words)
+    for fft_pass in plan:
+        pass_ops = 0.0
+        pass_io = 0.0
+        for group in fft_pass.groups:
+            group_size = len(group)
+            words = group_size * WORDS_PER_COMPLEX
+            with ctx.memory.buffer("fft_block", words):
+                ctx.io.read(words)
+                pass_io += words
+                block = data[list(group)]
+
+                for stage in range(fft_pass.first_stage, fft_pass.last_stage):
+                    local_bit = stage - fft_pass.first_stage
+                    half = 1 << local_bit
+                    span = 1 << (stage + 1)
+                    for j in range(group_size):
+                        if j & half:
+                            continue
+                        partner = j | half
+                        global_index = group[j]
+                        twiddle_exponent = global_index % (1 << stage)
+                        w = np.exp(-2j * np.pi * twiddle_exponent / span)
+                        t = w * block[partner]
+                        u = block[j]
+                        block[j] = u + t
+                        block[partner] = u - t
+                        ctx.ops.add(OPS_PER_BUTTERFLY)
+                        pass_ops += OPS_PER_BUTTERFLY
+
+                data[list(group)] = block
+                ctx.io.write(words)
+                pass_io += words
+        ctx.phases.record(
+            f"stages[{fft_pass.first_stage}:{fft_pass.last_stage}]",
+            pass_ops,
+            pass_io,
+        )
+    return data

@@ -1,10 +1,11 @@
-"""Equivalence suite: the vectorized wavefront engines vs the reference.
+"""Equivalence suite: the fast engines of ``repro.arrays.wavefront`` vs the reference.
 
 The fast engines are trusted because they are *asserted identical* to the
 scalar specification -- outputs bitwise, cycle counts and active-cell
-accounting exact -- over random orders, batch counts and the degenerate
-one-cell arrays (the same contract the pebble game's trusted fast engine
-satisfies move for move).
+accounting exact -- over random orders, batch counts, order-32 spot checks,
++-inf and +-0.0 operands and the degenerate one-cell arrays (the same
+contract the pebble game's trusted fast engine satisfies move for move).
+Both engines reject NaN operands, which the reference reads as empty registers.
 """
 
 from __future__ import annotations
@@ -17,13 +18,51 @@ from hypothesis import strategies as st
 from repro.arrays.systolic import LinearMatvecArray, OutputStationaryMatmulArray
 from repro.arrays.triangular_qr import GentlemanKungTriangularArray
 from repro.arrays.wavefront import ENGINES, validate_engine
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SimulationError
 
 
 def _bitwise_equal(left: list[np.ndarray], right: list[np.ndarray]) -> bool:
     return len(left) == len(right) and all(
         a.tobytes() == b.tobytes() for a, b in zip(left, right)
     )
+
+
+def _equal_up_to_nan_bits(left: list[np.ndarray], right: list[np.ndarray]) -> bool:
+    """Same NaN positions and bitwise-equal everything else.
+
+    IEEE 754 leaves the sign and payload of a NaN produced from two NaN
+    operands unspecified, and CPython scalars and numpy vector loops pick
+    differently, so NaN results are compared by position only.
+    """
+    if len(left) != len(right):
+        return False
+    for a, b in zip(left, right):
+        a_nan, b_nan = np.isnan(a), np.isnan(b)
+        if not np.array_equal(a_nan, b_nan):
+            return False
+        if a[~a_nan].tobytes() != b[~b_nan].tobytes():
+            return False
+    return True
+
+
+def _with_specials(rng: np.random.Generator, shape, density: float) -> np.ndarray:
+    """Standard normals with a ``density`` share replaced by +-inf and +-0.0."""
+    values = rng.standard_normal(shape)
+    mask = rng.random(shape) < density
+    values[mask] = rng.choice([np.inf, -np.inf, 0.0, -0.0], size=int(mask.sum()))
+    return values
+
+
+def _run_both(factory, problems):
+    """Each engine's run result, or the SimulationError it raised."""
+    outcomes = []
+    for engine in ENGINES:
+        with np.errstate(invalid="ignore"):
+            try:
+                outcomes.append(factory(engine).run(problems))
+            except SimulationError as exc:
+                outcomes.append(exc)
+    return outcomes
 
 
 class TestEngineSelector:
@@ -102,6 +141,65 @@ class TestMatmulEquivalence:
         assert fast.active_cell_cycles == reference.active_cell_cycles
         assert _bitwise_equal(fast.outputs, reference.outputs)
 
+    def test_order_32_spot_check(self, rng):
+        n = 32
+        problems = [
+            (rng.standard_normal((n, n)), rng.standard_normal((n, n)))
+            for _ in range(2)
+        ]
+        reference = OutputStationaryMatmulArray(n, engine="reference").run(problems)
+        fast = OutputStationaryMatmulArray(n, engine="fast").run(problems)
+        assert fast.cycles == reference.cycles == 2 * n + 2 * (n - 1)
+        assert fast.active_cell_cycles == reference.active_cell_cycles == 2 * n**3
+        assert _bitwise_equal(fast.outputs, reference.outputs)
+
+    @given(
+        n=st.integers(min_value=1, max_value=6),
+        batches=st.integers(min_value=1, max_value=4),
+        density=st.sampled_from([0.1, 0.3, 0.6]),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_infinities_and_signed_zeros(self, n, batches, density, seed):
+        """+-inf and +-0.0 operands: inf*0 and inf-inf NaNs land in the same
+        cells, every other output bit matches (the +0.0 start turns a
+        -0.0 sum into +0.0 in both engines), and the counts are exact."""
+        rng = np.random.default_rng(seed)
+        problems = [
+            (_with_specials(rng, (n, n), density), _with_specials(rng, (n, n), density))
+            for _ in range(batches)
+        ]
+        reference, fast = _run_both(
+            lambda e: OutputStationaryMatmulArray(n, engine=e), problems
+        )
+        assert fast.cycles == reference.cycles
+        assert fast.active_cell_cycles == reference.active_cell_cycles == batches * n**3
+        assert _equal_up_to_nan_bits(fast.outputs, reference.outputs)
+
+    def test_all_negative_zero_products_start_from_positive_zero(self):
+        a = np.full((2, 2), -0.0)
+        b = np.ones((2, 2))
+        for engine in ENGINES:
+            (out,) = OutputStationaryMatmulArray(2, engine=engine).run([(a, b)]).outputs
+            assert not np.signbit(out).any()
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_nan_operand_rejected_before_the_engine_runs(self, engine):
+        """A NaN reads as an empty register: batch 0 would get a zero row,
+        batch 1 misplaced terms, and only 51 of 54 cells would count active."""
+        rng = np.random.default_rng(7)
+        problems = [
+            (rng.standard_normal((3, 3)), rng.standard_normal((3, 3))) for _ in range(2)
+        ]
+        problems[0][0][1, 1] = np.nan
+        mesh = OutputStationaryMatmulArray(3, engine=engine)
+        with pytest.raises(ConfigurationError, match="problem instance 0 has a NaN"):
+            mesh.run(problems)
+        problems[0][0][1, 1] = 0.5
+        problems[1][1][2, 0] = np.nan
+        with pytest.raises(ConfigurationError, match="problem instance 1 has a NaN"):
+            mesh.run(problems)
+
 
 class TestMatvecEquivalence:
     @given(
@@ -131,6 +229,74 @@ class TestMatvecEquivalence:
         assert fast.active_cell_cycles == reference.active_cell_cycles == 4
         assert _bitwise_equal(fast.outputs, reference.outputs)
 
+    def test_order_32_spot_check(self, rng):
+        n = 32
+        problems = [(rng.standard_normal((n, n)), rng.standard_normal(n)) for _ in range(3)]
+        reference = LinearMatvecArray(n, engine="reference").run(problems)
+        fast = LinearMatvecArray(n, engine="fast").run(problems)
+        assert fast.cycles == reference.cycles == 3 * n + n
+        assert fast.active_cell_cycles == reference.active_cell_cycles == 3 * n * n
+        assert _bitwise_equal(fast.outputs, reference.outputs)
+
+    @given(
+        n=st.integers(min_value=1, max_value=8),
+        batches=st.integers(min_value=1, max_value=4),
+        density=st.sampled_from([0.05, 0.2, 0.5]),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_infinities_and_signed_zeros(self, n, batches, density, seed):
+        """+-inf and +-0.0 operands: either both engines raise on a NaN
+        partial sum (inf - inf, inf * 0) entering cells 1..n-1, or NaNs sit
+        in the same outputs, every other bit matches, and the counts agree."""
+        rng = np.random.default_rng(seed)
+        problems = [
+            (_with_specials(rng, (n, n), density), _with_specials(rng, n, density))
+            for _ in range(batches)
+        ]
+        reference, fast = _run_both(lambda e: LinearMatvecArray(n, engine=e), problems)
+        if isinstance(reference, SimulationError):
+            assert isinstance(fast, SimulationError)
+            assert str(fast) == str(reference)
+            return
+        assert not isinstance(fast, SimulationError), fast
+        assert fast.cycles == reference.cycles
+        assert fast.active_cell_cycles == reference.active_cell_cycles == batches * n * n
+        assert _equal_up_to_nan_bits(fast.outputs, reference.outputs)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_inf_minus_inf_partial_sum_raises(self, engine):
+        """y[1] = inf - inf after column 1 is a missing partial sum for cell 2."""
+        a = np.ones((3, 3))
+        a[1, 0], a[1, 1] = np.inf, -np.inf
+        x = np.ones(3)
+        array = LinearMatvecArray(3, engine=engine)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(SimulationError, match="partial sum missing"):
+                array.run([(np.eye(3), x), (a, x)])
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_inf_minus_inf_in_the_last_column_is_an_output_nan(self, engine):
+        """inf - inf in the *last* column's term enters no further cell, so it
+        is an output NaN, not a simulation error -- in both engines."""
+        a = np.ones((2, 2))
+        a[0, 0], a[0, 1] = np.inf, -np.inf
+        with np.errstate(invalid="ignore"):
+            (y,) = LinearMatvecArray(2, engine=engine).run([(a, np.ones(2))]).outputs
+        assert np.isnan(y[0]) and y[1] == 2.0
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("operand", ["a", "x"])
+    def test_nan_operand_rejected_before_the_engine_runs(self, engine, operand):
+        rng = np.random.default_rng(11)
+        problems = [(rng.standard_normal((4, 4)), rng.standard_normal(4)) for _ in range(3)]
+        if operand == "a":
+            problems[2][0][3, 3] = np.nan  # the last term: no SimulationError to hide it
+        else:
+            problems[2][1][0] = np.nan
+        with pytest.raises(ConfigurationError, match="problem instance 2 has a NaN"):
+            LinearMatvecArray(4, engine=engine).run(problems)
+
 
 class TestTriangularQREquivalence:
     @given(
@@ -146,6 +312,16 @@ class TestTriangularQREquivalence:
         fast = GentlemanKungTriangularArray(n, engine="fast").run(a)
         assert fast.cycles == reference.cycles
         assert fast.cell_count == reference.cell_count
+        assert fast.active_cell_steps == reference.active_cell_steps
+        assert fast.rotations_generated == reference.rotations_generated
+        assert fast.r_factor.tobytes() == reference.r_factor.tobytes()
+
+    def test_order_32_spot_check(self, rng):
+        n = 32
+        a = rng.standard_normal((40, n))
+        reference = GentlemanKungTriangularArray(n, engine="reference").run(a)
+        fast = GentlemanKungTriangularArray(n, engine="fast").run(a)
+        assert fast.cycles == reference.cycles
         assert fast.active_cell_steps == reference.active_cell_steps
         assert fast.rotations_generated == reference.rotations_generated
         assert fast.r_factor.tobytes() == reference.r_factor.tobytes()

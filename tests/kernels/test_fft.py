@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
+from repro.kernels.base import ExecutionContext
 from repro.kernels.fft import (
     WORDS_PER_COMPLEX,
     BlockedFFT,
+    _blocked_fft_reference,
     block_points_for_memory,
     decomposition_plan,
 )
@@ -171,3 +173,43 @@ class TestBlockedFFTCosts:
             analytic = kernel.analytic_cost(memory, x=x)
             assert measured.compute_ops == pytest.approx(analytic.compute_ops, rel=0.01)
             assert measured.io_words == pytest.approx(analytic.io_words, rel=0.01)
+
+
+class TestVectorizedPassesMatchScalarReference:
+    """The stage-at-a-time kernel against the block-by-block butterfly loop:
+    bitwise outputs, identical cost, peak residency and phase list."""
+
+    @staticmethod
+    def _assert_equivalent(x: np.ndarray, memory: int) -> None:
+        fast = BlockedFFT().execute(memory, x=x)
+        ctx = ExecutionContext.with_capacity(memory)
+        reference = _blocked_fft_reference(ctx, x)
+        assert fast.output.tobytes() == reference.tobytes()
+        assert fast.cost == ctx.cost()
+        assert fast.peak_memory_words == ctx.memory.peak_words
+        assert fast.phases.phases == ctx.phases.phases
+
+    @given(
+        log_n=st.integers(min_value=2, max_value=10),
+        memory=st.one_of(
+            st.integers(min_value=4, max_value=64),
+            st.sampled_from([4, 8, 16, 128, 1024, 2048, 4096]),
+        ),
+        zeros=st.sampled_from([0.0, 0.2]),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_reference(self, log_n, memory, zeros, seed):
+        """Any size, any memory (non-powers of two round down to a block),
+        with a share of the real and imaginary parts set to +-0.0."""
+        rng = np.random.default_rng(seed)
+        n = 1 << log_n
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        parts = x.view(np.float64)
+        mask = rng.random(parts.shape) < zeros
+        parts[mask] = rng.choice([0.0, -0.0], size=int(mask.sum()))
+        self._assert_equivalent(x, memory)
+
+    def test_real_input_and_two_points(self, rng):
+        self._assert_equivalent(rng.standard_normal(2), 4)
+        self._assert_equivalent(rng.standard_normal(64), 9)

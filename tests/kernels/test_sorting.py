@@ -10,8 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
+from repro.kernels.base import ExecutionContext
 from repro.kernels.counters import OperationCounter
-from repro.kernels.sorting import CountingHeap, ExternalMergeSort, merge_sort_counting
+from repro.kernels.sorting import (
+    CountingHeap,
+    ExternalMergeSort,
+    _external_merge_sort_reference,
+    merge_sort_counting,
+)
 
 
 class TestMergeSortCounting:
@@ -111,6 +117,18 @@ class TestExternalMergeSortCorrectness:
         problem = kernel.default_problem(300)
         assert kernel.verify(kernel.execute(16, **problem))
 
+    def test_nan_keys_rejected(self):
+        """NaN has no place in the order: with M = 4 the merges returned
+        [-1, 0.5, 1, 3, nan, 2, nan, 2.5, 4], unsorted."""
+        keys = [-1, 1, 2, 2.5, 4, math.nan, math.nan, 0.5, 3]
+        with pytest.raises(ConfigurationError, match="NaN"):
+            ExternalMergeSort().execute(4, keys=keys)
+
+    def test_infinite_keys_sort(self):
+        keys = [np.inf, -1.0, -np.inf, 3.0, np.inf, 0.0, -np.inf, 2.0, 1.0]
+        execution = ExternalMergeSort().execute(4, keys=keys)
+        assert execution.output.tobytes() == np.sort(keys).tobytes()
+
     @given(
         n=st.integers(min_value=1, max_value=400),
         memory=st.integers(min_value=4, max_value=64),
@@ -159,3 +177,50 @@ class TestExternalMergeSortCosts:
         f_small = kernel.execute(8, keys=keys).intensity
         f_large = kernel.execute(64, keys=keys).intensity
         assert f_large > f_small
+
+
+class TestFastPathMatchesScalarReference:
+    """The batched run formation and inlined heap merge against the scalar
+    merge_sort_counting / CountingHeap loops: bitwise outputs, identical
+    cost, peak residency and phase list."""
+
+    @staticmethod
+    def _assert_equivalent(keys: np.ndarray, memory: int) -> None:
+        fast = ExternalMergeSort().execute(memory, keys=keys)
+        ctx = ExecutionContext.with_capacity(memory)
+        reference = _external_merge_sort_reference(ctx, keys)
+        assert fast.output.tobytes() == reference.tobytes()
+        assert fast.cost == ctx.cost()
+        assert fast.peak_memory_words == ctx.memory.peak_words
+        assert fast.phases.phases == ctx.phases.phases
+
+    @given(
+        n=st.integers(min_value=0, max_value=600),
+        memory=st.one_of(
+            st.integers(min_value=4, max_value=40),
+            st.integers(min_value=4, max_value=600),
+            st.sampled_from([4, 8, 64, 512]),
+        ),
+        ties=st.sampled_from([0.0, 0.3, 0.9]),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference(self, n, memory, ties, seed):
+        """Any memory, powers of two or not, so the last run is usually
+        short; a share of the keys drawn from a few values, +-0.0 and +-inf
+        among them, so the merges see ties that differ in their bits."""
+        rng = np.random.default_rng(seed)
+        keys = rng.standard_normal(n)
+        mask = rng.random(n) < ties
+        keys[mask] = rng.choice([0.0, -0.0, 1.0, -2.5, np.inf, -np.inf], size=int(mask.sum()))
+        self._assert_equivalent(keys, memory)
+
+    @pytest.mark.parametrize("n, memory", [(1, 4), (7, 4), (8, 4), (9, 4), (600, 600), (601, 600)])
+    def test_run_boundaries(self, n, memory, rng):
+        """One key, runs that divide n exactly, and a one-key last run."""
+        self._assert_equivalent(rng.standard_normal(n), memory)
+
+    def test_signed_zero_ties_keep_their_order(self):
+        keys = np.array([0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 1.0, -1.0, 0.0])
+        self._assert_equivalent(keys, 4)
+        self._assert_equivalent(keys, 6)

@@ -1023,7 +1023,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--port", type=int, default=8035, help="service port")
     submit.add_argument(
         "--no-wait", action="store_true",
-        help="print the job id and return without polling for the result",
+        help="print the job id and return without waiting for the result",
     )
     submit.add_argument(
         "--timeout", type=float, default=600.0,

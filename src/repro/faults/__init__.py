@@ -8,7 +8,7 @@ points that the service stack calls at the moments real systems break:
 * ``task-crash`` -- kill the worker thread that claimed a job, mid-job
   (exercises the supervisor requeue + respawn path);
 * ``slow-task`` -- stall a job's execution by a configured delay
-  (exercises timeouts, adaptive client polling and stuck-job detection);
+  (exercises timeouts, client result long-polls and stuck-job detection);
 * ``cache-write-failure`` -- fail an atomic cache/store write with
   ``OSError`` (exercises the best-effort cache contract: a full disk must
   cost a future cache miss, never a failed job);

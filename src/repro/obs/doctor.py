@@ -187,17 +187,14 @@ def _load_task_entry(path: Path) -> None:
 
 
 def _load_store_segment(path: Path) -> None:
-    from repro.store.core import STORE_SCHEMA
+    """Flag every segment the store's reads skip, and count mismatches."""
+    from repro.store.core import read_segment
 
-    segment = json.loads(path.read_text())
-    if not isinstance(segment, dict) or segment.get("schema") != STORE_SCHEMA:
-        raise ValueError(f"store segment {path} is not a {STORE_SCHEMA} document")
-    records = segment.get("records")
-    declared = segment.get("run", {}).get("record_count")
-    if not isinstance(records, list) or declared != len(records):
+    info, records = read_segment(path)
+    if info.record_count != len(records):
         raise ValueError(
-            f"store segment {path} declares {declared} records, holds "
-            f"{len(records) if isinstance(records, list) else 'none'}"
+            f"store segment {path} declares {info.record_count} records, "
+            f"holds {len(records)}"
         )
 
 

@@ -15,11 +15,12 @@ by one-shot CLI processes; this package is the long-lived front end:
   :class:`~repro.runtime.engine.SweepRunner`, plus the :class:`JobService`
   facade;
 * :mod:`repro.service.api` -- stdlib JSON-over-HTTP endpoints
-  (``POST /jobs``, ``GET /jobs/{id}``, ``GET /jobs/{id}/result``,
-  ``GET /healthz``, ``GET /cache/stats``, ``GET /metrics``);
+  (``POST /jobs``, ``GET /jobs/{id}``, ``GET /jobs/{id}/result`` with its
+  ``?wait=S`` long-poll, ``GET /healthz``, ``GET /cache/stats``,
+  ``GET /metrics``);
 * :mod:`repro.service.client` -- the blocking Python client, with
   transient-connection retries, backpressure-aware submission and
-  adaptive result polling;
+  long-poll result waits;
 * :mod:`repro.service.retry` -- :class:`RetryPolicy` budgets (bounded
   attempts, deterministic-jitter backoff, deadlines) that the scheduler and
   the supervising :class:`WorkerPool` enforce.

@@ -32,11 +32,18 @@ API reference
     next transition; ``null`` on the last entry).  Never carries the result
     payload.  Responses: **200**, or **404** for an unknown id.
 
-``GET /jobs/{id}/result``
+``GET /jobs/{id}/result[?wait=S]``
     The result: **200** with ``{"id", "state", "elapsed_seconds",
     "result"}`` once done, **202** with ``{"id", "state"}`` while
     queued/running, **500** with ``{"id", "state", "error"}`` once failed,
-    **404** for an unknown id.
+    **404** for an unknown id.  Without ``wait`` (or with ``wait=0``) the
+    answer is immediate.  With ``wait=S`` the request is held open until
+    the job is done or failed and answered at once, or until ``S``
+    seconds have passed and then answered **202** with the state at that
+    moment -- a long-poll, so a client learns of completion in one request
+    rather than by sleeping between polls.  ``S`` must be a finite number
+    of seconds ``>= 0`` (else **400**); holds longer than
+    :data:`MAX_RESULT_WAIT` (30 s) are cut to it.
 
 ``GET /healthz``
     Liveness: ``{"ok": true, "uptime_seconds", "workers",
@@ -88,6 +95,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
@@ -102,6 +110,10 @@ __all__ = ["ServiceHTTPServer", "serve"]
 
 #: Upper bound on request bodies; job submissions are small JSON documents.
 MAX_BODY_BYTES = 1 << 20
+
+#: Longest a ``GET /jobs/{id}/result?wait=S`` request is held open, in
+#: seconds; each held request occupies one handler thread.
+MAX_RESULT_WAIT = 30.0
 
 _ACCESS_LOG = logging.getLogger("repro.service.http")
 
@@ -235,7 +247,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(200, self.service.job(parts[1]).as_dict())
             return
         if len(parts) == 3 and parts[0] == "jobs" and parts[2] == "result":
-            self._send_result(self.service.job(parts[1]))
+            hold = _wait_seconds(parse_qs(split.query))
+            self._send_result(self.service.wait(parts[1], hold))
             return
         raise ServiceError(f"no such endpoint {self.path!r}", status=404)
 
@@ -318,6 +331,23 @@ class _Handler(BaseHTTPRequestHandler):
             raise ServiceError("'trace' must be a string", status=400)
         job = self.service.submit(kind, params, trace_id=trace_id)
         self._send(201, job.as_dict())
+
+
+def _wait_seconds(query: dict[str, list[str]]) -> float:
+    """The ``wait`` parameter of a result request, capped at the hold limit."""
+    values = query.get("wait")
+    if not values:
+        return 0.0
+    try:
+        seconds = float(values[-1])
+    except ValueError:
+        seconds = math.nan
+    if not math.isfinite(seconds) or seconds < 0:
+        raise ServiceError(
+            f"wait must be a finite number of seconds >= 0, got {values[-1]!r}",
+            status=400,
+        )
+    return min(seconds, MAX_RESULT_WAIT)
 
 
 def serve(

@@ -1,7 +1,7 @@
 """A blocking Python client for the job service (stdlib ``http.client``).
 
 The client the tests, benchmarks and ``repro submit`` use: submit a job,
-poll its status, fetch its result.  Errors surface as
+wait for its result, read its status.  Errors surface as
 :class:`~repro.exceptions.ServiceError` carrying the HTTP status, so callers
 can distinguish a rejected submission (400) from a lost job (404) or a
 failed one (500).
@@ -15,9 +15,10 @@ Resilience built in:
 * backpressure (429 queue-saturated, 503 draining) is honored rather than
   fought: :meth:`submit` can sleep out the server's ``Retry-After`` hint
   and resubmit until a ``busy_timeout`` budget runs out;
-* :meth:`wait` polls adaptively -- fast at first for sub-100ms analytic
-  jobs, decaying toward one request per second for minutes-long suites --
-  instead of hammering the service at a fixed 50ms forever.
+* :meth:`wait` long-polls ``GET /jobs/{id}/result?wait=S``: the service
+  holds each request until the job settles, so a result arrives as soon as
+  the job finishes -- no sleep between polls sets its latency -- while a
+  minutes-long suite costs one request per ``poll`` seconds.
 """
 
 from __future__ import annotations
@@ -30,14 +31,8 @@ from urllib.parse import urlencode
 
 from repro.exceptions import ServiceError
 from repro.obs.trace import TRACE_HEADER
-from repro.service.jobs import DONE, FAILED
 
 __all__ = ["ServiceClient"]
-
-#: Poll interval growth for :meth:`ServiceClient.wait` -- each idle poll
-#: waits this factor longer than the last, up to the one-second ceiling.
-_POLL_GROWTH = 1.5
-_POLL_CEILING = 1.0
 
 #: HTTP statuses that mean "come back later", not "you did something wrong".
 _BUSY_STATUSES = (429, 503)
@@ -225,30 +220,43 @@ class ServiceClient:
         """The ``repro-spans/v1`` span-tree document for one trace ID."""
         return self._get(f"/trace/{trace_id}", expect=(200,))
 
+    def _result_request(self, job_id: str, hold: float) -> tuple[int, dict[str, Any]]:
+        """One result request held up to ``hold`` seconds: status 200 or 202.
+
+        Any other status -- 500 for a failed job, 404 for an unknown one --
+        raises with the server's error message.
+        """
+        path = f"/jobs/{job_id}/result"
+        if hold > 0:
+            path += f"?wait={hold:g}"
+        status, document = self._request("GET", path)
+        if status not in (200, 202):
+            raise ServiceError(
+                document.get("error", f"job {job_id} returned {status}"),
+                status=status,
+            )
+        return status, document
+
     def result(self, job_id: str) -> dict[str, Any]:
         """The result document of a finished job; raises unless ``done``."""
-        status, document = self._request("GET", f"/jobs/{job_id}/result")
-        if status == 200:
-            return document
+        status, document = self._result_request(job_id, 0.0)
         if status == 202:
             raise ServiceError(
                 f"job {job_id} is still {document.get('state', 'open')}",
                 status=status,
             )
-        raise ServiceError(
-            document.get("error", f"job {job_id} returned {status}"),
-            status=status,
-        )
+        return document
 
     def wait(
-        self, job_id: str, *, timeout: float = 120.0, poll: float = 0.05
+        self, job_id: str, *, timeout: float = 120.0, poll: float = 1.0
     ) -> dict[str, Any]:
         """Block until the job reaches a terminal state; return its result.
 
-        Polls adaptively: the first poll waits ``poll`` seconds, each idle
-        poll after that waits 1.5x longer, capped at one second -- quick
-        jobs still resolve in ~50ms while long suites cost the service one
-        status request per second instead of twenty.
+        Long-polls the result endpoint: each request is held by the service
+        for at most ``poll`` seconds, the time left before ``timeout``, or
+        half this client's socket timeout, whichever is least, and answers
+        the moment the job settles.  A quick job therefore resolves in one
+        request, and a long suite costs one request per ``poll`` seconds.
 
         A failed job raises :class:`ServiceError` with the job's error and
         HTTP status 500.  A timeout raises with the last observed state,
@@ -257,24 +265,24 @@ class ServiceClient:
         genuinely still running.
         """
         deadline = time.monotonic() + timeout
-        interval = max(0.001, poll)
         while True:
-            document = self.job(job_id)
-            if document["state"] in (DONE, FAILED):
-                return self.result(job_id)
+            hold = max(0.0, min(poll, deadline - time.monotonic(), self.timeout / 2))
+            status, document = self._result_request(job_id, hold)
+            if status == 200:
+                return document
             if time.monotonic() >= deadline:
-                tail = [
-                    f"{event.get('state')}@{event.get('wall_time', 0):.3f}"
-                    for event in (document.get("timeline") or [])[-4:]
-                ]
-                raise ServiceError(
-                    f"timed out after {timeout:.0f}s waiting for job "
-                    f"{job_id} (last state {document['state']!r}, "
-                    f"attempts {document.get('attempts', 0)}, "
-                    f"timeline tail: {' -> '.join(tail) or 'empty'})"
-                )
-            time.sleep(min(interval, max(0.0, deadline - time.monotonic())))
-            interval = min(_POLL_CEILING, interval * _POLL_GROWTH)
+                break
+        document = self.job(job_id)
+        tail = [
+            f"{event.get('state')}@{event.get('wall_time', 0):.3f}"
+            for event in (document.get("timeline") or [])[-4:]
+        ]
+        raise ServiceError(
+            f"timed out after {timeout:.0f}s waiting for job "
+            f"{job_id} (last state {document['state']!r}, "
+            f"attempts {document.get('attempts', 0)}, "
+            f"timeline tail: {' -> '.join(tail) or 'empty'})"
+        )
 
     def submit_and_wait(
         self,
@@ -282,7 +290,7 @@ class ServiceClient:
         params: dict[str, Any],
         *,
         timeout: float = 120.0,
-        poll: float = 0.05,
+        poll: float = 1.0,
         busy_timeout: float = 0.0,
     ) -> dict[str, Any]:
         """Submit one job (waiting out backpressure) and block for its result."""

@@ -14,7 +14,10 @@ persistence: every state transition appends one self-contained snapshot line
 to the state file, and a restarted service replays the file to recover
 terminal jobs (results included) and requeue the ones that were interrupted.
 Appends are single ``write`` calls of one line, so a crash can at worst leave
-one truncated line at the tail, which replay skips.
+one truncated line at the tail, which replay skips.  Every terminal
+transition notifies one condition variable, so a caller can block until a
+job settles (:meth:`JobStore.wait_terminal`, behind the result long-poll)
+or until nothing is open (:meth:`JobStore.wait_idle`, behind drain).
 
 Every state transition is stamped twice -- wall clock (``time.time``, for
 humans and cross-process ordering) and monotonic (``time.monotonic``, for
@@ -262,6 +265,8 @@ class JobStore:
     def __init__(self, state_path: str | Path | None = None) -> None:
         self._jobs: dict[str, Job] = {}
         self._lock = threading.RLock()
+        # Notified on every transition into done or failed.
+        self._settled = threading.Condition(self._lock)
         self.state_path = Path(state_path).expanduser() if state_path else None
         # A crash mid-append leaves a torn (newline-less) tail line.  Detect
         # it now so the next append terminates it first -- otherwise the new
@@ -308,9 +313,26 @@ class JobStore:
 
     def state_counts(self) -> dict[str, int]:
         counts = dict.fromkeys(JOB_STATES, 0)
-        for job in self.jobs():
-            counts[job.state] += 1
+        with self._lock:
+            for job in self._jobs.values():
+                counts[job.state] += 1
         return counts
+
+    def wait_terminal(self, job: Job, timeout: float) -> bool:
+        """Block until ``job`` is done or failed, at most ``timeout`` seconds.
+
+        Returns whether it is terminal.  The wait ends as soon as the
+        transition lands; on expiry at least ``timeout`` seconds have passed.
+        """
+        with self._settled:
+            return self._settled.wait_for(lambda: job.terminal, timeout)
+
+    def wait_idle(self, timeout: float) -> bool:
+        """Block until no job is queued or running, at most ``timeout`` seconds."""
+        with self._settled:
+            return self._settled.wait_for(
+                lambda: all(job.terminal for job in self._jobs.values()), timeout
+            )
 
     def interrupted(self) -> list[Job]:
         """Jobs a previous process left open (to be requeued on recovery)."""
@@ -390,6 +412,8 @@ class JobStore:
                 job.error = error
             job.record_event(state, **extra)
             self._persist(job)
+            if job.terminal:
+                self._settled.notify_all()
 
     # -- persistence ---------------------------------------------------------
 

@@ -508,15 +508,10 @@ class JobService:
         """
         self._draining.set()
         deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            counts = self.store.state_counts()
-            if counts.get("queued", 0) == 0 and counts.get("running", 0) == 0:
-                break
-            time.sleep(0.05)
-        counts = self.store.state_counts()
-        drained = counts.get("queued", 0) == 0 and counts.get("running", 0) == 0
+        drained = self.store.wait_idle(timeout)
         clean = self.pool.stop(max(1.0, deadline - time.monotonic()))
         if not drained:
+            counts = self.store.state_counts()
             _LOG.warning(
                 "drain timed out with %d queued and %d running job(s); "
                 "they stay journaled for restart recovery",
@@ -543,6 +538,13 @@ class JobService:
 
     def job(self, job_id: str) -> Job:
         return self.store.get(job_id)
+
+    def wait(self, job_id: str, timeout: float) -> Job:
+        """The job once it is done or failed, or after ``timeout`` seconds."""
+        job = self.store.get(job_id)
+        if timeout > 0:
+            self.store.wait_terminal(job, timeout)
+        return job
 
     def trace(self, trace_id: str) -> dict[str, Any]:
         """The rooted span tree for one trace (``GET /trace/{id}``).

@@ -18,7 +18,9 @@ populate: ``experiment`` (the record kind), ``scenario``, ``kernel`` and
 ``key`` (the runtime's content-addressed task/execution key where one
 exists).  Run metadata (run ID, suite, trace ID, git revision, source
 schema, ingest wall time) is stored once per segment and merged into every
-record at query time.
+record at query time.  Reads parse one segment at a time and keep only
+what the caller selected (:meth:`ResultStore.select`), so a filtered query
+holds its matches, not the whole history.
 
 :class:`Frame` is the columnar (numpy-backed) view transforms operate on:
 one object array per column, with a float64 ``numeric()`` accessor that
@@ -28,12 +30,13 @@ array expressions.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -50,6 +53,7 @@ __all__ = [
     "ResultStore",
     "Frame",
     "git_revision",
+    "read_segment",
 ]
 
 STORE_SCHEMA = "repro-store-run/v1"
@@ -83,6 +87,8 @@ _METRIC_BYTES = REGISTRY.counter(
 
 _SCALAR_TYPES = (bool, int, float, str)
 
+_T = TypeVar("_T")
+
 
 def git_revision(start: str | Path | None = None) -> str | None:
     """Best-effort current git revision, without invoking git.
@@ -114,6 +120,16 @@ def git_revision(start: str | Path | None = None) -> str | None:
     except OSError:
         return None
     return None
+
+
+@functools.cache
+def _process_git_revision() -> str | None:
+    """:func:`git_revision` of the working directory, read once per process.
+
+    A live process's code does not change revision, so every run it appends
+    carries the value read at its first append.
+    """
+    return git_revision()
 
 
 def _canonical_value(column: str, value: Any) -> Any:
@@ -186,6 +202,42 @@ class RunInfo:
         }
 
 
+def read_segment(path: Path) -> tuple[RunInfo, list[dict[str, Any]]]:
+    """Parse and validate one run segment: its metadata and raw records.
+
+    Raises ``OSError``, ``ValueError``, ``KeyError`` or ``TypeError`` for a
+    segment a reader must skip: unreadable, not JSON, another schema,
+    missing run fields, or records that are not a list of objects.
+    """
+    segment = json.loads(path.read_text())
+    if segment["schema"] != STORE_SCHEMA:
+        raise ValueError(f"unsupported store schema {segment['schema']!r}")
+    meta = segment["run"]
+    info = RunInfo(
+        run_key=meta["run_key"],
+        run_id=meta["run_id"],
+        source=meta["source"],
+        source_schema=meta.get("source_schema"),
+        suite=meta.get("suite"),
+        trace_id=meta.get("trace_id"),
+        git_rev=meta.get("git_rev"),
+        ingested_at=float(meta["ingested_at"]),
+        record_count=int(meta["record_count"]),
+    )
+    records = segment["records"]
+    if not isinstance(records, list):
+        raise ValueError("records must be a list")
+    if not all(isinstance(record, dict) for record in records):
+        raise ValueError("records must be JSON objects")
+    return info, records
+
+
+def _oldest_first(runs: list[tuple[RunInfo, _T]]) -> list[_T]:
+    """The values of ``(info, value)`` pairs, ordered by ingest time then run key."""
+    runs.sort(key=lambda pair: (pair[0].ingested_at, pair[0].run_key))
+    return [value for _, value in runs]
+
+
 @dataclass(frozen=True)
 class IngestReceipt:
     """What one ``append_run`` call did: added a new segment, or deduped."""
@@ -255,7 +307,7 @@ class ResultStore:
                 "source_schema": source_schema,
                 "suite": suite,
                 "trace_id": trace_id,
-                "git_rev": git_revision(),
+                "git_rev": _process_git_revision(),
                 "ingested_at": time.time(),
                 "record_count": len(rows),
             },
@@ -274,64 +326,68 @@ class ResultStore:
 
     def _load_segment(self, path: Path) -> tuple[RunInfo, list[dict[str, Any]]] | None:
         try:
-            segment = json.loads(path.read_text())
-            if segment["schema"] != STORE_SCHEMA:
-                raise ValueError(f"unsupported store schema {segment['schema']!r}")
-            meta = segment["run"]
-            info = RunInfo(
-                run_key=meta["run_key"],
-                run_id=meta["run_id"],
-                source=meta["source"],
-                source_schema=meta.get("source_schema"),
-                suite=meta.get("suite"),
-                trace_id=meta.get("trace_id"),
-                git_rev=meta.get("git_rev"),
-                ingested_at=float(meta["ingested_at"]),
-                record_count=int(meta["record_count"]),
-            )
-            records = segment["records"]
-            if not isinstance(records, list):
-                raise ValueError("records must be a list")
+            return read_segment(path)
         except (OSError, ValueError, KeyError, TypeError):
             # Corrupt or vanished segment: skip it here; `repro doctor`
             # reports it.
             return None
-        return info, records
 
     def _segments(self) -> Iterator[tuple[RunInfo, list[dict[str, Any]]]]:
-        loaded = []
+        """Every readable segment, parsed one at a time, in directory order."""
         for path in self.root.glob("runs/*/*.json"):
             segment = self._load_segment(path)
             if segment is not None:
-                loaded.append(segment)
-        loaded.sort(key=lambda pair: (pair[0].ingested_at, pair[0].run_key))
-        yield from loaded
+                yield segment
 
     def runs(self) -> list[RunInfo]:
         """Every run's metadata, oldest ingest first."""
-        return [info for info, _ in self._segments()]
+        return _oldest_first([(info, info) for info, _ in self._segments()])
 
     def run_records(self, run_key: str) -> list[dict[str, Any]]:
         """The merged records of one run, by its run key."""
         segment = self._load_segment(self._path(run_key))
         if segment is None:
             raise ConfigurationError(f"no readable run {run_key!r} in {self.root}")
-        info, records = segment
-        return [self._merge(info, record) for record in records]
+        return self._merge(*segment)
 
     @staticmethod
-    def _merge(info: RunInfo, record: Mapping[str, Any]) -> dict[str, Any]:
-        merged = dict(record)
-        merged.update(info.as_dict())
-        del merged["record_count"]
+    def _merge(
+        info: RunInfo, records: Iterable[Mapping[str, Any]]
+    ) -> list[dict[str, Any]]:
+        """Each record with the run metadata merged over it."""
+        meta = info.as_dict()
+        merged = []
+        for record in records:
+            row = {**record, **meta}
+            del row["record_count"]
+            merged.append(row)
         return merged
+
+    def select(
+        self,
+        run: Callable[[RunInfo], bool] | None = None,
+        record: Callable[[Mapping[str, Any]], bool] | None = None,
+    ) -> list[dict[str, Any]]:
+        """Merged records that pass both predicates, oldest run first.
+
+        ``run`` sees each run's metadata and ``record`` each *raw* record,
+        before run metadata is merged in -- so a record column that run
+        metadata overrides (``suite``, ``run_id``, ...) must be tested
+        through ``run``.  Only accepted records are merged, and each
+        segment is dropped once read.  ``None`` accepts everything.
+        """
+        runs = []
+        for info, records in self._segments():
+            if run is not None and not run(info):
+                continue
+            rows = self._merge(info, records if record is None else filter(record, records))
+            if rows:
+                runs.append((info, rows))
+        return [row for rows in _oldest_first(runs) for row in rows]
 
     def records(self) -> list[dict[str, Any]]:
         """Every record of every run, run metadata merged in, oldest first."""
-        rows = []
-        for info, records in self._segments():
-            rows.extend(self._merge(info, record) for record in records)
-        return rows
+        return self.select()
 
     def __len__(self) -> int:
         return sum(info.record_count for info in self.runs())

@@ -12,7 +12,7 @@ from typing import Any, Mapping, Sequence
 
 from repro.analysis.report import Table
 from repro.exceptions import ConfigurationError
-from repro.store.core import ResultStore
+from repro.store.core import ResultStore, RunInfo
 
 __all__ = ["query", "group_counts", "records_table", "report_document"]
 
@@ -48,26 +48,34 @@ def query(
     ``qr-small`` and ``qr-large``); the other filters are exact.  ``limit``
     keeps the *last* ``limit`` matches, since recent runs are the usual
     question.
+
+    ``suite`` and ``run_id`` are run metadata, which wins over a record's
+    own column of that name when the two merge, so they are tested against
+    each run; the record filters are tested before the merge, so only
+    matches pay for it.
     """
     if limit is not None and limit < 0:
         raise ConfigurationError(f"limit must be non-negative, got {limit!r}")
-    matched: list[dict[str, Any]] = []
-    for record in store.records():
+
+    def run_matches(info: RunInfo) -> bool:
+        return (suite is None or info.suite == suite) and (
+            run_id is None or info.run_id == run_id
+        )
+
+    def record_matches(record: Mapping[str, Any]) -> bool:
         if experiment is not None and record.get("experiment") != experiment:
-            continue
+            return False
         if kernel is not None and record.get("kernel") != kernel:
-            continue
-        if suite is not None and record.get("suite") != suite:
-            continue
-        if run_id is not None and record.get("run_id") != run_id:
-            continue
+            return False
         if scenario is not None:
             value = record.get("scenario")
-            if not isinstance(value, str) or not (
-                value == scenario or value.startswith(scenario)
-            ):
-                continue
-        matched.append(record)
+            return isinstance(value, str) and value.startswith(scenario)
+        return True
+
+    matched = store.select(
+        run_matches if (suite, run_id) != (None, None) else None,
+        record_matches if (experiment, kernel, scenario) != (None, None, None) else None,
+    )
     if limit is not None:
         matched = matched[len(matched) - min(limit, len(matched)) :]
     return matched

@@ -129,6 +129,17 @@ class TestStoreIntegrity:
         finding = _by_check(check_cache_integrity(tmp_path))["cache.store"]
         assert finding.status == FAIL
 
+    def test_non_object_record_fails(self, tmp_path):
+        # The record count agrees, but the store's reads skip the segment.
+        path = self._store_with_run(tmp_path)
+        segment = json.loads(path.read_text())
+        segment["records"] = [{"experiment": "sweep", "kernel": "fft"}, 7]
+        segment["run"]["record_count"] = 2
+        path.write_text(json.dumps(segment))
+        finding = _by_check(check_cache_integrity(tmp_path))["cache.store"]
+        assert finding.status == FAIL
+        assert finding.data["corrupt"] == 1
+
     def test_wrong_schema_fails(self, tmp_path):
         path = self._store_with_run(tmp_path)
         segment = json.loads(path.read_text())

@@ -8,6 +8,7 @@ identical sweep submissions execute the underlying tasks exactly once.
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -128,6 +129,124 @@ class TestEndpoints:
         primary = client.submit("experiment", spec)
         follower = client.submit("experiment", spec)
         assert follower["deduped_into"] == primary["id"]
+
+
+def _recorded_paths(client: ServiceClient) -> list[str]:
+    """The path of every request ``client`` sends from now on, in order."""
+    paths: list[str] = []
+    request = client._request
+
+    def recording(method, path, *args, **kwargs):
+        paths.append(path)
+        return request(method, path, *args, **kwargs)
+
+    client._request = recording
+    return paths
+
+
+ANALYTIC = {"kernel": "matmul", "memory_sizes": [16, 64], "analytic": True}
+
+
+class TestLongPoll:
+    """``GET /jobs/{id}/result?wait=S`` and the client's wait built on it."""
+
+    def _start_later(self, service: JobService, delay: float = 0.2) -> threading.Timer:
+        timer = threading.Timer(delay, service.start)
+        timer.start()
+        return timer
+
+    def test_job_finishing_during_the_hold_costs_one_request(self, live_service):
+        service, client = live_service(start=False)
+        job = client.submit("sweep", ANALYTIC)
+        paths = _recorded_paths(client)
+        timer = self._start_later(service)
+        start = time.monotonic()
+        document = client.wait(job["id"], timeout=30.0, poll=5.0)
+        elapsed = time.monotonic() - start
+        timer.join(5.0)
+        assert document["state"] == DONE
+        assert document["result"]["rows"]
+        # One held result request, answered when the job finished rather
+        # than when the 5 s hold ran out; no status poll.
+        assert paths == [f"/jobs/{job['id']}/result?wait=5"]
+        assert elapsed < 2.5
+
+    def test_expired_hold_answers_202_with_the_state(self, live_service):
+        _, client = live_service(start=False)
+        job = client.submit("sweep", ANALYTIC)
+        start = time.monotonic()
+        status, document = client._request(
+            "GET", f"/jobs/{job['id']}/result?wait=0.3"
+        )
+        assert time.monotonic() - start >= 0.3
+        assert status == 202
+        assert document == {"id": job["id"], "state": "queued"}
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "nan", "inf"])
+    def test_bad_wait_is_a_400(self, live_service, value):
+        _, client = live_service(start=False)
+        job = client.submit("sweep", ANALYTIC)
+        status, document = client._request(
+            "GET", f"/jobs/{job['id']}/result?wait={value}"
+        )
+        assert status == 400
+        assert "wait" in document["error"]
+
+    def test_unknown_job_with_wait_is_a_404(self, live_service):
+        _, client = live_service(start=False)
+        status, _ = client._request("GET", "/jobs/deadbeef/result?wait=5")
+        assert status == 404
+
+    def test_dedup_followers_wake_with_the_primary_result(self, live_service):
+        service, client = live_service(start=False)
+        spec = {"kernel": "fft", "memory_sizes": [4, 8, 16], "scale": 8}
+        jobs = [client.submit("sweep", spec) for _ in range(3)]
+        assert [job["deduped_into"] for job in jobs[1:]] == [jobs[0]["id"]] * 2
+        documents: dict[str, dict] = {}
+        requests: dict[str, list[str]] = {}
+        elapsed: dict[str, float] = {}
+        start = time.monotonic()
+
+        def wait(job_id: str) -> None:
+            waiter = ServiceClient("127.0.0.1", client.port, timeout=10.0)
+            requests[job_id] = _recorded_paths(waiter)
+            documents[job_id] = waiter.wait(job_id, timeout=30.0, poll=5.0)
+            elapsed[job_id] = time.monotonic() - start
+
+        threads = [
+            threading.Thread(target=wait, args=(job["id"],)) for job in jobs
+        ]
+        for thread in threads:
+            thread.start()
+        timer = self._start_later(service)
+        for thread in threads:
+            thread.join(30.0)
+            assert not thread.is_alive()
+        timer.join(5.0)
+        assert service.executor.stats.jobs_executed == 1
+        results = [documents[job["id"]]["result"] for job in jobs]
+        assert all(result == results[0] for result in results)
+        assert all(len(paths) == 1 for paths in requests.values())
+        assert max(elapsed.values()) < 4.0  # woken, not held out to 5 s
+
+    def test_failed_job_raises_500_from_wait(self, live_service):
+        service, client = live_service(start=False)
+        job = client.submit("sweep", ANALYTIC)
+
+        def explode(job):
+            raise RuntimeError("boom")
+
+        service.executor.execute = explode
+        paths = _recorded_paths(client)
+        timer = self._start_later(service)
+        start = time.monotonic()
+        with pytest.raises(ServiceError, match="boom") as excinfo:
+            client.wait(job["id"], timeout=30.0, poll=5.0)
+        elapsed = time.monotonic() - start
+        timer.join(5.0)
+        assert excinfo.value.status == 500
+        assert paths == [f"/jobs/{job['id']}/result?wait=5"]
+        assert elapsed < 2.5
 
 
 class TestResultsEndpoint:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
+import time
 
 import pytest
 
@@ -89,6 +91,58 @@ class TestTransitions:
         store.mark_running(running)
         counts = store.state_counts()
         assert counts == {QUEUED: 1, RUNNING: 1, DONE: 0, FAILED: 0}
+
+
+class TestSettledWaits:
+    def test_every_waiter_wakes_on_its_own_transition(self):
+        """Many waiters, two finishers, a tiny switch interval: no lost wake-up."""
+        store = JobStore()
+        jobs = [store.create("suite", {"suite": "quick"}) for _ in range(16)]
+        woke: dict[str, tuple[bool, float]] = {}
+
+        def wait(job: Job) -> None:
+            start = time.monotonic()
+            settled = store.wait_terminal(job, 10.0)
+            woke[job.id] = (settled, time.monotonic() - start)
+
+        def finish(batch: list[Job]) -> None:
+            for index, job in enumerate(batch):
+                store.mark_running(job)
+                if index % 2:
+                    store.mark_done(job, {"id": job.id})
+                else:
+                    store.mark_failed(job, "boom")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            waiters = [threading.Thread(target=wait, args=(job,)) for job in jobs]
+            idle: list[bool] = []
+            drainer = threading.Thread(target=lambda: idle.append(store.wait_idle(10.0)))
+            for thread in (*waiters, drainer):
+                thread.start()
+            finishers = [
+                threading.Thread(target=finish, args=(jobs[k::2],)) for k in (0, 1)
+            ]
+            for thread in finishers:
+                thread.start()
+            for thread in (*finishers, *waiters, drainer):
+                thread.join(20.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert idle == [True]
+        assert sorted(woke) == sorted(job.id for job in jobs)
+        # A lost notify would leave a waiter to time out after 10 s.
+        assert all(settled and seconds < 5.0 for settled, seconds in woke.values())
+
+    def test_wait_terminal_times_out_on_an_open_job(self):
+        store = JobStore()
+        job = store.create("suite", {"suite": "quick"})
+        start = time.monotonic()
+        assert store.wait_terminal(job, 0.2) is False
+        assert time.monotonic() - start >= 0.2
+        assert store.wait_idle(0.0) is False
 
 
 class TestPersistence:

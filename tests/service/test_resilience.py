@@ -61,6 +61,24 @@ def _wait_all_terminal(service: JobService, timeout: float = 30.0) -> None:
     raise AssertionError(f"jobs not terminal after {timeout}s: {states}")
 
 
+def _recorded_paths(client: ServiceClient) -> list[str]:
+    """The path of every request ``client`` sends from now on, in order."""
+    paths: list[str] = []
+    request = client._request
+
+    def recording(method, path, *args, **kwargs):
+        paths.append(path)
+        return request(method, path, *args, **kwargs)
+
+    client._request = recording
+    return paths
+
+
+def _hold(path: str) -> float:
+    """The seconds a result request asked the service to hold it."""
+    return float(path.partition("?wait=")[2] or 0)
+
+
 def _fresh_service(tmp_path, name: str, **kwargs) -> JobService:
     kwargs.setdefault("cache_dir", tmp_path / name / "cache")
     kwargs.setdefault("state_path", tmp_path / name / "journal.jsonl")
@@ -308,30 +326,34 @@ class TestAdaptiveWait:
             assert "attempts 0" in message
             assert "timeline tail" in message
 
-    def test_poll_interval_grows_to_cap(self, live_service, monkeypatch):
+    def test_no_request_holds_past_poll_or_deadline(self, live_service):
         _, client = live_service(start=False, workers=1)
         job = client.submit(
             "sweep", {"kernel": "matmul", "memory_sizes": [16], "analytic": True}
         )
-        sleeps: list[float] = []
-        real_sleep = time.sleep
-        monkeypatch.setattr(
-            "repro.service.client.time.sleep",
-            lambda seconds: (sleeps.append(seconds), real_sleep(0.001)),
-        )
-        with pytest.raises(ServiceError):
-            client.wait(job["id"], timeout=5.0, poll=0.05)
-        assert len(sleeps) >= 3
-        assert sleeps[0] == pytest.approx(0.05)
-        # Non-decreasing until the interval first reaches the 1s ceiling
-        # (after that the deadline clips the requested sleeps back down).
-        ramp = []
-        for value in sleeps:
-            ramp.append(value)
-            if value >= 1.0:
-                break
-        assert ramp == sorted(ramp)
-        assert max(sleeps) <= 1.0
+        paths = _recorded_paths(client)
+        start = time.monotonic()
+        with pytest.raises(ServiceError, match="timed out"):
+            client.wait(job["id"], timeout=1.0, poll=0.4)
+        elapsed = time.monotonic() - start
+        # Every request but the last long-polls the result; the last reads
+        # the status for the timeout message.
+        assert paths[-1] == f"/jobs/{job['id']}"
+        result_path = f"/jobs/{job['id']}/result"
+        assert all(path.startswith(result_path) for path in paths[:-1])
+        holds = [_hold(path) for path in paths[:-1]]
+        assert holds[:2] == [0.4, 0.4]
+        assert holds[-1] < 0.4  # the deadline clipped the last hold
+        assert sum(holds) <= 1.0 + 1e-3
+        assert elapsed < 1.0 + 0.5
+
+        # Half the socket timeout caps a hold too, so a held request never
+        # trips the client's own timeout.
+        short = ServiceClient("127.0.0.1", client.port, timeout=0.4)
+        short_paths = _recorded_paths(short)
+        with pytest.raises(ServiceError, match="timed out"):
+            short.wait(job["id"], timeout=0.5, poll=5.0)
+        assert max(_hold(path) for path in short_paths[:-1]) <= 0.2
 
 
 class TestChaosAcceptance:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.store import core
 from repro.store.core import (
     RESERVED_RUN_COLUMNS,
     STORE_SCHEMA,
@@ -16,6 +17,7 @@ from repro.store.core import (
     ResultStore,
     git_revision,
 )
+from repro.store.query import query
 
 
 @pytest.fixture
@@ -119,6 +121,39 @@ class TestAppendRun:
         records = store.records()
         assert len(records) == 2
         assert all(record["run_id"] == "good" for record in records)
+
+    def test_segment_with_a_non_object_record_is_skipped(self, store):
+        good = store.append_run(
+            [{"experiment": "sweep", "kernel": "fft", "x": 1}],
+            source="test",
+            run_id="good",
+        )
+        bad = store.append_run(RECORDS, source="test", run_id="bad")
+        path = store.root / "runs" / bad.run_key[:2] / f"{bad.run_key}.json"
+        segment = json.loads(path.read_text())
+        segment["records"] = [{"experiment": "sweep", "kernel": "fft"}, 7]
+        segment["run"]["record_count"] = 2
+        path.write_text(json.dumps(segment))
+        assert [record["run_id"] for record in query(store, kernel="fft")] == ["good"]
+        assert [record["run_id"] for record in store.records()] == ["good"]
+        assert [run.run_key for run in store.runs()] == [good.run_key]
+
+    def test_appends_stamp_one_revision_per_process(self, store, monkeypatch):
+        calls = []
+
+        def revision(start=None):
+            calls.append(start)
+            return "f" * 40
+
+        monkeypatch.setattr(core, "git_revision", revision)
+        core._process_git_revision.cache_clear()
+        try:
+            store.append_run(RECORDS, source="test", run_id="a")
+            store.append_run(RECORDS, source="test", run_id="b")
+        finally:
+            core._process_git_revision.cache_clear()
+        assert len(calls) == 1
+        assert [run.git_rev for run in store.runs()] == ["f" * 40] * 2
 
 
 class TestConcurrency:

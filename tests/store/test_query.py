@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.store import ResultStore, group_counts, query, records_table, report_document
+from repro.store.core import STORE_SCHEMA, RunInfo
 from repro.store.query import REPORT_SCHEMA
 
 
@@ -111,3 +119,136 @@ class TestReportDocument:
         document = report_document([], transform="regressions")
         assert document["transform"] == "regressions"
         assert document["count"] == 0
+
+
+# ---------------------------------------------------------------------------
+# query() against a merge-then-filter reference.
+# ---------------------------------------------------------------------------
+
+
+def _reference_segments(root: Path) -> list[dict]:
+    """Every segment, parsed up front and sorted oldest ingest first."""
+    segments = [json.loads(path.read_text()) for path in root.glob("runs/*/*.json")]
+    segments.sort(key=lambda seg: (seg["run"]["ingested_at"], seg["run"]["run_key"]))
+    return segments
+
+
+def _reference_records(root: Path) -> list[dict]:
+    """Every record with its run metadata merged over it."""
+    merged = []
+    for segment in _reference_segments(root):
+        for record in segment["records"]:
+            row = dict(record)
+            row.update(segment["run"])
+            del row["record_count"]
+            merged.append(row)
+    return merged
+
+
+def _reference_query(root: Path, *, experiment=None, scenario=None, kernel=None,
+                     suite=None, run_id=None, limit=None) -> list[dict]:
+    """Merge every record, then filter the merged rows."""
+    matched = []
+    for record in _reference_records(root):
+        if experiment is not None and record.get("experiment") != experiment:
+            continue
+        if kernel is not None and record.get("kernel") != kernel:
+            continue
+        if suite is not None and record.get("suite") != suite:
+            continue
+        if run_id is not None and record.get("run_id") != run_id:
+            continue
+        if scenario is not None:
+            value = record.get("scenario")
+            if not isinstance(value, str) or not (
+                value == scenario or value.startswith(scenario)
+            ):
+                continue
+        matched.append(record)
+    if limit is not None:
+        matched = matched[len(matched) - min(limit, len(matched)):]
+    return matched
+
+
+# Records carry their own ``suite`` and ``run_id`` columns (as a segment
+# written by hand or by another tool may), which run metadata overrides.
+_RECORDS = st.lists(
+    st.fixed_dictionaries(
+        {"x": st.integers(0, 9)},
+        optional={
+            "experiment": st.sampled_from(["sweep", "fit", "span"]),
+            "kernel": st.sampled_from(["fft", "qr", None]),
+            "scenario": st.sampled_from(["qr-small", "qr-large", "fft", "q", 7]),
+            "suite": st.sampled_from(["quick", "full"]),
+            "run_id": st.sampled_from(["run-a", "run-b"]),
+        },
+    ),
+    max_size=5,
+)
+_RUNS = st.lists(
+    st.tuples(
+        st.sampled_from(["run-a", "run-b", "run-c"]),
+        st.sampled_from([None, "quick", "full"]),
+        st.sampled_from([1.0, 2.0, 3.0]),  # ties fall back to the run key
+        _RECORDS,
+    ),
+    max_size=6,
+)
+_FILTERS = st.fixed_dictionaries(
+    {
+        "experiment": st.sampled_from([None, "sweep", "fit"]),
+        "kernel": st.sampled_from([None, "fft", "qr"]),
+        "scenario": st.sampled_from([None, "", "q", "qr-", "qr-small", "f"]),
+        "suite": st.sampled_from([None, "quick", "full"]),
+        "run_id": st.sampled_from([None, "run-a", "run-b"]),
+        "limit": st.sampled_from([None, 0, 1, 3, 100]),
+    }
+)
+
+
+def _write_store(root: Path, runs) -> None:
+    for index, (run_id, suite, ingested_at, records) in enumerate(runs):
+        run_key = hashlib.sha256(str(index).encode()).hexdigest()
+        path = root / "runs" / run_key[:2] / f"{run_key}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        segment = {
+            "schema": STORE_SCHEMA,
+            "run": {
+                "run_key": run_key,
+                "run_id": run_id,
+                "source": "test",
+                "source_schema": None,
+                "suite": suite,
+                "trace_id": None,
+                "git_rev": None,
+                "ingested_at": ingested_at,
+                "record_count": len(records),
+            },
+            "records": records,
+        }
+        path.write_text(json.dumps(segment))
+
+
+class TestQueryMatchesMergeThenFilter:
+    @settings(max_examples=80, deadline=None)
+    @given(runs=_RUNS, filters=_FILTERS)
+    def test_same_records_in_the_same_order(self, runs, filters):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            _write_store(root, runs)
+            assert query(ResultStore(root), **filters) == _reference_query(
+                root, **filters
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(runs=_RUNS)
+    def test_records_and_runs_are_unchanged(self, runs):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            _write_store(root, runs)
+            store = ResultStore(root)
+            assert store.records() == _reference_records(root)
+            assert store.runs() == [
+                RunInfo(**segment["run"]) for segment in _reference_segments(root)
+            ]
+            assert len(store) == sum(len(records) for *_, records in runs)

@@ -57,12 +57,17 @@ def normalize_memory_sizes(memory_sizes: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class MemorySweepResult:
-    """Measured intensity of one kernel on one problem across memory sizes."""
+    """Measured intensity of one kernel on one problem across memory sizes.
+
+    ``point_keys``: the keys the sweep engine resolved each point under
+    (empty from :class:`MemorySweep`, which keys nothing).
+    """
 
     kernel_name: str
     problem: Mapping[str, Any]
     memory_sizes: tuple[int, ...]
     executions: tuple[KernelExecution, ...]
+    point_keys: tuple[str, ...] = ()
 
     @property
     def intensities(self) -> tuple[float, ...]:

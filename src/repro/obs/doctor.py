@@ -3,16 +3,20 @@
 Four check groups, each producing pass/warn/fail :class:`Finding` records:
 
 * **cache integrity** -- walk both on-disk caches (sweep-point JSON entries,
-  task pickle entries): truncated (zero-byte) or corrupt entries are
-  failures, leftover temp files and misplaced/unaccounted bytes are
-  warnings, and the accounted size is cross-checked against the caches' own
-  ``disk_usage_bytes()`` accessors.
+  task pickle entries) and the result store, decoding every entry with that
+  cache's own ``read_entry`` (the store's ``read_segment``), so an entry
+  the cache would drop as a miss fails here: truncated (zero-byte) or
+  undecodable entries are failures, leftover temp files and
+  misplaced/unaccounted bytes are warnings.  The check only reads; it
+  constructs no cache or store.
 * **journal replayability** -- parse every line of the JSON-lines job
-  journal: a bad *tail* line is a warning (the documented crash artifact a
-  single torn append can leave); a mid-file line that is a truncated JSON
-  prefix is also a warning (a repaired torn write -- the store terminates
-  the torn tail with a newline before its next append, leaving exactly one
-  skippable bad line); any other mid-file garbage is a failure.  The check
+  journal with :func:`~repro.service.jobs.parse_snapshot`, the validator
+  replay uses, so every line replay skips is reported: a bad *tail* line
+  is a warning (the documented crash artifact a single torn append can
+  leave); a mid-file line that is a truncated JSON prefix is also a
+  warning (a repaired torn write -- the store terminates the torn tail
+  with a newline before its next append, leaving exactly one skippable
+  bad line); any other mid-file garbage is a failure.  The check
   also replays the journal through :class:`~repro.service.jobs.JobStore`
   and reports terminal vs. interrupted jobs.
 * **job progress** -- replay the journal and flag open jobs that look
@@ -39,7 +43,6 @@ so it is intentionally **not** re-exported from ``repro.obs``; import it as
 from __future__ import annotations
 
 import json
-import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -174,18 +177,6 @@ def _scan_entries(root: Path, suffix: str, loader) -> dict[str, Any]:
     }
 
 
-def _load_result_entry(path: Path) -> None:
-    entry = json.loads(path.read_text())
-    if not isinstance(entry, dict) or "schema" not in entry:
-        raise ValueError(f"cache entry {path} has no schema field")
-
-
-def _load_task_entry(path: Path) -> None:
-    entry = pickle.loads(path.read_bytes())
-    if not isinstance(entry, dict) or "schema" not in entry:
-        raise ValueError(f"task cache entry {path} has no schema field")
-
-
 def _load_store_segment(path: Path) -> None:
     """Flag every segment the store's reads skip, and count mismatches."""
     from repro.store.core import read_segment
@@ -217,10 +208,15 @@ def check_cache_integrity(cache_dir: str | Path | None) -> list[Finding]:
             )
         ]
 
+    from repro.runtime.cache import ResultCache, TaskCache
+
+    # Each cache's own decoder: an entry the cache would drop as a miss
+    # fails here too.  Nothing is constructed, so the doctor only reads.
     findings = []
+    accounted = 0
     stores = (
-        ("cache.results", root, ".json", _load_result_entry, ("tasks", "store")),
-        ("cache.tasks", root / "tasks", ".pkl", _load_task_entry, ()),
+        ("cache.results", root, ResultCache.suffix, ResultCache.read_entry, ("tasks", "store")),
+        ("cache.tasks", root / "tasks", TaskCache.suffix, TaskCache.read_entry, ()),
         ("cache.store", root / "store" / "runs", ".json", _load_store_segment, ()),
     )
     for check, store_root, suffix, loader, exclude in stores:
@@ -229,6 +225,7 @@ def check_cache_integrity(cache_dir: str | Path | None) -> list[Finding]:
             findings.append(Finding(check, PASS, f"no {label} store yet"))
             continue
         scan = _scan_entries(store_root, suffix, loader)
+        accounted += scan["accounted_bytes"]
         broken = scan["corrupt"] + scan["truncated"]
         if broken:
             findings.append(
@@ -280,18 +277,11 @@ def check_cache_integrity(cache_dir: str | Path | None) -> list[Finding]:
                 )
             )
 
-    # Unaccounted bytes: whatever lives under the root that no store's
-    # disk_usage_bytes() accessor would report (stray files, orphans).
-    from repro.runtime.cache import ResultCache, TaskCache
-    from repro.store.core import ResultStore
-
+    # Unaccounted bytes: whatever lives under the root that is no store's
+    # entry (stray files, orphans).  The scans glob exactly what each
+    # store's disk_usage_bytes() counts.
     total_bytes = sum(
         path.stat().st_size for path in root.rglob("*") if path.is_file()
-    )
-    accounted = (
-        ResultCache(root).disk_usage_bytes()
-        + TaskCache(root / "tasks").disk_usage_bytes()
-        + ResultStore(root / "store").disk_usage_bytes()
     )
     unaccounted = total_bytes - accounted
     if unaccounted > 0:
@@ -336,7 +326,7 @@ def check_journal(state_path: str | Path | None) -> list[Finding]:
             )
         ]
 
-    from repro.service.jobs import STATE_SCHEMA, JobStore
+    from repro.service.jobs import JobStore, parse_snapshot
 
     lines = path.read_text().splitlines()
     bad_lines: list[int] = []
@@ -346,13 +336,7 @@ def check_journal(state_path: str | Path | None) -> list[Finding]:
         if not line.strip():
             continue
         try:
-            snapshot = json.loads(line)
-            if (
-                not isinstance(snapshot, dict)
-                or snapshot.get("schema") != STATE_SCHEMA
-                or "id" not in snapshot.get("job", {})
-            ):
-                raise ValueError("not a job snapshot")
+            parse_snapshot(line)  # the validator replay uses
         except json.JSONDecodeError:
             # A truncated snapshot *prefix* is the repaired-torn-write
             # artifact: the store newline-terminates a torn tail before

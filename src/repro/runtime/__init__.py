@@ -1,32 +1,28 @@
 """Experiment-task runtime: vectorized, parallel and cached execution.
 
-This package replaces per-point serial experiment loops with four layers:
+This package replaces per-point serial experiment loops with these layers:
 
 * :mod:`repro.runtime.vectorized` -- batch-evaluate the registry's closed-form
   cost models, intensity functions and rebalancing laws over numpy grids of
   ``(N, M, alpha)`` in single array passes;
 * :mod:`repro.runtime.tasks` -- the generic task abstraction: any top-level
-  callable plus parameters, content-addressed by module source, executed
-  serially or across a process pool with deterministic ordering;
-* :mod:`repro.runtime.engine` -- the memory-sweep client of the task layer,
-  fanning instrumented-kernel executions out with per-point caching via
-* :mod:`repro.runtime.cache` -- content-addressed on-disk caches (measured
-  sweep points in :class:`ResultCache`, whole experiment results in
-  :class:`TaskCache`);
+  callable plus parameters, content-addressed by module source (the one key
+  scheme), and the one resolve loop that looks keys up in a cache, runs each
+  distinct miss once (serially or across a process pool, in deterministic
+  order) and stores the fresh results;
+* :mod:`repro.runtime.engine` -- the memory-sweep client of the task layer:
+  every (kernel, memory size, problem) point is a task, resolved against a
+  :class:`ResultCache`;
+* :mod:`repro.runtime.cache` -- the content-addressed on-disk caches, two
+  codecs over one entry store (measured sweep points in
+  :class:`ResultCache`, whole experiment results in :class:`TaskCache`);
 * :mod:`repro.runtime.suites` -- declarative, named scenario suites (kernel
   sweeps plus experiment tasks) that lower onto the engines and emit
   JSON/CSV for the benchmark harness and CI.
 """
 
-from repro.runtime.cache import (
-    MISS,
-    CacheStats,
-    ResultCache,
-    TaskCache,
-    execution_key,
-    kernel_code_version,
-)
-from repro.runtime.engine import SweepPlan, SweepRunner, run_sweep
+from repro.runtime.cache import MISS, CacheStats, ResultCache, TaskCache
+from repro.runtime.engine import SweepPlan, SweepRunner, execution_key
 from repro.runtime.suites import (
     ExperimentScenario,
     ExperimentScenarioResult,
@@ -51,7 +47,7 @@ from repro.runtime.tasks import (
     callable_code_version,
     default_worker_count,
     execute_tasks,
-    run_tasks,
+    resolve_tasks,
     task_key,
 )
 from repro.runtime.vectorized import (
@@ -89,13 +85,11 @@ __all__ = [
     "experiment_kinds",
     "get_suite",
     "intensity_grid",
-    "kernel_code_version",
     "kernel_factories",
     "rebalance_curves",
     "rebalance_grid",
+    "resolve_tasks",
     "run_suite",
-    "run_sweep",
-    "run_tasks",
     "store_for",
     "suite_names",
     "task_key",

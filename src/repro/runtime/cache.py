@@ -1,45 +1,41 @@
 """Content-addressed on-disk caches for deterministic computations.
 
-Two stores live here:
+Every cached computation is a :class:`~repro.runtime.tasks.Task`, keyed by
+its :func:`~repro.runtime.tasks.task_key`: a SHA-256 digest of the
+callable, the source of its module plus named supporting modules (so
+editing the code invalidates its entries), and a structural fingerprint of
+the parameters (:func:`_fingerprint`, array contents included).  A sweep
+point is the task ``run_point(kernel, memory_words, problem)`` with the
+kernel's modules named (:func:`repro.runtime.engine.execution_key`).
 
-* :class:`ResultCache` -- kernel execution measurements.  Running an
-  instrumented kernel is deterministic: the measured cost, peak residency and
-  intensity depend only on the kernel (code and configuration), the problem
-  instance and the local-memory size.  The cache exploits this by keying each
-  execution on a SHA-256 digest of
+The two caches are two codecs over one :class:`EntryStore`, which owns the
+shard layout (``<root>/<key[:2]>/<key><suffix>``), the atomic write, the
+rule that an undecodable entry is a miss and is deleted, the
+:class:`CacheStats` counters and the ``repro_cache_*`` metrics:
 
-  - the kernel's class, configuration and *source code* (so editing a kernel
-    automatically invalidates its cached results),
-  - a structural fingerprint of the problem instance (array contents
-    included),
-  - and the memory size.
+* :class:`ResultCache` -- sweep points, as small JSON files of measured
+  numbers only.  A hit reconstructs a
+  :class:`~repro.kernels.base.KernelExecution` with ``output=None``, so
+  runs that need the output (``verify=True``) bypass the cache.
+* :class:`TaskCache` -- any picklable task result, under ``tasks/``.
+  Entries hold the complete result object, so a hit is indistinguishable
+  from a fresh run.
 
-  Cached entries store the measured numbers only -- not the numerical output
-  -- so a cache hit reconstructs a :class:`~repro.kernels.base.KernelExecution`
-  with ``output=None``.  Runs that need the output (``verify=True``) bypass
-  the cache.
-
-* :class:`TaskCache` -- arbitrary picklable results of
-  :class:`~repro.runtime.tasks.Task` executions, keyed by the task's
-  content address (callable identity, module source, parameters).  Entries
-  hold the complete result object, so a hit is indistinguishable from a
-  fresh run.
+Both ``load`` methods return :data:`MISS` when a key has no usable entry.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
-import inspect
 import json
 import os
 import pickle
-import sys
 import tempfile
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 import numpy as np
 
@@ -52,12 +48,10 @@ from repro.obs.metrics import REGISTRY
 
 __all__ = [
     "MISS",
+    "EntryStore",
     "ResultCache",
     "TaskCache",
     "CacheStats",
-    "execution_key",
-    "kernel_code_version",
-    "kernel_modules",
 ]
 
 SCHEMA_VERSION = 1
@@ -101,6 +95,11 @@ def _fingerprint(value: Any) -> Any:
     with equal array contents produce equal fingerprints, while fingerprints
     stay small no matter how large the arrays are.
     """
+    # The common cases first: plain leaves, then mappings.
+    if value is None or type(value) in (str, int, float, bool):
+        return value
+    if isinstance(value, Mapping):
+        return {str(key): _fingerprint(value[key]) for key in sorted(value)}
     if isinstance(value, np.ndarray):
         digest = hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest()
         return ["ndarray", value.dtype.str, list(value.shape), digest]
@@ -108,69 +107,17 @@ def _fingerprint(value: Any) -> Any:
         return _fingerprint(value.item())
     if isinstance(value, complex):
         return ["complex", value.real, value.imag]
-    if value is None or isinstance(value, (bool, int, float, str)):
+    if isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, (list, tuple)):
         return [_fingerprint(item) for item in value]
-    if isinstance(value, Mapping):
-        return {str(key): _fingerprint(value[key]) for key in sorted(value)}
     attributes = getattr(value, "__dict__", None)
     if attributes:
-        # Structured problem objects (e.g. CSRMatrix): fingerprint their
-        # attributes.  The default repr embeds a memory address, which would
-        # make every run a cache miss.
+        # Structured objects (a kernel and its configuration, a CSRMatrix):
+        # fingerprint their attributes.  The default repr embeds a memory
+        # address, which would make every run a cache miss.
         return ["object", type(value).__qualname__, _fingerprint(attributes)]
     return ["repr", repr(value)]
-
-
-def kernel_code_version(kernel: Kernel) -> str:
-    """A digest of the kernel's implementation, for cache invalidation.
-
-    Hashes the source of every module that defines the kernel's class or a
-    ``Kernel`` base class, plus the shared instrumentation module
-    (:mod:`repro.kernels.counters`).  Hashing whole modules rather than
-    class bodies means edits to module-level helpers the kernel calls also
-    invalidate previously cached measurements; the cost is occasional
-    over-invalidation, which is the safe direction.
-    """
-    return _code_version_for_class(type(kernel))
-
-
-def kernel_modules(kernel_class: type) -> tuple[str, ...]:
-    """Modules defining a kernel class: its own, its ``Kernel`` bases' and the counters."""
-    modules = {"repro.kernels.counters"}
-    for klass in kernel_class.__mro__:
-        if klass is not object and issubclass(klass, Kernel):
-            modules.add(klass.__module__)
-    return tuple(sorted(modules))
-
-
-@lru_cache(maxsize=None)
-def _code_version_for_class(kernel_class: type) -> str:
-    hasher = hashlib.sha256()
-    for module_name in kernel_modules(kernel_class):
-        module = sys.modules.get(module_name)
-        try:
-            hasher.update(inspect.getsource(module).encode())
-        except (OSError, TypeError):  # source unavailable (e.g. REPL-defined)
-            hasher.update(module_name.encode())
-    return hasher.hexdigest()[:16]
-
-
-def execution_key(
-    kernel: Kernel, memory_words: int, problem: Mapping[str, Any]
-) -> str:
-    """Content address of one ``kernel.execute(memory_words, **problem)`` call."""
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "kernel_class": type(kernel).__qualname__,
-        "kernel_config": _fingerprint(vars(kernel)),
-        "code_version": kernel_code_version(kernel),
-        "memory_words": int(memory_words),
-        "problem": _fingerprint(dict(problem)),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 @dataclass
@@ -195,14 +142,30 @@ class CacheStats:
         }
 
 
-class ResultCache:
-    """Content-addressed store of kernel execution measurements.
+class _Miss:
+    """Sentinel type distinguishing a cache miss from a cached ``None``."""
 
-    Entries live as one small JSON file each under ``root``, sharded by the
-    first byte of the key.  The cache is safe to share between processes:
-    writes go through a temporary file followed by an atomic rename, and a
-    corrupt or truncated entry is treated as a miss.
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return "<cache miss>"
+
+
+#: Returned by ``load`` when the key has no usable entry.
+MISS = _Miss()
+
+
+class EntryStore:
+    """One file per key under ``root``, sharded by the key's first byte.
+
+    Safe to share between processes: writes go through a temporary file and
+    an atomic rename, and an entry :meth:`read_entry` cannot decode (corrupt,
+    truncated, another schema, a stale class) is a miss and is deleted.
+    Subclasses set :attr:`suffix` and :attr:`label` (the ``cache`` label of
+    the ``repro_cache_*`` metrics) and supply the codec: :meth:`read_entry`
+    and :meth:`_encode`.
     """
+
+    suffix = ""
+    label = ""
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root).expanduser()
@@ -210,55 +173,97 @@ class ResultCache:
         self.stats = CacheStats()
 
     def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        return self.root / key[:2] / f"{key}{self.suffix}"
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        return sum(1 for _ in self.root.glob(f"*/*{self.suffix}"))
 
     def disk_usage_bytes(self) -> int:
         """Total size on disk of every entry (excludes unrelated files)."""
-        return _disk_usage(self.root, "*/*.json")
+        return _disk_usage(self.root, f"*/*{self.suffix}")
+
+    @staticmethod
+    def read_entry(path: Path) -> Any:
+        """Decode the entry at ``path``; raises for anything undecodable."""
+        raise NotImplementedError
+
+    def _encode(self, value: Any, label: str | None) -> bytes:
+        raise NotImplementedError
+
+    def load(self, key: str) -> Any:
+        """Return the cached value for ``key``, or :data:`MISS`."""
+        path = self._path(key)
+        try:
+            value = self.read_entry(path)
+        except Exception as exc:
+            # Drop what the codec cannot decode (bad JSON or pickle, another
+            # schema, a class that no longer exists); a missing file is a miss.
+            if not isinstance(exc, FileNotFoundError):
+                path.unlink(missing_ok=True)
+            self.stats.misses += 1
+            _METRIC_MISSES.labels(cache=self.label).inc()
+            return MISS
+        self.stats.hits += 1
+        _METRIC_HITS.labels(cache=self.label).inc()
+        return value
+
+    def store(self, key: str, value: Any, *, label: str | None = None) -> None:
+        """Persist one result under ``key``."""
+        data = self._encode(value, label)
+        try:
+            _atomic_write(self._path(key), data)
+        except OSError:
+            # Best-effort durability: the result in hand is correct, so a
+            # full disk must not fail the run -- the key is simply a miss
+            # (and a recomputation) next time.
+            self.stats.store_failures += 1
+            _METRIC_STORE_FAILURES.labels(cache=self.label).inc()
+            return
+        self.stats.stores += 1
+        _METRIC_STORES.labels(cache=self.label).inc()
+        _METRIC_STORE_BYTES.labels(cache=self.label).inc(len(data))
+
+    def clear(self) -> int:
+        """Delete every entry; returns the number of entries removed."""
+        removed = 0
+        for path in self.root.glob(f"*/*{self.suffix}"):
+            path.unlink(missing_ok=True)
+            removed += 1
+        return removed
+
+
+class ResultCache(EntryStore):
+    """Sweep-point measurements, one small JSON file per key."""
+
+    suffix = ".json"
+    label = "results"
 
     def key_for(
         self, kernel: Kernel, memory_words: int, problem: Mapping[str, Any]
     ) -> str:
+        """The key the sweep engine stores this point under."""
+        # Imported here: the engine builds on this module.
+        from repro.runtime.engine import execution_key
+
         return execution_key(kernel, memory_words, problem)
 
-    def load(self, key: str) -> KernelExecution | None:
-        """Return the cached execution for ``key``, or ``None`` on a miss."""
-        path = self._path(key)
-        try:
-            entry = json.loads(path.read_text())
-            if entry["schema"] != SCHEMA_VERSION:
-                raise ValueError(f"unsupported cache schema {entry['schema']!r}")
-            execution = KernelExecution(
-                kernel_name=entry["kernel_name"],
-                memory_words=int(entry["memory_words"]),
-                problem=entry.get("problem_summary", {}),
-                output=None,
-                cost=ComputationCost(
-                    float(entry["compute_ops"]), float(entry["io_words"])
-                ),
-                peak_memory_words=int(entry["peak_memory_words"]),
-                phases=PhaseRecorder(),
-                from_cache=True,
-            )
-        except FileNotFoundError:
-            self.stats.misses += 1
-            _METRIC_MISSES.labels(cache="results").inc()
-            return None
-        except (KeyError, ValueError, TypeError, OSError):
-            # Corrupt entry: drop it and treat the lookup as a miss.
-            path.unlink(missing_ok=True)
-            self.stats.misses += 1
-            _METRIC_MISSES.labels(cache="results").inc()
-            return None
-        self.stats.hits += 1
-        _METRIC_HITS.labels(cache="results").inc()
-        return execution
+    @staticmethod
+    def read_entry(path: Path) -> KernelExecution:
+        entry = json.loads(path.read_text())
+        if entry["schema"] != SCHEMA_VERSION:
+            raise ValueError(f"unsupported cache schema {entry['schema']!r}")
+        return KernelExecution(
+            kernel_name=entry["kernel_name"],
+            memory_words=int(entry["memory_words"]),
+            problem=entry.get("problem_summary", {}),
+            output=None,
+            cost=ComputationCost(float(entry["compute_ops"]), float(entry["io_words"])),
+            peak_memory_words=int(entry["peak_memory_words"]),
+            phases=PhaseRecorder(),
+            from_cache=True,
+        )
 
-    def store(self, key: str, execution: KernelExecution) -> None:
-        """Persist one execution's measurements under ``key``."""
+    def _encode(self, execution: KernelExecution, label: str | None) -> bytes:
         if execution.output is None and not execution.from_cache:
             raise ConfigurationError(
                 "refusing to cache an execution without an output; it was not "
@@ -273,27 +278,28 @@ class ResultCache:
             "io_words": float(execution.cost.io_words),
             "peak_memory_words": int(execution.peak_memory_words),
         }
-        data = json.dumps(entry, sort_keys=True).encode()
-        try:
-            _atomic_write(self._path(key), data)
-        except OSError:
-            # Best-effort durability: the measurement in hand is correct,
-            # so a full disk must not fail the run -- the key is simply a
-            # miss (and a re-measure) next time.
-            self.stats.store_failures += 1
-            _METRIC_STORE_FAILURES.labels(cache="results").inc()
-            return
-        self.stats.stores += 1
-        _METRIC_STORES.labels(cache="results").inc()
-        _METRIC_STORE_BYTES.labels(cache="results").inc(len(data))
+        return json.dumps(entry, sort_keys=True).encode()
 
-    def clear(self) -> int:
-        """Delete every entry; returns the number of entries removed."""
-        removed = 0
-        for path in self.root.glob("*/*.json"):
-            path.unlink(missing_ok=True)
-            removed += 1
-        return removed
+
+class TaskCache(EntryStore):
+    """Any picklable task result, one pickle file per key.
+
+    Pickling round-trips floats and numpy arrays exactly, so replayed
+    results are bitwise identical to fresh ones.
+    """
+
+    suffix = ".pkl"
+    label = "tasks"
+
+    @staticmethod
+    def read_entry(path: Path) -> Any:
+        entry = pickle.loads(path.read_bytes())
+        if entry["schema"] != TASK_SCHEMA_VERSION:
+            raise ValueError(f"unsupported task schema {entry['schema']!r}")
+        return entry["value"]
+
+    def _encode(self, value: Any, label: str | None) -> bytes:
+        return pickle.dumps({"schema": TASK_SCHEMA_VERSION, "label": label, "value": value})
 
 
 def _disk_usage(root: Path, pattern: str) -> int:
@@ -329,90 +335,6 @@ def _atomic_write(path: Path, data: bytes) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp_name)
         raise
-
-
-class _Miss:
-    """Sentinel type distinguishing a cache miss from a cached ``None``."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "<cache miss>"
-
-
-#: Returned by :meth:`TaskCache.load` when the key has no usable entry.
-MISS = _Miss()
-
-
-class TaskCache:
-    """Content-addressed store of arbitrary picklable task results.
-
-    Entries live as one pickle file each under ``root``, sharded by the first
-    byte of the key, written atomically; a corrupt or truncated entry is
-    treated as a miss and removed.  Unlike :class:`ResultCache`, entries hold
-    the complete result object, so replayed results are bitwise identical to
-    fresh ones (pickling round-trips floats and numpy arrays exactly).
-    """
-
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root).expanduser()
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.stats = CacheStats()
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.pkl"))
-
-    def disk_usage_bytes(self) -> int:
-        """Total size on disk of every entry (excludes unrelated files)."""
-        return _disk_usage(self.root, "*/*.pkl")
-
-    def load(self, key: str) -> Any:
-        """Return the cached value for ``key``, or :data:`MISS`."""
-        path = self._path(key)
-        try:
-            entry = pickle.loads(path.read_bytes())
-            if entry["schema"] != TASK_SCHEMA_VERSION:
-                raise ValueError(f"unsupported task schema {entry['schema']!r}")
-            value = entry["value"]
-        except FileNotFoundError:
-            self.stats.misses += 1
-            _METRIC_MISSES.labels(cache="tasks").inc()
-            return MISS
-        except Exception:
-            # Corrupt/unreadable entry (bad pickle, missing key, stale class
-            # definition, ...): drop it and treat the lookup as a miss.
-            path.unlink(missing_ok=True)
-            self.stats.misses += 1
-            _METRIC_MISSES.labels(cache="tasks").inc()
-            return MISS
-        self.stats.hits += 1
-        _METRIC_HITS.labels(cache="tasks").inc()
-        return value
-
-    def store(self, key: str, value: Any, *, label: str | None = None) -> None:
-        """Persist one task's result under ``key``."""
-        entry = {"schema": TASK_SCHEMA_VERSION, "label": label, "value": value}
-        data = pickle.dumps(entry)
-        try:
-            _atomic_write(self._path(key), data)
-        except OSError:
-            # Best-effort, as in ResultCache.store: never fail the task
-            # whose result was already computed.
-            self.stats.store_failures += 1
-            _METRIC_STORE_FAILURES.labels(cache="tasks").inc()
-            return
-        self.stats.stores += 1
-        _METRIC_STORES.labels(cache="tasks").inc()
-        _METRIC_STORE_BYTES.labels(cache="tasks").inc(len(data))
-
-    def clear(self) -> int:
-        """Delete every entry; returns the number of entries removed."""
-        removed = 0
-        for path in self.root.glob("*/*.pkl"):
-            path.unlink(missing_ok=True)
-            removed += 1
-        return removed
 
 
 def _problem_summary(problem: Mapping[str, Any]) -> dict[str, Any]:

@@ -1,34 +1,65 @@
-"""Parallel, cached execution of memory sweeps.
+"""Parallel, cached execution of memory sweeps: the sweep client of the task runtime.
 
-The serial :class:`~repro.analysis.sweep.MemorySweep` runs one kernel at one
-memory size at a time.  This module generalises it: a :class:`SweepRunner`
-flattens any number of sweeps (one kernel x one problem x a memory grid)
-into a list of independent *points*, resolves as many as it can from a
-:class:`~repro.runtime.cache.ResultCache`, fans the remainder out as
-:class:`~repro.runtime.tasks.Task` objects across the shared process-pool
-layer, and reassembles the results in deterministic order.  Serial and
-parallel execution run exactly the same kernel code on exactly the same
-problem instances, so their measured numbers are bitwise identical.
-
-The sweep engine is one client of the generic task runtime
-(:mod:`repro.runtime.tasks`); it keeps its own :class:`ResultCache` because
-sweep points have a richer content address (kernel class + configuration +
-code version + problem fingerprint + memory size) and store only the
-measured numbers rather than the whole execution.
+A :class:`SweepRunner` flattens any number of sweeps (one kernel x one
+problem x a memory grid) into one batch of *points*.  A point is the task
+``run_point(kernel, memory_words, problem)`` with the kernel's modules named
+(:func:`point_task`), so its content address is that task's key
+(:func:`execution_key`), and the batch goes through the runtime's one
+resolve loop, :func:`~repro.runtime.tasks.resolve_tasks`, against a
+:class:`~repro.runtime.cache.ResultCache`.  Results come back in
+deterministic order, so serial and parallel runs are bitwise identical, and
+every sweep result carries the keys its points were resolved under.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Mapping, Sequence
 
 from repro.analysis.sweep import MemorySweepResult, normalize_memory_sizes
 from repro.exceptions import ConfigurationError
 from repro.kernels.base import Kernel, KernelExecution
 from repro.runtime.cache import ResultCache
-from repro.runtime.tasks import Task, default_worker_count, execute_tasks
+from repro.runtime.tasks import Task, default_worker_count, resolve_tasks
 
-__all__ = ["SweepPlan", "SweepRunner", "run_sweep", "default_worker_count"]
+__all__ = ["SweepPlan", "SweepRunner", "execution_key", "kernel_modules", "point_task"]
+
+
+@lru_cache(maxsize=None)
+def kernel_modules(kernel_class: type) -> tuple[str, ...]:
+    """Modules defining a kernel class: its own, its ``Kernel`` bases' and the counters."""
+    modules = {"repro.kernels.counters"}
+    for klass in kernel_class.__mro__:
+        if klass is not object and issubclass(klass, Kernel):
+            modules.add(klass.__module__)
+    return tuple(sorted(modules))
+
+
+def run_point(
+    kernel: Kernel, memory_words: int, problem: Mapping[str, Any]
+) -> KernelExecution:
+    """Task entry for one sweep point (picklable, top-level)."""
+    return kernel.execute(memory_words, **problem)
+
+
+def point_task(
+    kernel: Kernel, memory_words: int, problem: Mapping[str, Any]
+) -> Task:
+    """The task that runs ``kernel.execute(memory_words, **problem)``."""
+    return Task(
+        fn=run_point,
+        params={"kernel": kernel, "memory_words": memory_words, "problem": problem},
+        name=f"{kernel.name}@M={memory_words}",
+        modules=kernel_modules(type(kernel)),
+    )
+
+
+def execution_key(
+    kernel: Kernel, memory_words: int, problem: Mapping[str, Any]
+) -> str:
+    """Content address of one ``kernel.execute(memory_words, **problem)`` call."""
+    return point_task(kernel, memory_words, problem).key()
 
 
 @dataclass(frozen=True)
@@ -44,7 +75,6 @@ class SweepPlan:
     memory_sizes: tuple[int, ...]
     problem: Mapping[str, Any] | None = None
     scale: int | None = None
-    name: str | None = None
 
     def __post_init__(self) -> None:
         if (self.problem is None) == (self.scale is None):
@@ -56,38 +86,11 @@ class SweepPlan:
             self, "memory_sizes", normalize_memory_sizes(self.memory_sizes)
         )
 
-    @property
-    def label(self) -> str:
-        return self.name or self.kernel.name
-
     def problem_at(self, memory_words: int) -> dict[str, Any]:
         """The problem instance for one memory size of this sweep."""
         if self.problem is not None:
             return dict(self.problem)
         return self.kernel.problem_for_memory(memory_words, self.scale)
-
-
-@dataclass
-class _Point:
-    """One flattened execution: a kernel, a memory size and its problem."""
-
-    plan_index: int
-    point_index: int
-    kernel: Kernel
-    memory_words: int
-    problem: dict[str, Any]
-    verify: bool
-
-
-def _execute_point(point: _Point) -> KernelExecution:
-    """Worker entry: run one sweep point (picklable, top-level)."""
-    execution = point.kernel.execute(point.memory_words, **point.problem)
-    if point.verify and not point.kernel.verify(execution):
-        raise ConfigurationError(
-            f"{point.kernel.name} produced an incorrect result "
-            f"at M={point.memory_words}"
-        )
-    return execution
 
 
 class SweepRunner:
@@ -155,103 +158,41 @@ class SweepRunner:
         suite saturates the machine even when individual sweeps are short.
         The returned list is ordered like ``plans``.
         """
-        points: list[_Point] = []
-        last_problems: dict[int, dict[str, Any]] = {}
-        for plan_index, plan in enumerate(plans):
-            for point_index, size in enumerate(plan.memory_sizes):
+        points: list[Task] = []
+        for plan in plans:
+            for size in plan.memory_sizes:
                 plan.kernel.validate_memory(size)
-                problem = plan.problem_at(size)
-                # run_default semantics: the sweep reports the problem of the
-                # largest memory size, matching MemorySweep.run_default.
-                last_problems[plan_index] = problem
-                points.append(
-                    _Point(
-                        plan_index=plan_index,
-                        point_index=point_index,
-                        kernel=plan.kernel,
-                        memory_words=size,
-                        problem=problem,
-                        verify=self.verify,
-                    )
-                )
+                points.append(point_task(plan.kernel, size, plan.problem_at(size)))
 
-        executions = self._execute(points)
-
-        grouped: dict[int, list[KernelExecution]] = {
-            plan_index: [] for plan_index in range(len(plans))
-        }
-        for point, execution in zip(points, executions):
-            grouped[point.plan_index].append(execution)
-
-        return [
-            MemorySweepResult(
-                kernel_name=plan.kernel.name,
-                problem=dict(last_problems[plan_index]),
-                memory_sizes=plan.memory_sizes,
-                executions=tuple(grouped[plan_index]),
-            )
-            for plan_index, plan in enumerate(plans)
-        ]
-
-    # -- internals -----------------------------------------------------------
-
-    def _execute(self, points: list[_Point]) -> list[KernelExecution | None]:
-        """Resolve every point, via cache where possible, preserving order."""
-        executions: list[KernelExecution | None] = [None] * len(points)
-        use_cache = self.cache is not None and not self.verify
-
-        pending: list[tuple[int, _Point, str | None]] = []
-        for i, point in enumerate(points):
-            key = None
-            if use_cache:
-                key = self.cache.key_for(point.kernel, point.memory_words, point.problem)
-                cached = self.cache.load(key)
-                if cached is not None:
-                    executions[i] = cached
-                    continue
-            pending.append((i, point, key))
-
-        fresh = self._run_points([point for _, point, _ in pending])
-
-        for (i, _, key), execution in zip(pending, fresh):
-            executions[i] = execution
-            if use_cache and key is not None:
-                self.cache.store(key, execution)
-        return executions
-
-    def _run_points(self, points: list[_Point]) -> list[KernelExecution]:
-        tasks = [
-            Task(
-                fn=_execute_point,
-                params={"point": point},
-                name=f"{point.kernel.name}@M={point.memory_words}",
-            )
-            for point in points
-        ]
-        return execute_tasks(
-            tasks, parallel=self.parallel, max_workers=self.max_workers
+        executions, _ = resolve_tasks(
+            points,
+            None if self.verify else self.cache,
+            parallel=self.parallel,
+            max_workers=self.max_workers,
         )
+        if self.verify:
+            for point, execution in zip(points, executions):
+                kernel = point.params["kernel"]
+                if not kernel.verify(execution):
+                    raise ConfigurationError(
+                        f"{kernel.name} produced an incorrect result "
+                        f"at M={execution.memory_words}"
+                    )
 
-
-def run_sweep(
-    kernel: Kernel,
-    memory_sizes: Sequence[int],
-    *,
-    problem: Mapping[str, Any] | None = None,
-    scale: int | None = None,
-    parallel: bool = False,
-    max_workers: int | None = None,
-    cache: ResultCache | None = None,
-    verify: bool = False,
-) -> MemorySweepResult:
-    """One-shot convenience wrapper around :class:`SweepRunner`."""
-    runner = SweepRunner(
-        parallel=parallel, max_workers=max_workers, cache=cache, verify=verify
-    )
-    plan = SweepPlan(
-        kernel=kernel,
-        memory_sizes=tuple(memory_sizes),
-        problem=problem,
-        scale=scale,
-    )
-    return runner.run_plans([plan])[0]
+        results = []
+        cursor = 0
+        for plan in plans:
+            batch = slice(cursor, cursor + len(plan.memory_sizes))
+            cursor = batch.stop
+            results.append(
+                MemorySweepResult(
+                    kernel_name=plan.kernel.name,
+                    # run_default semantics: the sweep reports the problem of
+                    # the largest memory size, matching MemorySweep.run_default.
+                    problem=dict(points[batch][-1].params["problem"]),
+                    memory_sizes=plan.memory_sizes,
+                    executions=tuple(executions[batch]),
+                    point_keys=tuple(point.key() for point in points[batch]),
+                )
+            )
+        return results

@@ -45,7 +45,7 @@ from repro.kernels import (
 )
 from repro.kernels.base import Kernel
 from repro.obs import spans as obs_spans
-from repro.runtime.cache import TaskCache, execution_key
+from repro.runtime.cache import TaskCache
 from repro.runtime.engine import SweepPlan, SweepRunner
 from repro.runtime.tasks import Task, TaskRunner
 
@@ -136,7 +136,6 @@ class Scenario:
             kernel=build_kernel(self.kernel),
             memory_sizes=self.memory_sizes,
             scale=self.scale,
-            name=self.name,
         )
 
 
@@ -723,16 +722,11 @@ class ScenarioResult:
     def point_keys(self) -> list[str]:
         """The content address of each sweep point, in memory-grid order.
 
-        These are exactly the keys :class:`~repro.runtime.engine.SweepRunner`
-        used for the result cache, recomputed from the deterministic plan --
-        so store records join against cache entries without the runner
-        having to thread keys through.
+        These are the keys :class:`~repro.runtime.engine.SweepRunner`
+        resolved the points under, carried on the sweep result -- so store
+        records join against result-cache entries with no key recomputed.
         """
-        plan = self.scenario.plan()
-        return [
-            execution_key(plan.kernel, memory, plan.problem_at(memory))
-            for memory in self.sweep.memory_sizes
-        ]
+        return list(self.sweep.point_keys)
 
     def as_dict(self) -> dict[str, object]:
         return {

@@ -1,23 +1,24 @@
 """Generic experiment tasks: pooled, cached execution of any computation.
 
-PR 1's :class:`~repro.runtime.engine.SweepRunner` parallelised and cached one
-shape of work -- a kernel executed at one memory size.  This module abstracts
-that shape away: a :class:`Task` is any top-level callable plus its keyword
-parameters, content-addressed by a SHA-256 digest of
+A :class:`Task` is any top-level callable plus its keyword parameters,
+content-addressed by :func:`task_key`, a SHA-256 digest of
 
 * the callable's fully qualified name,
 * the *source code* of its module (plus any explicitly named supporting
   modules, so editing the algorithm invalidates previously cached results),
 * and a structural fingerprint of the parameters.
 
-A :class:`TaskRunner` resolves a batch of tasks against a
-:class:`~repro.runtime.cache.TaskCache`, fans the misses out across a
-``concurrent.futures`` process pool, and reassembles results in submission
-order -- so serial and parallel execution of the same batch are bitwise
-identical, and warm reruns replay entirely from the cache.  The sweep engine
-is one client of this layer (its points are tasks over
-``_execute_point``); the experiment drivers (Figure 2, Section 4 arrays, the
-pebble game, the Warp study) are the others.
+This is the runtime's one key scheme.  :func:`resolve_tasks` is its one
+resolve loop: look up each key in a cache, run each distinct missing key
+once (serially or across a ``concurrent.futures`` process pool), store the
+fresh results, and return everything in submission order -- so serial and
+parallel execution of the same batch are bitwise identical, and warm reruns
+replay entirely from the cache.  Two runners call it: :class:`TaskRunner`
+for the experiment drivers (Figure 2, Section 4 arrays, the pebble game, the
+Warp study) against a :class:`~repro.runtime.cache.TaskCache`, and the sweep
+engine (:class:`~repro.runtime.engine.SweepRunner`), whose points are tasks
+over :func:`~repro.runtime.engine.run_point`, against a
+:class:`~repro.runtime.cache.ResultCache`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Any, Callable, Mapping, Sequence
 from repro.exceptions import ConfigurationError, TaskExecutionError
 from repro.obs import spans as obs_spans
 from repro.obs.metrics import REGISTRY
-from repro.runtime.cache import MISS, TaskCache, _fingerprint
+from repro.runtime.cache import MISS, EntryStore, TaskCache, _fingerprint
 
 __all__ = [
     "Task",
@@ -48,7 +49,7 @@ __all__ = [
     "callable_code_version",
     "default_worker_count",
     "execute_tasks",
-    "run_tasks",
+    "resolve_tasks",
 ]
 
 TASK_KEY_SCHEMA = 1
@@ -125,9 +126,14 @@ def callable_code_version(
     means edits to helpers the callable uses also invalidate cached results;
     the cost is occasional over-invalidation, which is the safe direction.
     """
-    names = sorted({fn.__module__, *modules})
+    return _code_version(fn.__module__, tuple(modules))
+
+
+@lru_cache(maxsize=None)
+def _code_version(module: str, modules: tuple[str, ...]) -> str:
+    """Digest of one module set (memoized: every key of a set shares it)."""
     hasher = hashlib.sha256()
-    for name in names:
+    for name in sorted({module, *modules}):
         hasher.update(name.encode())
         hasher.update(_module_source_digest(name).encode())
     return hasher.hexdigest()[:16]
@@ -165,6 +171,7 @@ class Task:
     params: Mapping[str, Any] = field(default_factory=dict)
     name: str | None = None
     modules: tuple[str, ...] = ()
+    _key: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not callable(self.fn):
@@ -183,8 +190,16 @@ class Task:
         return self.name or f"{self.fn.__module__}.{self.fn.__qualname__}"
 
     def key(self) -> str:
-        """The task's content address (stable across processes and runs)."""
-        return task_key(self.fn, self.params, self.modules)
+        """The task's content address (stable across processes and runs).
+
+        Computed on the first call and kept on the task, so resolving a
+        batch and reporting its keys hash the parameters once.
+        """
+        if self._key is None:
+            object.__setattr__(
+                self, "_key", task_key(self.fn, self.params, self.modules)
+            )
+        return self._key
 
     def run(self) -> Any:
         """Execute the task in the current process."""
@@ -235,13 +250,13 @@ def execute_tasks(
 ) -> list[Any]:
     """Execute tasks (no cache), preserving submission order.
 
-    The shared pool primitive behind both :class:`TaskRunner` and the sweep
-    engine: results are collected back in submission order, so the output is
-    deterministic and identical to a serial run.  A task that raises surfaces
-    as :class:`~repro.exceptions.TaskExecutionError` naming the failing
-    task's label (the original exception is chained as ``__cause__``); in a
-    parallel batch the first failure *in submission order* wins, matching the
-    serial path.
+    The pool primitive behind :func:`resolve_tasks`: results are collected
+    back in submission order, so the output is deterministic and identical
+    to a serial run.  A task that raises surfaces as
+    :class:`~repro.exceptions.TaskExecutionError` naming the failing task's
+    label (the original exception is chained as ``__cause__``); in a
+    parallel batch the first failure *in submission order* wins, matching
+    the serial path.
     """
     if not tasks:
         return []
@@ -292,7 +307,7 @@ def execute_tasks(
 
 @dataclass
 class TaskRunStats:
-    """Counters accumulated over the lifetime of a :class:`TaskRunner`.
+    """Counters of resolved tasks: one batch's, or a runner's lifetime total.
 
     ``deduped`` counts tasks that were *not* executed because an identical
     task (same content-addressed key) appeared earlier in the same batch;
@@ -316,6 +331,57 @@ class TaskRunStats:
         }
 
 
+def resolve_tasks(
+    tasks: Sequence[Task],
+    cache: EntryStore | None,
+    *,
+    parallel: bool,
+    max_workers: int,
+) -> tuple[list[Any], TaskRunStats]:
+    """Resolve a batch in submission order: ``(results, batch counters)``.
+
+    Each task's key is looked up in ``cache``; of the misses, the first task
+    with a given key executes and later ones observe its result (safe
+    because equal keys mean equal code and parameters, and tasks must be
+    deterministic -- the assumption the cache replays results under); fresh
+    results are stored back.
+    """
+    results: list[Any] = [None] * len(tasks)
+    stats = TaskRunStats()
+    pending: list[tuple[int, Task]] = []
+    for i, task in enumerate(tasks):
+        if cache is not None:
+            hit = cache.load(task.key())
+            if hit is not MISS:
+                results[i] = hit
+                stats.cache_hits += 1
+                continue
+        pending.append((i, task))
+
+    unique: list[Task] = []
+    slots: dict[str, list[int]] = {}
+    for i, task in pending:
+        key = task.key()
+        if key in slots:
+            slots[key].append(i)
+            stats.deduped += 1
+            continue
+        slots[key] = [i]
+        unique.append(task)
+
+    fresh = execute_tasks(unique, parallel=parallel, max_workers=max_workers)
+    stats.executed = len(unique)
+    _METRIC_CACHE_HITS.inc(stats.cache_hits)
+    _METRIC_DEDUPED.inc(stats.deduped)
+    _METRIC_EXECUTED.inc(stats.executed)
+    for task, value in zip(unique, fresh):
+        for i in slots[task.key()]:
+            results[i] = value
+        if cache is not None:
+            cache.store(task.key(), value, label=task.label)
+    return results, stats
+
+
 class TaskRunner:
     """Executes task batches serially or across a process pool, with caching.
 
@@ -330,12 +396,9 @@ class TaskRunner:
         Optional :class:`~repro.runtime.cache.TaskCache`.  Tasks whose key is
         present are replayed without executing anything; fresh results are
         stored back.
-    dedup:
-        Collapse tasks *within a batch* that share a content-addressed key:
-        one representative executes and every duplicate observes its result.
-        Safe because equal keys mean equal code and equal parameters, and the
-        runtime requires tasks to be deterministic (the same assumption the
-        cache already replays results under).
+
+    Tasks sharing a key within a batch execute once (see
+    :func:`resolve_tasks`); :attr:`stats` accumulates every batch's counters.
     """
 
     def __init__(
@@ -344,7 +407,6 @@ class TaskRunner:
         parallel: bool = False,
         max_workers: int | None = None,
         cache: TaskCache | None = None,
-        dedup: bool = True,
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise ConfigurationError(
@@ -353,7 +415,6 @@ class TaskRunner:
         self.parallel = parallel
         self.max_workers = max_workers or default_worker_count()
         self.cache = cache
-        self.dedup = dedup
         self.stats = TaskRunStats()
         # One runner may be shared by several threads (the job service's
         # worker pool); counter updates are read-modify-write and need a lock.
@@ -362,11 +423,11 @@ class TaskRunner:
     def run(self, tasks: Sequence[Task]) -> list[Any]:
         """Resolve every task, via the cache where possible, in order."""
         if not obs_spans.enabled():
-            return self._resolve(tasks)
+            return self._run_batch(tasks)
         with obs_spans.span(
             "tasks.run", kind="runtime", attributes={"tasks": len(tasks)}
         ) as batch_span:
-            results = self._resolve(tasks)
+            results = self._run_batch(tasks)
             # Runner-lifetime counters, not batch counters: enough to tell
             # "replayed from cache" from "recomputed" for a slow batch.
             batch_span.set(
@@ -376,70 +437,16 @@ class TaskRunner:
             )
             return results
 
-    def _resolve(self, tasks: Sequence[Task]) -> list[Any]:
-        results: list[Any] = [None] * len(tasks)
-        pending: list[tuple[int, Task, str | None]] = []
-        cache_hits = 0
-        for i, task in enumerate(tasks):
-            key = None
-            if self.cache is not None or self.dedup:
-                key = task.key()
-            if self.cache is not None:
-                hit = self.cache.load(key)
-                if hit is not MISS:
-                    results[i] = hit
-                    cache_hits += 1
-                    continue
-            pending.append((i, task, key))
-
-        # In-batch dedup: the first task with a given key executes, later
-        # ones become followers and observe the representative's result.
-        unique: list[tuple[int, Task, str | None]] = []
-        followers: dict[str, list[int]] = {}
-        seen: dict[str, int] = {}
-        deduped = 0
-        for i, task, key in pending:
-            if self.dedup and key is not None and key in seen:
-                followers.setdefault(key, []).append(i)
-                deduped += 1
-                continue
-            if key is not None:
-                seen[key] = i
-            unique.append((i, task, key))
-
-        fresh = execute_tasks(
-            [task for _, task, _ in unique],
-            parallel=self.parallel,
-            max_workers=self.max_workers,
+    def _run_batch(self, tasks: Sequence[Task]) -> list[Any]:
+        results, batch = resolve_tasks(
+            tasks, self.cache, parallel=self.parallel, max_workers=self.max_workers
         )
         with self._stats_lock:
-            self.stats.cache_hits += cache_hits
-            self.stats.deduped += deduped
-            self.stats.executed += len(unique)
-        _METRIC_CACHE_HITS.inc(cache_hits)
-        _METRIC_DEDUPED.inc(deduped)
-        _METRIC_EXECUTED.inc(len(unique))
-        for (i, task, key), value in zip(unique, fresh):
-            results[i] = value
-            if self.cache is not None and key is not None:
-                self.cache.store(key, value, label=task.label)
-            if key is not None:
-                for j in followers.get(key, ()):
-                    results[j] = value
+            self.stats.executed += batch.executed
+            self.stats.cache_hits += batch.cache_hits
+            self.stats.deduped += batch.deduped
         return results
 
     def run_one(self, task: Task) -> Any:
         """Convenience: resolve a single task."""
         return self.run([task])[0]
-
-
-def run_tasks(
-    tasks: Sequence[Task],
-    *,
-    parallel: bool = False,
-    max_workers: int | None = None,
-    cache: TaskCache | None = None,
-) -> list[Any]:
-    """One-shot convenience wrapper around :class:`TaskRunner`."""
-    runner = TaskRunner(parallel=parallel, max_workers=max_workers, cache=cache)
-    return runner.run(tasks)

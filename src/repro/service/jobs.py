@@ -38,7 +38,7 @@ import time
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 from repro.exceptions import ConfigurationError, ServiceError
 from repro.faults.injector import torn_write_armed
@@ -53,6 +53,7 @@ __all__ = [
     "RUNNING",
     "DONE",
     "FAILED",
+    "parse_snapshot",
 ]
 
 QUEUED = "queued"
@@ -447,41 +448,66 @@ class JobStore:
             _METRIC_JOURNAL_WRITE_FAILURES.inc()
 
     def _replay(self) -> None:
-        for snapshot in self._read_snapshots():
-            fields = snapshot["job"]
-            job = Job(
-                id=fields["id"],
-                kind=fields["kind"],
-                params=fields.get("params") or {},
-                state=fields.get("state", QUEUED),
-                key=fields.get("key"),
-                deduped_into=fields.get("deduped_into"),
-                trace_id=fields.get("trace_id"),
-                result=fields.get("result"),
-                error=fields.get("error"),
-                created_at=fields.get("created_at") or time.time(),
-                started_at=fields.get("started_at"),
-                finished_at=fields.get("finished_at"),
-                timeline=_replayed_timeline(fields),
-                truncated_transitions=int(fields.get("truncated_transitions") or 0),
-                attempts=int(fields.get("attempts") or 0),
-                retry=fields.get("retry") or None,
-            )
-            self._jobs[job.id] = job  # later snapshots win
-
-    def _read_snapshots(self) -> Iterator[dict[str, Any]]:
         for line in self.state_path.read_text().splitlines():
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                snapshot = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # truncated tail line from a crashed writer
-            if (
-                isinstance(snapshot, dict)
-                and snapshot.get("schema") == STATE_SCHEMA
-                and isinstance(snapshot.get("job"), dict)
-                and "id" in snapshot["job"]
-            ):
-                yield snapshot
+                job = parse_snapshot(line)
+            except ValueError:
+                continue  # a torn tail line, or not a replayable snapshot
+            self._jobs[job.id] = job  # later snapshots win
+
+
+#: Optional snapshot fields and the types replay accepts for them.
+_SNAPSHOT_FIELD_TYPES: dict[str, type | tuple[type, ...]] = {
+    "params": dict,
+    "retry": dict,
+    "attempts": int,
+    "truncated_transitions": int,
+    "created_at": (int, float),
+    "started_at": (int, float),
+    "finished_at": (int, float),
+}
+
+
+def parse_snapshot(line: str) -> Job:
+    """The job one journal line snapshots.
+
+    The one validator behind journal replay and ``repro doctor``.  Raises
+    :class:`json.JSONDecodeError` for a line that is not JSON (a torn write)
+    and :class:`ValueError` for JSON that is not a replayable job snapshot:
+    another schema, no job object, no string ``id``/``kind``, an unknown
+    state, or a field of the wrong type.
+    """
+    snapshot = json.loads(line)
+    fields = snapshot.get("job") if isinstance(snapshot, dict) else None
+    if (
+        not isinstance(fields, dict)
+        or snapshot.get("schema") != STATE_SCHEMA
+        or not isinstance(fields.get("id"), str)
+        or not isinstance(fields.get("kind"), str)
+        or fields.get("state", QUEUED) not in JOB_STATES
+        or any(
+            fields.get(name) is not None and not isinstance(fields[name], types)
+            for name, types in _SNAPSHOT_FIELD_TYPES.items()
+        )
+    ):
+        raise ValueError("not a job snapshot")
+    return Job(
+        id=fields["id"],
+        kind=fields["kind"],
+        params=fields.get("params") or {},
+        state=fields.get("state", QUEUED),
+        key=fields.get("key"),
+        deduped_into=fields.get("deduped_into"),
+        trace_id=fields.get("trace_id"),
+        result=fields.get("result"),
+        error=fields.get("error"),
+        created_at=fields.get("created_at") or time.time(),
+        started_at=fields.get("started_at"),
+        finished_at=fields.get("finished_at"),
+        timeline=_replayed_timeline(fields),
+        truncated_transitions=fields.get("truncated_transitions") or 0,
+        attempts=fields.get("attempts") or 0,
+        retry=fields.get("retry") or None,
+    )

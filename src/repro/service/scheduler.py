@@ -32,7 +32,7 @@ from repro.kernels.base import Kernel
 from repro.obs import spans as obs_spans
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import new_trace_id, normalize_trace_id
-from repro.runtime.cache import kernel_modules
+from repro.runtime.engine import kernel_modules
 from repro.runtime.suites import (
     ExperimentScenario,
     build_kernel,

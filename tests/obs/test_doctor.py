@@ -5,7 +5,10 @@ from __future__ import annotations
 import json
 import pickle
 
+import pytest
+
 from repro.cli import main
+from repro.kernels.matmul import BlockedMatrixMultiply
 from repro.obs.doctor import (
     FAIL,
     PASS,
@@ -19,22 +22,30 @@ from repro.obs.doctor import (
     check_spans,
     run_doctor,
 )
-from repro.service.jobs import JobStore
+from repro.runtime.cache import MISS, ResultCache, TaskCache
+from repro.service.jobs import STATE_SCHEMA, JobStore
 
 
-def _write_result_entry(root, key, payload=None):
-    """One syntactically valid sweep-point cache entry in shard layout."""
-    path = root / key[:2] / f"{key}.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload or {"schema": "repro-cache-test/v1"}))
-    return path
+def _write_result_entry(root, key):
+    """One real sweep-point entry, written by the result cache itself."""
+    kernel = BlockedMatrixMultiply()
+    cache = ResultCache(root)
+    cache.store(key, kernel.execute(27, **kernel.problem_for_memory(27, 4)))
+    return cache._path(key)
 
 
 def _write_task_entry(root, key):
-    path = root / "tasks" / key[:2] / f"{key}.pkl"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(pickle.dumps({"schema": "repro-task-test/v1"}))
-    return path
+    """One real task entry, written by the task cache itself."""
+    cache = TaskCache(root / "tasks")
+    cache.store(key, {"answer": 42}, label="test")
+    return cache._path(key)
+
+
+def _tree(root):
+    return sorted(
+        (str(path.relative_to(root)), path.stat().st_size if path.is_file() else None)
+        for path in root.rglob("*")
+    )
 
 
 def _by_check(findings):
@@ -74,6 +85,33 @@ class TestCacheIntegrity:
         path.write_bytes(b"\x80not a pickle")
         finding = _by_check(check_cache_integrity(tmp_path))["cache.tasks"]
         assert finding.status == FAIL
+
+    def test_entry_the_result_cache_drops_fails(self, tmp_path):
+        # Schema-tagged, but not a sweep point: the cache's own decoder
+        # rejects it, so the doctor must not call it readable.
+        path = tmp_path / "ab" / "abcd.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps({"schema": 1}))
+        finding = _by_check(check_cache_integrity(tmp_path))["cache.results"]
+        assert finding.status == FAIL
+        assert finding.data["corrupt"] == 1
+        assert ResultCache(tmp_path).load("abcd") is MISS
+        assert not path.exists()
+
+    def test_task_entry_of_another_schema_fails(self, tmp_path):
+        path = _write_task_entry(tmp_path, "bb22")
+        path.write_bytes(pickle.dumps({"schema": 999, "label": None, "value": 1}))
+        finding = _by_check(check_cache_integrity(tmp_path))["cache.tasks"]
+        assert finding.status == FAIL
+        assert finding.data["corrupt"] == 1
+
+    def test_doctor_only_reads_the_cache_root(self, tmp_path, capsys):
+        root = tmp_path / "cache"
+        _write_result_entry(root, "aa11")
+        before = _tree(root)
+        assert main(["doctor", "--cache-dir", str(root), "--json"]) == 0
+        capsys.readouterr()
+        assert _tree(root) == before
 
     def test_orphaned_tmp_files_warn(self, tmp_path):
         _write_result_entry(tmp_path, "aa11")
@@ -188,6 +226,28 @@ class TestJournal:
         finding = _by_check(check_journal(path))["journal"]
         assert finding.status == FAIL
         assert finding.data["bad_lines"] == [2]
+
+    @pytest.mark.parametrize(
+        "job",
+        [None, {"id": "x"}, "bogus-state"],
+        ids=["null-job", "no-kind", "unknown-state"],
+    )
+    def test_malformed_snapshot_is_a_bad_line(self, tmp_path, job):
+        path = self._journal_with_jobs(tmp_path)
+        lines = path.read_text().splitlines()
+        if job == "bogus-state":
+            snapshot = json.loads(lines[0])
+            snapshot["job"]["state"] = "bogus"
+        else:
+            snapshot = {"schema": STATE_SCHEMA, "job": job}
+        lines.insert(1, json.dumps(snapshot))
+        path.write_text("\n".join(lines) + "\n")
+        statuses = _by_check(run_doctor(state_path=path).findings)
+        assert statuses["journal"].status == FAIL
+        assert statuses["journal"].data["bad_lines"] == [2]
+        assert statuses["journal.replay"].status == PASS
+        assert statuses["journal.replay"].data["jobs"] == 1
+        assert statuses["jobs.progress"].status == PASS
 
     def test_interrupted_jobs_reported_on_replay(self, tmp_path):
         path = self._journal_with_jobs(tmp_path, finish=False)

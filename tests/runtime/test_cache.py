@@ -11,13 +11,9 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.kernels.grid import GridRelaxation
 from repro.kernels.matmul import BlockedMatrixMultiply
-from repro.runtime.cache import (
-    MISS,
-    ResultCache,
-    TaskCache,
-    execution_key,
-    kernel_code_version,
-)
+from repro.kernels.triangularization import BlockedLUTriangularization
+from repro.runtime.cache import MISS, ResultCache, TaskCache, _fingerprint
+from repro.runtime.engine import execution_key
 
 
 @pytest.fixture
@@ -61,20 +57,49 @@ class TestExecutionKey:
         problem = {"n": 64}
         assert execution_key(grid2, 512, problem) != execution_key(grid3, 512, problem)
 
-    def test_code_version_differs_between_kernel_classes(self):
-        assert kernel_code_version(BlockedMatrixMultiply()) != kernel_code_version(
-            GridRelaxation(dimension=2)
+    def test_key_differs_between_kernel_classes(self):
+        problem = BlockedMatrixMultiply().problem_for_memory(27, 12)
+        assert execution_key(BlockedMatrixMultiply(), 27, problem) != execution_key(
+            BlockedLUTriangularization(), 27, problem
         )
+
+
+class Config:
+    def __init__(self) -> None:
+        self.order = 4
+
+
+class TestFingerprint:
+    def test_canonical_structure(self):
+        value = {
+            "f": np.arange(3),
+            "b": [1, 2.5, True, None, "s", (7,)],
+            "a": np.int64(3),
+            "c": np.float64(0.5),
+            "d": 1 + 2j,
+            "e": Config(),
+        }
+        fingerprint = _fingerprint(value)
+        assert list(fingerprint) == ["a", "b", "c", "d", "e", "f"]
+        assert fingerprint["a"] == 3 and type(fingerprint["a"]) is int
+        assert fingerprint["b"] == [1, 2.5, True, None, "s", [7]]
+        assert fingerprint["c"] == 0.5 and type(fingerprint["c"]) is float
+        assert fingerprint["d"] == ["complex", 1.0, 2.0]
+        assert fingerprint["e"] == ["object", "Config", {"order": 4}]
+        assert fingerprint["f"][:3] == ["ndarray", np.arange(3).dtype.str, [3]]
+        # Equal contents, equal digest, whatever the memory layout.
+        grid = np.arange(12.0).reshape(3, 4)
+        assert _fingerprint(grid.T) == _fingerprint(np.ascontiguousarray(grid.T))
 
 
 class TestResultCache:
     def test_miss_then_hit_roundtrip(self, cache):
         kernel, problem, execution = _one_execution()
         key = cache.key_for(kernel, 27, problem)
-        assert cache.load(key) is None
+        assert cache.load(key) is MISS
         cache.store(key, execution)
         cached = cache.load(key)
-        assert cached is not None
+        assert cached is not MISS
         assert cached.from_cache
         assert cached.output is None
         assert cached.cost.compute_ops == execution.cost.compute_ops
@@ -93,7 +118,7 @@ class TestResultCache:
         assert len(cache) == 3
         assert cache.clear() == 3
         assert len(cache) == 0
-        assert cache.load(cache.key_for(kernel, 12, problem)) is None
+        assert cache.load(cache.key_for(kernel, 12, problem)) is MISS
 
     def test_corrupt_entry_is_a_miss_and_removed(self, cache):
         kernel, problem, execution = _one_execution()
@@ -101,7 +126,7 @@ class TestResultCache:
         cache.store(key, execution)
         path = cache._path(key)
         path.write_text("{not json")
-        assert cache.load(key) is None
+        assert cache.load(key) is MISS
         assert not path.exists()
 
     def test_wrong_schema_is_a_miss(self, cache):
@@ -112,7 +137,7 @@ class TestResultCache:
         entry = json.loads(path.read_text())
         entry["schema"] = 999
         path.write_text(json.dumps(entry))
-        assert cache.load(key) is None
+        assert cache.load(key) is MISS
 
     def test_refuses_to_store_cached_replay_without_output(self, cache):
         kernel, problem, execution = _one_execution()
@@ -219,7 +244,7 @@ class TestConcurrentWriters:
             start.wait()
             for _ in range(40):
                 entry = cache.load(key)
-                if entry is not None:
+                if entry is not MISS:
                     loaded.append(entry)
 
         threads = [threading.Thread(target=write) for _ in range(2)]

@@ -8,7 +8,8 @@ import json
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.runtime.cache import ResultCache, TaskCache
+from repro.kernels.base import Kernel
+from repro.runtime.cache import MISS, ResultCache, TaskCache
 from repro.runtime.engine import SweepRunner
 from repro.runtime.suites import (
     EXPERIMENT_KINDS,
@@ -312,6 +313,32 @@ class TestResultStoreIntegration:
         assert again["experiments"][0]["task_keys"] == (
             payload["experiments"][0]["task_keys"]
         )
+
+    def test_every_key_names_a_cache_entry(self, mini_experiment_suite, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        payload = run_suite(mini_experiment_suite, SweepRunner(cache=cache)).as_dict()
+        point_keys = [key for s in payload["scenarios"] for key in s["point_keys"]]
+        task_keys = [key for e in payload["experiments"] for key in e["task_keys"]]
+        assert len(point_keys) == payload["runtime"]["points"]
+        assert len(task_keys) == payload["runtime"]["experiment_tasks"]
+        for key in point_keys:
+            assert (cache.root / key[:2] / f"{key}.json").is_file()
+            assert cache.load(key) is not MISS
+        task_cache = TaskCache(cache.root / "tasks")
+        for key in task_keys:
+            assert (task_cache.root / key[:2] / f"{key}.pkl").is_file()
+            assert task_cache.load(key) is not MISS
+
+    def test_payload_needs_no_regenerated_problem(self, mini_suite, monkeypatch):
+        result = run_suite(mini_suite)
+        keys = [scenario.point_keys() for scenario in result.results]
+
+        def regenerate(*args, **kwargs):
+            raise AssertionError("problem regenerated after the run")
+
+        monkeypatch.setattr(Kernel, "problem_for_memory", regenerate)
+        payload = result.as_dict()
+        assert [s["point_keys"] for s in payload["scenarios"]] == keys
 
     def test_cached_run_records_into_the_store(self, mini_experiment_suite, tmp_path):
         from repro.runtime.suites import store_for

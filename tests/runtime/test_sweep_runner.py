@@ -8,8 +8,8 @@ from repro.analysis.sweep import MemorySweep
 from repro.exceptions import ConfigurationError
 from repro.kernels.fft import BlockedFFT
 from repro.kernels.matmul import BlockedMatrixMultiply
-from repro.runtime.cache import ResultCache
-from repro.runtime.engine import SweepPlan, SweepRunner, run_sweep
+from repro.runtime.cache import MISS, ResultCache
+from repro.runtime.engine import SweepPlan, SweepRunner, execution_key
 
 MEMORIES = (12, 27, 48)
 SCALE = 12
@@ -54,7 +54,7 @@ class TestSerialRuntime:
         assert runtime.intensities == legacy.intensities
 
     def test_run_sweep_convenience(self):
-        result = run_sweep(BlockedMatrixMultiply(), MEMORIES, scale=SCALE)
+        result = SweepRunner().run_default(BlockedMatrixMultiply(), MEMORIES, SCALE)
         assert len(result.executions) == len(MEMORIES)
 
 
@@ -134,3 +134,48 @@ class TestCachedRuntime:
         warm = runner.run_default(BlockedMatrixMultiply(), MEMORIES, SCALE)
         assert warm.intensities == cold.intensities
         assert cache.stats.hits == len(MEMORIES)
+
+
+class TestPointKeys:
+    """A point's cache key is its task's key, carried on the sweep result."""
+
+    def test_execution_key_is_the_key_the_engine_resolved(self, tmp_path):
+        kernel = BlockedMatrixMultiply()
+        cache = ResultCache(tmp_path / "cache")
+        result = SweepRunner(cache=cache).run_default(kernel, MEMORIES, SCALE)
+        expected = tuple(
+            execution_key(kernel, m, kernel.problem_for_memory(m, SCALE))
+            for m in MEMORIES
+        )
+        assert result.point_keys == expected
+        for memory, key in zip(MEMORIES, expected):
+            assert cache.key_for(kernel, memory, kernel.problem_for_memory(memory, SCALE)) == key
+            assert cache.load(key) is not MISS
+
+    def test_verified_sweep_resolves_under_the_same_keys(self):
+        plain = SweepRunner().run_default(BlockedMatrixMultiply(), MEMORIES, SCALE)
+        verified = SweepRunner(verify=True).run_default(
+            BlockedMatrixMultiply(), MEMORIES, SCALE
+        )
+        assert verified.point_keys == plain.point_keys
+        assert len(set(plain.point_keys)) == len(MEMORIES)
+
+    def test_identical_points_in_one_batch_execute_once(self, monkeypatch):
+        plan = SweepPlan(kernel=BlockedMatrixMultiply(), memory_sizes=MEMORIES, scale=SCALE)
+        calls = []
+        original = BlockedMatrixMultiply.execute
+
+        def counting(self, memory_words, **problem):
+            calls.append(memory_words)
+            return original(self, memory_words, **problem)
+
+        monkeypatch.setattr(BlockedMatrixMultiply, "execute", counting)
+        first, second = SweepRunner().run_plans([plan, plan])
+        assert sorted(calls) == list(MEMORIES)
+        assert first.point_keys == second.point_keys
+        assert first.intensities == second.intensities
+
+    def test_verify_failure_names_the_point(self, monkeypatch):
+        monkeypatch.setattr(BlockedMatrixMultiply, "verify", lambda self, execution: False)
+        with pytest.raises(ConfigurationError, match="incorrect result at M=12"):
+            SweepRunner(verify=True).run_default(BlockedMatrixMultiply(), MEMORIES, SCALE)

@@ -14,7 +14,6 @@ from repro.runtime.tasks import (
     callable_code_version,
     default_worker_count,
     execute_tasks,
-    run_tasks,
     task_key,
 )
 
@@ -122,7 +121,7 @@ class TestTaskRunner:
 
     def test_results_preserve_submission_order(self):
         tasks = [Task(fn=square, params={"x": x}) for x in (5, 1, 4, 2)]
-        assert run_tasks(tasks, parallel=True, max_workers=2) == [25, 1, 16, 4]
+        assert TaskRunner(parallel=True, max_workers=2).run(tasks) == [25, 1, 16, 4]
 
     def test_warm_rerun_replays_from_cache(self, tmp_path):
         cache = TaskCache(tmp_path / "tasks")
@@ -216,12 +215,6 @@ class TestInBatchDedup:
         assert runner.run(tasks) == [x * x for x in xs]
         assert runner.stats.executed == 3
         assert runner.stats.deduped == 3
-
-    def test_dedup_can_be_disabled(self):
-        runner = TaskRunner(dedup=False)
-        runner.run([Task(fn=square, params={"x": 3}) for _ in range(4)])
-        assert runner.stats.executed == 4
-        assert runner.stats.deduped == 0
 
     def test_dedup_composes_with_the_cache(self, tmp_path):
         cache = TaskCache(tmp_path / "tasks")

@@ -16,8 +16,17 @@ from repro.service.jobs import (
     MAX_TIMELINE_EVENTS,
     QUEUED,
     RUNNING,
+    STATE_SCHEMA,
     Job,
     JobStore,
+)
+
+#: Journal lines replay must skip: no job object, a job without a kind, and
+#: a job in a state the machine does not have.
+MALFORMED_JOBS = pytest.mark.parametrize(
+    "job",
+    [None, {"id": "x"}, {"id": "x", "kind": "suite", "state": "bogus"}],
+    ids=["null-job", "no-kind", "unknown-state"],
 )
 
 
@@ -189,6 +198,20 @@ class TestPersistence:
         path.write_text('not json\n[1, 2]\n{"schema": "other/v9", "job": {}}\n')
         assert len(JobStore(path)) == 0
 
+    @MALFORMED_JOBS
+    def test_malformed_snapshots_are_skipped(self, tmp_path, job):
+        path = tmp_path / "jobs.jsonl"
+        store = JobStore(path)
+        done = store.create("suite", {"suite": "quick"})
+        store.mark_running(done)
+        store.mark_done(done, {"ok": True})
+        with path.open("a") as handle:
+            handle.write(json.dumps({"schema": STATE_SCHEMA, "job": job}) + "\n")
+
+        recovered = JobStore(path)
+        assert [job.id for job in recovered.jobs()] == [done.id]
+        assert recovered.state_counts() == {QUEUED: 0, RUNNING: 0, DONE: 1, FAILED: 0}
+
     def test_later_snapshots_win(self, tmp_path):
         path = tmp_path / "jobs.jsonl"
         store = JobStore(path)
@@ -247,6 +270,17 @@ class TestRecoveryResilience:
         job = service.store.get("stale0badjob")
         assert job.state == FAILED
         assert "unrecoverable after restart" in job.error
+        assert service.scheduler.queue_depth == 0
+
+
+    @MALFORMED_JOBS
+    def test_malformed_snapshot_does_not_block_boot(self, tmp_path, job):
+        from repro.service.workers import JobService
+
+        path = tmp_path / "jobs.jsonl"
+        path.write_text(json.dumps({"schema": STATE_SCHEMA, "job": job}) + "\n")
+        service = JobService(state_path=path, workers=1)
+        assert len(service.store) == 0
         assert service.scheduler.queue_depth == 0
 
 

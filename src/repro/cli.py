@@ -1,7 +1,13 @@
 """Command-line interface: regenerate the paper's artifacts from a shell.
 
-The CLI is a thin wrapper over :mod:`repro.experiments`; each subcommand runs
-one experiment and prints its tables.
+The CLI only renders: each subcommand calls the builders that the suite
+runner and the job service call, then prints and records what they return.
+The experiment commands run their :class:`~repro.runtime.ExperimentScenario`
+tasks as one batch (:func:`~repro.runtime.run_experiments`); ``repro sweep``
+takes its document from :func:`~repro.runtime.sweep_payload`, or its
+analytic rows from :func:`~repro.runtime.analytic_sweep_payload`;
+``repro report`` is :func:`~repro.store.report`; and every command finds
+its caches and result store through :func:`~repro.runtime.cache_layout`.
 
 Examples
 --------
@@ -32,43 +38,33 @@ from typing import Callable, Sequence
 from repro.analysis.report import Table
 from repro.analysis.sweep import normalize_memory_sizes
 from repro.core.intensity import PowerLawIntensity
-from repro.experiments.arrays_section4 import (
-    linear_array_task,
-    mesh_array_task,
-    systolic_task,
-)
-from repro.experiments.fft_figure2 import figure2_task, render_decomposition
+from repro.core.registry import get as get_registry_spec
+from repro.exceptions import ReproError
+from repro.experiments.fft_figure2 import render_decomposition
 from repro.experiments.intensity import run_intensity_experiment
-from repro.experiments.pebble_bounds import run_pebble_experiment
+from repro.experiments.pebble_bounds import PebbleExperiment
 from repro.experiments.summary import (
     analytic_summary_table,
     run_summary_experiment,
     summary_table,
-)
-from repro.experiments.warp_study import warp_task
-from repro.kernels import (
-    BlockedFFT,
-    BlockedLUTriangularization,
-    BlockedMatrixMultiply,
-    ExternalMergeSort,
-    GridRelaxation,
-    StreamingMatrixVectorProduct,
-    StreamingTriangularSolve,
 )
 from repro.runtime import (
     ExperimentScenario,
     ResultCache,
     SweepRunner,
     TaskCache,
-    TaskRunner,
+    analytic_sweep_payload,
     build_kernel,
-    cost_grid,
+    cache_layout,
     get_suite,
     kernel_factories,
     rebalance_grid,
+    run_experiments,
     run_suite,
     store_for,
     suite_names,
+    sweep_payload,
+    task_runner_for,
 )
 from repro.store import (
     ResultStore,
@@ -76,25 +72,11 @@ from repro.store import (
     ingest_payload,
     query,
     records_table,
-    report_document,
+    report,
 )
-from repro.store.query import group_counts
-from repro.core.registry import get as get_registry_spec
-from repro.exceptions import ReproError
 
 __all__ = ["main", "build_parser"]
 
-
-_KERNEL_COMMANDS = {
-    "matmul": (BlockedMatrixMultiply, 48, (12, 27, 48, 108, 192, 300, 432), None),
-    "triangularization": (BlockedLUTriangularization, 48, (12, 27, 48, 108, 192, 300), None),
-    "grid2d": (lambda: GridRelaxation(dimension=2), 7, (100, 256, 576, 1296, 2704), None),
-    "grid3d": (lambda: GridRelaxation(dimension=3), 7, (512, 1728, 4096, 13824), None),
-    "fft": (BlockedFFT, 12, (4, 8, 16, 32, 128, 8192), 32),
-    "sorting": (ExternalMergeSort, 16384, (8, 32, 128, 512), 32),
-    "matvec": (StreamingMatrixVectorProduct, 64, (8, 32, 128, 512, 2048), None),
-    "triangular_solve": (StreamingTriangularSolve, 64, (8, 32, 128, 512, 2048), None),
-}
 
 #: Default memory grid and scale for `repro sweep KERNEL`, per kernel.
 _DEFAULT_SWEEPS: dict[str, tuple[tuple[int, ...], int]] = {
@@ -109,6 +91,20 @@ _DEFAULT_SWEEPS: dict[str, tuple[tuple[int, ...], int]] = {
     "matvec": ((8, 32, 128, 512, 2048), 64),
     "triangular_solve": ((8, 32, 128, 512, 2048), 64),
     "sparse_matvec": ((8, 32, 128, 512, 2048), 64),
+}
+
+#: The E2-E8 kernel commands: each sweeps its kernel over `repro sweep`'s
+#: default grid, and rebalances from this base memory (None: the smallest
+#: memory of the grid).
+_KERNEL_COMMANDS: dict[str, int | None] = {
+    "matmul": None,
+    "triangularization": None,
+    "grid2d": None,
+    "grid3d": None,
+    "fft": 32,
+    "sorting": 32,
+    "matvec": None,
+    "triangular_solve": None,
 }
 
 _EXPERIMENT_DESCRIPTIONS = {
@@ -140,12 +136,20 @@ def _print(text: str) -> None:
     print()
 
 
-def _store_from_args(args: argparse.Namespace) -> ResultStore | None:
-    """The result store under the command's cache root (None when uncached)."""
+def _cache_root(args: argparse.Namespace) -> Path | None:
+    """The command's cache root (None under ``--no-cache``)."""
     if getattr(args, "no_cache", False):
         return None
-    root = Path(getattr(args, "cache_dir", None) or _default_cache_dir())
-    return ResultStore(root / "store")
+    return Path(
+        args.cache_dir
+        or os.environ.get("REPRO_CACHE_DIR", Path.home() / ".cache" / "repro")
+    )
+
+
+def _store_from_args(args: argparse.Namespace) -> ResultStore | None:
+    """The result store under the command's cache root (None when uncached)."""
+    root = _cache_root(args)
+    return None if root is None else ResultStore(cache_layout(root).store)
 
 
 def _record_payload(args: argparse.Namespace, payload: dict) -> None:
@@ -164,17 +168,6 @@ def _record_payload(args: argparse.Namespace, payload: dict) -> None:
         return
     note = "" if receipt.added else " (deduplicated)"
     print(f"recorded run {receipt.run_id}{note} [{store.root}]")
-
-
-def _record_experiment(
-    args: argparse.Namespace,
-    name: str,
-    kind: str,
-    results: Sequence[object],
-    task_keys: Sequence[str] = (),
-) -> None:
-    scenario = ExperimentScenario(name, kind)
-    _record_payload(args, scenario.as_payload(results, task_keys=task_keys))
 
 
 def _cmd_list(_: argparse.Namespace) -> int:
@@ -202,10 +195,9 @@ def _cmd_summary(args: argparse.Namespace) -> int:
 
 
 def _cmd_kernel(name: str, args: argparse.Namespace) -> int:
-    factory, scale, memories, base_memory = _KERNEL_COMMANDS[name]
-    kernel = factory()
+    memories, scale = _DEFAULT_SWEEPS[name]
     experiment = run_intensity_experiment(
-        kernel, memories, scale, base_memory=base_memory
+        build_kernel(name), memories, scale, base_memory=_KERNEL_COMMANDS[name]
     )
     _print(experiment.table().render_ascii())
     _print(experiment.rebalance_table().render_ascii())
@@ -218,85 +210,110 @@ def _cmd_kernel(name: str, args: argparse.Namespace) -> int:
     return 0
 
 
+def _experiment_command(
+    args: argparse.Namespace,
+    scenarios: Sequence[ExperimentScenario],
+    render: Callable[..., bool],
+) -> int:
+    """Run the scenarios' tasks as one batch, render, then record each one.
+
+    ``render`` gets each scenario's task results and says whether the
+    experiment passed its own checks (exit status 0, else 1).
+    """
+    runner = task_runner_for(_runner_from_args(args, parallel_default=True))
+    experiments = run_experiments(scenarios, runner)
+    passed = render(*(experiment.results for experiment in experiments))
+    if runner.cache is not None:
+        stats = runner.cache.stats
+        print(f"cache: {stats.hits} hits, {stats.misses} misses ({runner.cache.root})")
+    for experiment in experiments:
+        _record_payload(
+            args, experiment.scenario.as_payload(experiment.results, experiment.task_keys)
+        )
+    return 0 if passed else 1
+
+
 def _cmd_figure2(args: argparse.Namespace) -> int:
-    runner = _task_runner_from_args(args)
-    task = figure2_task(n_points=args.points, block_points=args.block)
-    result = runner.run_one(task)
-    _print(render_decomposition(result))
-    _print(result.table().render_ascii())
-    print(f"correct against the direct DFT: {result.correct}")
-    _print_task_cache(runner)
-    _record_experiment(args, "cli-figure2", "figure2", [result], [task.key()])
-    return 0 if result.correct else 1
+    def render(results: Sequence) -> bool:
+        (result,) = results
+        _print(render_decomposition(result))
+        _print(result.table().render_ascii())
+        print(f"correct against the direct DFT: {result.correct}")
+        return result.correct
+
+    params = {"n_points": args.points, "block_points": args.block}
+    scenario = ExperimentScenario("cli-figure2", "figure2", params)
+    return _experiment_command(args, [scenario], render)
 
 
 def _cmd_arrays(args: argparse.Namespace) -> int:
-    runner = _task_runner_from_args(args)
-    linear_kwargs = {} if args.lengths is None else {"lengths": args.lengths}
-    mesh_kwargs = {} if args.sides is None else {"sides": args.sides}
-    tasks = [
-        linear_array_task(**linear_kwargs),
-        mesh_array_task(**mesh_kwargs),
-        mesh_array_task(
-            **mesh_kwargs,
-            intensity=PowerLawIntensity(exponent=0.25),
-            computation_label="4-d grid relaxation (law alpha^4)",
+    linear = {} if args.lengths is None else {"lengths": args.lengths}
+    mesh = {} if args.sides is None else {"sides": args.sides}
+    scenarios = [
+        ExperimentScenario("cli-linear-array", "linear-array", linear),
+        ExperimentScenario("cli-mesh-array", "mesh-array", mesh),
+        ExperimentScenario(
+            "cli-mesh-array-grid4d",
+            "mesh-array",
+            {
+                **mesh,
+                "intensity": PowerLawIntensity(exponent=0.25),
+                "computation_label": "4-d grid relaxation (law alpha^4)",
+            },
         ),
     ]
-    experiments = runner.run(tasks)
-    for experiment in experiments:
-        _print(experiment.table().render_ascii())
-    _print_task_cache(runner)
-    names = ("cli-linear-array", "cli-mesh-array", "cli-mesh-array-grid4d")
-    kinds = ("linear-array", "mesh-array", "mesh-array")
-    for name, kind, task, experiment in zip(names, kinds, tasks, experiments):
-        _record_experiment(args, name, kind, [experiment], [task.key()])
-    return 0
+
+    def render(*results: Sequence) -> bool:
+        for (experiment,) in results:
+            _print(experiment.table().render_ascii())
+        return True
+
+    return _experiment_command(args, scenarios, render)
 
 
 def _cmd_systolic(args: argparse.Namespace) -> int:
-    runner = _task_runner_from_args(args)
-    task = systolic_task(
-        order=args.order,
-        batches=args.batches,
-        engine=args.engine,
-        matvec_length=args.matvec_length,
-        qr_order=args.qr_order,
-        qr_rows=args.qr_rows,
-    )
-    experiment = runner.run_one(task)
-    _print(experiment.table().render_ascii())
-    _print_task_cache(runner)
-    _record_experiment(args, "cli-systolic", "systolic", [experiment], [task.key()])
-    correct = (
-        experiment.matmul_correct
-        and experiment.matvec_correct
-        and experiment.qr_correct
-    )
-    return 0 if correct else 1
+    params = {
+        "order": args.order,
+        "batches": args.batches,
+        "engine": args.engine,
+        "matvec_length": args.matvec_length,
+        "qr_order": args.qr_order,
+        "qr_rows": args.qr_rows,
+    }
+
+    def render(results: Sequence) -> bool:
+        (experiment,) = results
+        _print(experiment.table().render_ascii())
+        return (
+            experiment.matmul_correct
+            and experiment.matvec_correct
+            and experiment.qr_correct
+        )
+
+    scenario = ExperimentScenario("cli-systolic", "systolic", params)
+    return _experiment_command(args, [scenario], render)
 
 
 def _cmd_pebble(args: argparse.Namespace) -> int:
-    runner = _task_runner_from_args(args)
-    experiment = run_pebble_experiment(
-        matmul_order=args.matmul_order, fft_points=args.fft_points, runner=runner
-    )
-    _print(experiment.table().render_ascii())
-    _print_task_cache(runner)
-    _record_experiment(args, "cli-pebble", "pebble", experiment.points)
-    return 0 if experiment.all_above_lower_bound else 1
+    def render(points: Sequence) -> bool:
+        experiment = PebbleExperiment(args.matmul_order, args.fft_points, points)
+        _print(experiment.table().render_ascii())
+        return experiment.all_above_lower_bound
+
+    params = {"matmul_order": args.matmul_order, "fft_points": args.fft_points}
+    scenario = ExperimentScenario("cli-pebble", "pebble", params)
+    return _experiment_command(args, [scenario], render)
 
 
 def _cmd_warp(args: argparse.Namespace) -> int:
-    runner = _task_runner_from_args(args)
-    task = warp_task()
-    experiment = runner.run_one(task)
-    _print(experiment.cell_table().render_ascii())
-    _print(experiment.array_table().render_ascii())
-    _print(experiment.alpha_table().render_ascii())
-    _print_task_cache(runner)
-    _record_experiment(args, "cli-warp", "warp", [experiment], [task.key()])
-    return 0
+    def render(results: Sequence) -> bool:
+        (experiment,) = results
+        _print(experiment.cell_table().render_ascii())
+        _print(experiment.array_table().render_ascii())
+        _print(experiment.alpha_table().render_ascii())
+        return True
+
+    return _experiment_command(args, [ExperimentScenario("cli-warp", "warp")], render)
 
 
 # ---------------------------------------------------------------------------
@@ -304,16 +321,8 @@ def _cmd_warp(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _default_cache_dir() -> Path:
-    return Path(
-        os.environ.get("REPRO_CACHE_DIR", Path.home() / ".cache" / "repro")
-    )
-
-
 def _runner_from_args(args: argparse.Namespace, *, parallel_default: bool) -> SweepRunner:
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or _default_cache_dir())
+    root = _cache_root(args)
     parallel = parallel_default
     if args.serial:
         parallel = False
@@ -322,35 +331,9 @@ def _runner_from_args(args: argparse.Namespace, *, parallel_default: bool) -> Sw
     return SweepRunner(
         parallel=parallel,
         max_workers=args.jobs,
-        cache=cache,
+        cache=None if root is None else ResultCache(cache_layout(root).results),
         verify=getattr(args, "verify", False),
     )
-
-
-def _task_runner_from_args(
-    args: argparse.Namespace, *, parallel_default: bool = True
-) -> TaskRunner:
-    """A :class:`TaskRunner` for the experiment subcommands.
-
-    The experiment-task cache lives under the ``tasks/`` subdirectory of the
-    shared cache root, mirroring :func:`repro.runtime.task_runner_for`.
-    """
-    cache = None
-    if not args.no_cache:
-        root = Path(args.cache_dir or _default_cache_dir())
-        cache = TaskCache(root / "tasks")
-    parallel = parallel_default
-    if args.serial:
-        parallel = False
-    elif args.jobs is not None:
-        parallel = args.jobs > 1
-    return TaskRunner(parallel=parallel, max_workers=args.jobs, cache=cache)
-
-
-def _print_task_cache(runner: TaskRunner) -> None:
-    if runner.cache is not None:
-        stats = runner.cache.stats
-        print(f"cache: {stats.hits} hits, {stats.misses} misses ({runner.cache.root})")
 
 
 def _add_task_runtime_options(parser: argparse.ArgumentParser) -> None:
@@ -399,145 +382,92 @@ def _parse_nonempty_int_list(text: str) -> tuple[int, ...]:
     return values
 
 
-def _write_rows_csv(path: Path, rows: list[dict]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    defaults = _DEFAULT_SWEEPS.get(args.kernel)
-    # `--memory ,` (explicit but empty) must not silently fall back to the
-    # default grid; let the runtime reject the empty grid instead.
-    memory_sizes = (
-        args.memory
-        if args.memory is not None
-        else (defaults[0] if defaults else None)
-    )
-    scale = args.scale if args.scale is not None else (defaults[1] if defaults else None)
-    if memory_sizes is None or scale is None:
-        print(f"kernel {args.kernel!r} has no default grid; pass --memory and --scale")
-        return 2
-    memory_sizes = normalize_memory_sizes(memory_sizes)
-
-    if args.analytic:
-        return _cmd_sweep_analytic(args, memory_sizes)
-
-    runner = _runner_from_args(args, parallel_default=False)
-    kernel = build_kernel(args.kernel)
-    sweep = runner.run_default(kernel, memory_sizes, scale)
-    rows = sweep.rows()
-
-    table = Table(
-        columns=("memory_words", "compute_ops", "io_words", "intensity"),
-        title=f"{kernel.name}: measured intensity F(M) [runtime sweep]",
-    )
-    for row in rows:
-        table.add_row(
-            row["memory_words"], row["compute_ops"], row["io_words"], row["intensity"]
-        )
-    _print(table.render_ascii())
-    try:
-        fit = {
-            "power_law_exponent": sweep.power_law_fit().exponent,
-            "best_model": sweep.best_model(),
-            "computation_class": sweep.classification().computation_class.value,
-        }
-    except ReproError as exc:
-        # Law fitting needs three or more points; the measurements themselves
-        # are still worth printing and exporting.
-        fit = None
-        print(f"fit                       : unavailable ({exc})")
-    if fit is not None:
-        print(f"fitted intensity exponent : {fit['power_law_exponent']:.3f}")
-        print(f"best model                : {fit['best_model']}")
-    if runner.cache is not None:
-        stats = runner.cache.stats
-        print(f"cache                     : {stats.hits} hits, {stats.misses} misses")
-
-    payload = {
-        "schema": "repro-sweep-result/v1",
-        "kernel": args.kernel,
-        "scale": scale,
-        "memory_sizes": list(sweep.memory_sizes),
-        "rows": rows,
-        "fit": fit,
-    }
+def _write_sweep(args: argparse.Namespace, payload: dict) -> None:
+    """Record a sweep document, then write it to ``--json`` and its rows to ``--csv``."""
     _record_payload(args, payload)
+    rows = payload["rows"]
     if args.json:
         args.json.parent.mkdir(parents=True, exist_ok=True)
         args.json.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote JSON to {args.json}")
     if args.csv:
-        _write_rows_csv(args.csv, rows)
+        args.csv.parent.mkdir(parents=True, exist_ok=True)
+        with args.csv.open("w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
         print(f"wrote CSV to {args.csv}")
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    grid, default_scale = _DEFAULT_SWEEPS[args.kernel]
+    # `--memory ,` (explicit but empty) must not silently fall back to the
+    # default grid; normalize_memory_sizes rejects the empty grid instead.
+    memory_sizes = normalize_memory_sizes(grid if args.memory is None else args.memory)
+    if args.analytic:
+        return _cmd_sweep_analytic(args, memory_sizes)
+
+    runner = _runner_from_args(args, parallel_default=False)
+    scale = default_scale if args.scale is None else args.scale
+    payload = sweep_payload(runner, args.kernel, memory_sizes, scale)
+    table = records_table(
+        payload["rows"],
+        columns=("memory_words", "compute_ops", "io_words", "intensity"),
+        title=f"{build_kernel(args.kernel).name}: measured intensity F(M) [runtime sweep]",
+    )
+    _print(table.render_ascii())
+    fit = payload["fit"]
+    if fit is None:
+        # Law fitting needs three or more points; the measurements themselves
+        # are still worth printing and exporting.
+        print("fit                       : unavailable")
+    else:
+        print(f"fitted intensity exponent : {fit['power_law_exponent']:.3f}")
+        print(f"best model                : {fit['best_model']}")
+    if runner.cache is not None:
+        stats = runner.cache.stats
+        print(f"cache                     : {stats.hits} hits, {stats.misses} misses")
+    _write_sweep(args, payload)
     return 0
 
 
 def _cmd_sweep_analytic(
     args: argparse.Namespace, memory_sizes: tuple[int, ...]
 ) -> int:
-    # The registry may know a kernel under a different name than the CLI
-    # factory (e.g. sparse_matvec -> spmv); resolve through the kernel class.
-    registry_name = build_kernel(args.kernel).registry_name or args.kernel
-    spec = get_registry_spec(registry_name)
-    costs = cost_grid(spec, [args.problem_size], memory_sizes)
-    intensities = spec.batch_intensity(memory_sizes)
-
+    analytic = analytic_sweep_payload(args.kernel, memory_sizes, args.problem_size)
+    spec = get_registry_spec(analytic["computation"])
+    rows = analytic["rows"]
     table = Table(
         columns=("memory_words", "model F(M)", "cost intensity", "compute_ops", "io_words"),
         title=f"{spec.title}: analytic cost model at N={args.problem_size} (one array pass)",
     )
-    for j, memory in enumerate(memory_sizes):
+    for memory, row in zip(memory_sizes, rows):
         table.add_row(
             memory,
-            float(intensities[j]),
-            float(costs.intensity[0, j]),
-            float(costs.compute_ops[0, j]),
-            float(costs.io_words[0, j]),
+            row["model_intensity"],
+            row["cost_intensity"],
+            row["compute_ops"],
+            row["io_words"],
         )
     _print(table.render_ascii())
 
     alphas = (1.5, 2.0, 3.0, 4.0)
     grown = rebalance_grid(spec.law, float(memory_sizes[0]), alphas)
-    law_table = Table(
-        columns=("alpha", "memory_new"),
-        title=f"{spec.title}: {spec.law_label} from M_old={memory_sizes[0]}",
-    )
-    for alpha, memory_new in zip(alphas, grown):
-        law_table.add_row(alpha, float(memory_new))
-    _print(law_table.render_ascii())
-
-    rows = [
-        {
-            "memory_words": float(memory),
-            "model_intensity": float(intensities[j]),
-            "cost_intensity": float(costs.intensity[0, j]),
-            "compute_ops": float(costs.compute_ops[0, j]),
-            "io_words": float(costs.io_words[0, j]),
-        }
-        for j, memory in enumerate(memory_sizes)
+    rebalance = [
+        {"alpha": alpha, "memory_new": float(memory_new)}
+        for alpha, memory_new in zip(alphas, grown)
     ]
+    title = f"{spec.title}: {spec.law_label} from M_old={memory_sizes[0]}"
+    _print(records_table(rebalance, title=title).render_ascii())
+
     payload = {
         "schema": "repro-sweep-analytic/v1",
         "kernel": args.kernel,
         "problem_size": args.problem_size,
         "rows": rows,
-        "rebalance": [
-            {"alpha": alpha, "memory_new": float(memory_new)}
-            for alpha, memory_new in zip(alphas, grown)
-        ],
+        "rebalance": rebalance,
     }
-    _record_payload(args, payload)
-    if args.json:
-        args.json.parent.mkdir(parents=True, exist_ok=True)
-        args.json.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote JSON to {args.json}")
-    if args.csv:
-        _write_rows_csv(args.csv, rows)
-        print(f"wrote CSV to {args.csv}")
+    _write_sweep(args, payload)
     return 0
 
 
@@ -640,7 +570,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         configure_json_logging()
 
-    cache_dir = None if args.no_cache else (args.cache_dir or _default_cache_dir())
+    cache_dir = _cache_root(args)
     parallel = not args.serial and (args.jobs is None or args.jobs > 1)
     service = JobService(
         cache_dir=cache_dir,
@@ -769,10 +699,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    root = Path(args.cache_dir or _default_cache_dir())
-    results = ResultCache(root)
-    tasks = TaskCache(root / "tasks")
-    store = ResultStore(root / "store")
+    root = _cache_root(args)
+    layout = cache_layout(root)
+    results = ResultCache(layout.results)
+    tasks = TaskCache(layout.tasks)
+    store = ResultStore(layout.store)
     if args.action == "clear":
         removed = results.clear() + tasks.clear()
         if args.keep_store:
@@ -806,7 +737,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    store = ResultStore(Path(args.cache_dir or _default_cache_dir()) / "store")
+    store = _store_from_args(args)
     for path in args.paths:
         receipt = ingest_file(store, path, reader=args.reader)
         status = "added" if receipt.added else "deduplicated"
@@ -818,7 +749,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.analysis.transforms import apply_transform, describe_transforms
+    from repro.analysis.transforms import describe_transforms
     from repro.store.readers import describe_readers
 
     if args.list_transforms:
@@ -834,40 +765,24 @@ def _cmd_report(args: argparse.Namespace) -> int:
         _print(table.render_ascii())
         return 0
 
-    store = ResultStore(Path(args.cache_dir or _default_cache_dir()) / "store")
-    records = query(
+    store = _store_from_args(args)
+    transform = "regressions" if args.regressions else args.transform
+    document = report(
         store,
         experiment=args.experiment,
         scenario=args.scenario,
         kernel=args.kernel,
         suite=args.suite,
         run_id=args.run,
+        transform=transform,
+        group=args.group,
+        limit=args.limit,
     )
-    transform = "regressions" if args.regressions else args.transform
-    if transform:
-        records = apply_transform(transform, records)
-    if args.group:
-        records = group_counts(records, args.group)
-    if args.limit is not None:
-        records = records[len(records) - min(args.limit, len(records)) :]
-
+    records = document["records"]
     regressed = transform == "regressions" and any(
         record.get("regression") for record in records
     )
     if args.format == "json":
-        document = report_document(
-            records,
-            transform=transform,
-            filters={
-                "experiment": args.experiment,
-                "scenario": args.scenario,
-                "kernel": args.kernel,
-                "suite": args.suite,
-                "run_id": args.run,
-                "group": args.group,
-                "limit": args.limit,
-            },
-        )
         print(json.dumps(document, indent=2))
     else:
         columns = args.columns.split(",") if args.columns else None
@@ -888,9 +803,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_doctor(args: argparse.Namespace) -> int:
     from repro.obs.doctor import run_doctor
 
-    cache_dir = None if args.no_cache else (args.cache_dir or _default_cache_dir())
-    report = run_doctor(
-        cache_dir=cache_dir,
+    diagnosis = run_doctor(
+        cache_dir=_cache_root(args),
         state_path=args.state_file,
         host=args.host,
         port=args.port,
@@ -898,16 +812,16 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
         max_job_age=args.max_job_age,
     )
     if args.json == "-":
-        print(json.dumps(report.as_dict(), indent=2))
+        print(json.dumps(diagnosis.as_dict(), indent=2))
     else:
         if args.json:
             path = Path(args.json)
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps(report.as_dict(), indent=2) + "\n")
-        _print(report.table().render_ascii())
+            path.write_text(json.dumps(diagnosis.as_dict(), indent=2) + "\n")
+        _print(diagnosis.table().render_ascii())
         if args.json:
             print(f"wrote JSON to {args.json}")
-    return report.exit_code
+    return diagnosis.exit_code
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.analysis.fitting import estimate_growth_exponent, fit_log_law, fit_power_law
+from repro.analysis.fitting import estimate_growth_exponent, fit_power_law
 from repro.analysis.report import Table
 from repro.analysis.sweep import MemorySweepResult, measured_rebalance_curve
 from repro.core.registry import get as get_spec
@@ -46,11 +46,6 @@ class IntensityExperiment:
         return fit_power_law(self.sweep.memory_sizes, self.sweep.intensities).exponent
 
     @property
-    def intensity_log_r_squared(self) -> float:
-        """Goodness of the ``F = a + b log2 M`` fit."""
-        return fit_log_law(self.sweep.memory_sizes, self.sweep.intensities).r_squared
-
-    @property
     def memory_growth_exponent(self) -> float:
         """Fitted exponent of the measured ``M_new = alpha**k * M_old`` curve.
 
@@ -73,23 +68,6 @@ class IntensityExperiment:
     @property
     def predicted_law_label(self) -> str:
         return get_spec(self.registry_name).law_label
-
-    def exponential_law_logratio_error(self) -> float:
-        """Relative error of ``log M_new`` vs ``alpha * log M_old`` (FFT/sorting).
-
-        Only meaningful for computations whose predicted law is exponential.
-        """
-        memory_old = self.rebalance_results[0].memory_old
-        errors = []
-        for result in self.rebalance_results:
-            if result.alpha <= 1.0 or not result.feasible:
-                continue
-            predicted = result.alpha * math.log(memory_old)
-            actual = math.log(result.memory_new)
-            errors.append(abs(actual - predicted) / predicted)
-        if not errors:
-            return math.nan
-        return max(errors)
 
     def table(self) -> Table:
         """Per-memory-size measurements plus the derived rebalancing curve."""

@@ -208,16 +208,20 @@ def check_cache_integrity(cache_dir: str | Path | None) -> list[Finding]:
             )
         ]
 
-    from repro.runtime.cache import ResultCache, TaskCache
+    from repro.runtime.cache import ResultCache, TaskCache, cache_layout
 
     # Each cache's own decoder: an entry the cache would drop as a miss
     # fails here too.  Nothing is constructed, so the doctor only reads.
     findings = []
     accounted = 0
+    layout = cache_layout(root)
     stores = (
-        ("cache.results", root, ResultCache.suffix, ResultCache.read_entry, ("tasks", "store")),
-        ("cache.tasks", root / "tasks", TaskCache.suffix, TaskCache.read_entry, ()),
-        ("cache.store", root / "store" / "runs", ".json", _load_store_segment, ()),
+        (
+            "cache.results", layout.results, ResultCache.suffix,
+            ResultCache.read_entry, (layout.tasks, layout.store),
+        ),
+        ("cache.tasks", layout.tasks, TaskCache.suffix, TaskCache.read_entry, ()),
+        ("cache.store", layout.store / "runs", ".json", _load_store_segment, ()),
     )
     for check, store_root, suffix, loader, exclude in stores:
         if not store_root.exists():
@@ -264,7 +268,7 @@ def check_cache_integrity(cache_dir: str | Path | None) -> list[Finding]:
         tmp_files = [
             path
             for path in store_root.rglob("*.tmp")
-            if not any(part in exclude for part in path.relative_to(store_root).parts)
+            if not any(path.is_relative_to(nested) for nested in exclude)
         ]
         if tmp_files:
             findings.append(

@@ -140,15 +140,6 @@ class SpanCollector:
             return snapshot
         return [s for s in snapshot if s.get("trace_id") == trace_id]
 
-    def trace_ids(self) -> list[str]:
-        """Distinct trace IDs present in the buffer, oldest first."""
-        seen: dict[str, None] = {}
-        for item in self.spans():
-            trace = item.get("trace_id")
-            if trace and trace not in seen:
-                seen[trace] = None
-        return list(seen)
-
     def stats(self) -> dict[str, Any]:
         with self._lock:
             size = len(self._spans)

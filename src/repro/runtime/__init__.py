@@ -4,7 +4,8 @@ This package replaces per-point serial experiment loops with these layers:
 
 * :mod:`repro.runtime.vectorized` -- batch-evaluate the registry's closed-form
   cost models, intensity functions and rebalancing laws over numpy grids of
-  ``(N, M, alpha)`` in single array passes;
+  ``(N, M, alpha)`` in single array passes (an analytic sweep is
+  :func:`analytic_sweep_payload`);
 * :mod:`repro.runtime.tasks` -- the generic task abstraction: any top-level
   callable plus parameters, content-addressed by module source (the one key
   scheme), and the one resolve loop that looks keys up in a cache, runs each
@@ -15,13 +16,23 @@ This package replaces per-point serial experiment loops with these layers:
   :class:`ResultCache`;
 * :mod:`repro.runtime.cache` -- the content-addressed on-disk caches, two
   codecs over one entry store (measured sweep points in
-  :class:`ResultCache`, whole experiment results in :class:`TaskCache`);
+  :class:`ResultCache`, whole experiment results in :class:`TaskCache`),
+  and :func:`cache_layout`, where each sits under one cache root;
 * :mod:`repro.runtime.suites` -- declarative, named scenario suites (kernel
   sweeps plus experiment tasks) that lower onto the engines and emit
-  JSON/CSV for the benchmark harness and CI.
+  JSON/CSV for the benchmark harness and CI, and the builders the CLI and
+  the job service share with them (:func:`sweep_payload`,
+  :func:`run_experiments`).
 """
 
-from repro.runtime.cache import MISS, CacheStats, ResultCache, TaskCache
+from repro.runtime.cache import (
+    MISS,
+    CacheLayout,
+    CacheStats,
+    ResultCache,
+    TaskCache,
+    cache_layout,
+)
 from repro.runtime.engine import SweepPlan, SweepRunner, execution_key
 from repro.runtime.suites import (
     ExperimentScenario,
@@ -35,9 +46,11 @@ from repro.runtime.suites import (
     experiment_kinds,
     get_suite,
     kernel_factories,
+    run_experiments,
     run_suite,
     store_for,
     suite_names,
+    sweep_payload,
     task_runner_for,
 )
 from repro.runtime.tasks import (
@@ -52,6 +65,7 @@ from repro.runtime.tasks import (
 )
 from repro.runtime.vectorized import (
     analytic_summary_rows,
+    analytic_sweep_payload,
     cost_grid,
     intensity_grid,
     rebalance_curves,
@@ -60,6 +74,7 @@ from repro.runtime.vectorized import (
 
 __all__ = [
     "MISS",
+    "CacheLayout",
     "CacheStats",
     "ExperimentScenario",
     "ExperimentScenarioResult",
@@ -76,7 +91,9 @@ __all__ = [
     "TaskRunner",
     "TaskRunStats",
     "analytic_summary_rows",
+    "analytic_sweep_payload",
     "build_kernel",
+    "cache_layout",
     "callable_code_version",
     "cost_grid",
     "default_worker_count",
@@ -89,9 +106,11 @@ __all__ = [
     "rebalance_curves",
     "rebalance_grid",
     "resolve_tasks",
+    "run_experiments",
     "run_suite",
     "store_for",
     "suite_names",
+    "sweep_payload",
     "task_key",
     "task_runner_for",
 ]

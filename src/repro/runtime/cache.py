@@ -22,6 +22,8 @@ rule that an undecodable entry is a miss and is deleted, the
   from a fresh run.
 
 Both ``load`` methods return :data:`MISS` when a key has no usable entry.
+:func:`cache_layout` is the one place that says where each cache, and the
+result store, lives under a cache root.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import tempfile
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -48,10 +50,12 @@ from repro.obs.metrics import REGISTRY
 
 __all__ = [
     "MISS",
+    "CacheLayout",
     "EntryStore",
     "ResultCache",
     "TaskCache",
     "CacheStats",
+    "cache_layout",
 ]
 
 SCHEMA_VERSION = 1
@@ -300,6 +304,24 @@ class TaskCache(EntryStore):
 
     def _encode(self, value: Any, label: str | None) -> bytes:
         return pickle.dumps({"schema": TASK_SCHEMA_VERSION, "label": label, "value": value})
+
+
+class CacheLayout(NamedTuple):
+    """The directories of one cache root: both caches and the result store."""
+
+    results: Path
+    tasks: Path
+    store: Path
+
+
+def cache_layout(root: str | Path) -> CacheLayout:
+    """Where a cache root keeps sweep points, task results and recorded runs.
+
+    One ``--cache-dir`` (or ``REPRO_CACHE_DIR``) governs all three, so the
+    CLI, the suite runner, the service and the doctor all read this layout.
+    """
+    root = Path(root).expanduser()
+    return CacheLayout(results=root, tasks=root / "tasks", store=root / "store")
 
 
 def _disk_usage(root: Path, pattern: str) -> int:

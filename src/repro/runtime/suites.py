@@ -8,8 +8,10 @@ parameters, lowered onto generic :class:`~repro.runtime.tasks.Task` objects.
 A :class:`ScenarioSuite` is a named collection of both; :func:`run_suite`
 lowers the sweeps onto a :class:`~repro.runtime.engine.SweepRunner` as one
 flat batch of points and the experiments onto a
-:class:`~repro.runtime.tasks.TaskRunner` as one flat batch of tasks, so
-every execution in the suite shares the worker pool and the result caches.
+:class:`~repro.runtime.tasks.TaskRunner` as one flat batch of tasks
+(:func:`run_experiments`), so every execution in the suite shares the
+worker pool and the result caches.  :func:`sweep_payload` is the one
+measured-sweep document, behind ``repro sweep`` and the service's sweep jobs.
 
 The named suites double as the CI benchmark surface: ``repro suite quick``
 covers every experiment of the reproduction and emits the machine-readable
@@ -32,7 +34,7 @@ from repro.analysis.fitting import fit_power_law, select_intensity_model
 from repro.analysis.sweep import MemorySweepResult, measured_rebalance_curve
 from repro.core.intensity import PowerLawIntensity
 from repro.core.model import ProcessingElement, assess_balance
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.kernels import (
     BlockedFFT,
     BlockedLUTriangularization,
@@ -45,7 +47,7 @@ from repro.kernels import (
 )
 from repro.kernels.base import Kernel
 from repro.obs import spans as obs_spans
-from repro.runtime.cache import TaskCache
+from repro.runtime.cache import TaskCache, cache_layout
 from repro.runtime.engine import SweepPlan, SweepRunner
 from repro.runtime.tasks import Task, TaskRunner
 
@@ -62,13 +64,16 @@ __all__ = [
     "experiment_kinds",
     "suite_names",
     "get_suite",
+    "run_experiments",
     "run_suite",
     "store_for",
+    "sweep_payload",
     "task_runner_for",
 ]
 
 RESULT_SCHEMA = "repro-suite-result/v3"
 EXPERIMENT_PAYLOAD_SCHEMA = "repro-service-experiment/v1"
+SWEEP_SCHEMA = "repro-sweep-result/v1"
 
 
 KERNEL_FACTORIES: dict[str, Callable[[], Kernel]] = {
@@ -871,13 +876,11 @@ class SuiteResult:
 def task_runner_for(runner: SweepRunner) -> TaskRunner:
     """A :class:`TaskRunner` matching a sweep runner's pool and cache setup.
 
-    The experiment-task cache lives under a ``tasks/`` subdirectory of the
-    sweep result cache, so one ``--cache-dir`` (or ``REPRO_CACHE_DIR``)
-    governs both stores.
+    Its task cache sits under the sweep cache's root (:func:`cache_layout`).
     """
     cache = None
     if runner.cache is not None:
-        cache = TaskCache(runner.cache.root / "tasks")
+        cache = TaskCache(cache_layout(runner.cache.root).tasks)
     return TaskRunner(
         parallel=runner.parallel, max_workers=runner.max_workers, cache=cache
     )
@@ -886,17 +889,61 @@ def task_runner_for(runner: SweepRunner) -> TaskRunner:
 def store_for(runner: SweepRunner) -> Any | None:
     """The :class:`~repro.store.core.ResultStore` matching a runner's cache.
 
-    The store lives under a ``store/`` subdirectory of the sweep result
-    cache, so one ``--cache-dir`` (or ``REPRO_CACHE_DIR``) governs caches
-    and recorded history alike.  Returns ``None`` when the runner is
-    uncached -- no cache root, no history.
+    The store sits under the sweep cache's root (:func:`cache_layout`), so
+    one ``--cache-dir`` governs caches and recorded history alike.  Returns
+    ``None`` when the runner is uncached -- no cache root, no history.
     """
     if runner.cache is None:
         return None
     # Imported lazily: repro.store imports this module at load time.
     from repro.store.core import ResultStore
 
-    return ResultStore(runner.cache.root / "store")
+    return ResultStore(cache_layout(runner.cache.root).store)
+
+
+def sweep_payload(
+    runner: SweepRunner, kernel: str, memory_sizes: Sequence[int], scale: int
+) -> dict[str, object]:
+    """Measure one kernel over a memory grid, as a ``repro-sweep-result/v1``.
+
+    The document ``repro sweep`` writes and a measured ``sweep`` job
+    returns.  Its ``fit`` is the one a suite scenario carries
+    (:meth:`ScenarioResult.fit`), or ``None`` when no law fits the grid.
+    """
+    scenario = Scenario(f"sweep-{kernel}", kernel, tuple(memory_sizes), scale)
+    result = ScenarioResult(scenario, runner.run_plans([scenario.plan()])[0])
+    try:
+        fit = result.fit()
+    except ReproError:
+        fit = None  # law fitting needs three or more points
+    return {
+        "schema": SWEEP_SCHEMA,
+        "kernel": kernel,
+        "scale": scale,
+        "memory_sizes": [int(size) for size in result.sweep.memory_sizes],
+        "rows": result.rows(),
+        "fit": fit,
+    }
+
+
+def run_experiments(
+    scenarios: Sequence[ExperimentScenario], task_runner: TaskRunner
+) -> tuple[ExperimentScenarioResult, ...]:
+    """Run every scenario's tasks as one flat batch, split back per scenario."""
+    batches = [scenario.tasks() for scenario in scenarios]
+    flat = task_runner.run([task for tasks in batches for task in tasks])
+    results = []
+    cursor = 0
+    for scenario, tasks in zip(scenarios, batches):
+        results.append(
+            ExperimentScenarioResult(
+                scenario=scenario,
+                results=tuple(flat[cursor : cursor + len(tasks)]),
+                task_keys=tuple(task.key() for task in tasks),
+            )
+        )
+        cursor += len(tasks)
+    return tuple(results)
 
 
 def run_suite(
@@ -923,7 +970,6 @@ def run_suite(
     if task_runner is None:
         task_runner = task_runner_for(runner)
     plans = [scenario.plan() for scenario in suite.scenarios]
-    experiment_tasks = [scenario.tasks() for scenario in suite.experiments]
 
     started = time.perf_counter()
     with obs_spans.span(
@@ -932,26 +978,12 @@ def run_suite(
         attributes={
             "suite": suite.name,
             "scenarios": len(plans),
-            "experiments": len(experiment_tasks),
+            "experiments": len(suite.experiments),
         },
     ):
         sweeps = runner.run_plans(plans)
-        flat_results = task_runner.run(
-            [task for tasks in experiment_tasks for task in tasks]
-        )
+        experiments = run_experiments(suite.experiments, task_runner)
     elapsed = time.perf_counter() - started
-
-    experiment_results = []
-    cursor = 0
-    for scenario, tasks in zip(suite.experiments, experiment_tasks):
-        experiment_results.append(
-            ExperimentScenarioResult(
-                scenario=scenario,
-                results=tuple(flat_results[cursor : cursor + len(tasks)]),
-                task_keys=tuple(task.key() for task in tasks),
-            )
-        )
-        cursor += len(tasks)
 
     runtime_info: dict[str, object] = {
         "parallel": runner.parallel,
@@ -962,7 +994,7 @@ def run_suite(
         ),
         "task_runner": task_runner.stats.as_dict(),
         "points": sum(len(plan.memory_sizes) for plan in plans),
-        "experiment_tasks": sum(len(tasks) for tasks in experiment_tasks),
+        "experiment_tasks": sum(len(result.results) for result in experiments),
     }
     result = SuiteResult(
         suite=suite,
@@ -972,7 +1004,7 @@ def run_suite(
         ),
         elapsed_seconds=elapsed,
         runtime=runtime_info,
-        experiments=tuple(experiment_results),
+        experiments=experiments,
     )
     if record:
         store = store_for(runner)

@@ -12,12 +12,16 @@ Numerical equivalence with the scalar path is guaranteed by construction:
 the registry's scalar cost models are thin wrappers around the same numpy
 expressions (see ``repro.core.registry._scalarize``), and the intensity
 classes implement ``batch`` with the same formulas as ``__call__``.
+
+:func:`analytic_sweep_payload` is the analytic sweep of one kernel over a
+memory grid, the rows behind ``repro sweep --analytic`` and the service's
+analytic sweep jobs.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -31,6 +35,7 @@ from repro.core.model import BatchCost
 from repro.core.registry import ComputationSpec, all_specs, get
 from repro.exceptions import ConfigurationError
 from repro.obs import spans as obs_spans
+from repro.runtime.suites import build_kernel
 
 __all__ = [
     "intensity_grid",
@@ -38,7 +43,10 @@ __all__ = [
     "rebalance_grid",
     "rebalance_curves",
     "analytic_summary_rows",
+    "analytic_sweep_payload",
 ]
+
+ANALYTIC_SWEEP_SCHEMA = "repro-service-analytic-sweep/v1"
 
 
 def _spec_of(computation: str | ComputationSpec) -> ComputationSpec:
@@ -171,6 +179,30 @@ def analytic_summary_rows(
     return rows
 
 
-def summary_mapping(rows: Sequence[Mapping[str, object]]) -> dict[str, dict]:
-    """Index summary rows by computation name, for JSON emission."""
-    return {str(row["computation"]): dict(row) for row in rows}
+def analytic_sweep_payload(
+    kernel: str, memory_sizes: Sequence[int], problem_size: int
+) -> dict[str, Any]:
+    """The cost model of one kernel over a memory grid, at one problem size."""
+    # The registry may know a kernel under a different name than the scenario
+    # factory (e.g. sparse_matvec -> spmv); resolve through the kernel class.
+    spec = get(build_kernel(kernel).registry_name or kernel)
+    sizes = [int(size) for size in memory_sizes]
+    costs = cost_grid(spec, [int(problem_size)], sizes)
+    intensities = spec.batch_intensity(np.asarray(sizes, dtype=float))
+    return {
+        "schema": ANALYTIC_SWEEP_SCHEMA,
+        "kernel": kernel,
+        "computation": spec.name,
+        "problem_size": int(problem_size),
+        "memory_sizes": sizes,
+        "rows": [
+            {
+                "memory_words": float(size),
+                "model_intensity": float(intensities[j]),
+                "cost_intensity": float(costs.intensity[0, j]),
+                "compute_ops": float(costs.compute_ops[0, j]),
+                "io_words": float(costs.io_words[0, j]),
+            }
+            for j, size in enumerate(sizes)
+        ],
+    }

@@ -23,11 +23,8 @@ from collections import deque
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
-import numpy as np
-
 from repro.analysis.sweep import normalize_memory_sizes
-from repro.core.registry import get as registry_get
-from repro.exceptions import ConfigurationError, QueueSaturatedError, ReproError
+from repro.exceptions import ConfigurationError, QueueSaturatedError
 from repro.kernels.base import Kernel
 from repro.obs import spans as obs_spans
 from repro.obs.metrics import REGISTRY
@@ -37,10 +34,12 @@ from repro.runtime.suites import (
     ExperimentScenario,
     build_kernel,
     get_suite,
+    run_experiments,
     run_suite,
+    sweep_payload,
 )
 from repro.runtime.tasks import task_key
-from repro.runtime.vectorized import cost_grid
+from repro.runtime.vectorized import analytic_sweep_payload
 from repro.service.jobs import Job, JobStore
 from repro.service.retry import RetryPolicy
 
@@ -59,9 +58,6 @@ __all__ = [
     "experiment_scenario",
     "analytic_sweep_payload",
 ]
-
-ANALYTIC_SWEEP_SCHEMA = "repro-service-analytic-sweep/v1"
-SWEEP_SCHEMA = "repro-sweep-result/v1"
 
 # Scheduler instrumentation for ``GET /metrics``.  The gauge reports the
 # last-written queue depth of whichever scheduler updated it most recently;
@@ -163,9 +159,8 @@ def _experiment_key(params: Mapping[str, Any]) -> str:
 
 def _run_experiment(executor: JobExecutor, params: Mapping[str, Any]) -> dict[str, Any]:
     scenario = experiment_scenario(params["experiment"], params["params"])
-    tasks = scenario.tasks()
-    results = executor.task_runner.run(tasks)
-    return scenario.as_payload(results, task_keys=[task.key() for task in tasks])
+    (result,) = run_experiments([scenario], executor.task_runner)
+    return scenario.as_payload(result.results, result.task_keys)
 
 
 def _int_param(value: Any, label: str) -> int:
@@ -231,26 +226,9 @@ def _measured_sweep_key(params: Mapping[str, Any]) -> str:
 
 
 def _run_measured_sweep(executor: JobExecutor, params: Mapping[str, Any]) -> dict[str, Any]:
-    kernel = build_kernel(params["kernel"])
-    sweep = executor.sweep_runner().run_default(
-        kernel, params["memory_sizes"], params["scale"]
+    return sweep_payload(
+        executor.sweep_runner(), params["kernel"], params["memory_sizes"], params["scale"]
     )
-    try:
-        fit = {
-            "power_law_exponent": sweep.power_law_fit().exponent,
-            "best_model": sweep.best_model(),
-            "computation_class": sweep.classification().computation_class.value,
-        }
-    except ReproError:
-        fit = None  # law fitting needs three or more points
-    return {
-        "schema": SWEEP_SCHEMA,
-        "kernel": params["kernel"],
-        "scale": params["scale"],
-        "memory_sizes": [int(size) for size in sweep.memory_sizes],
-        "rows": sweep.rows(),
-        "fit": fit,
-    }
 
 
 def _normalize_analytic_sweep(params: Mapping[str, Any]) -> dict[str, Any]:
@@ -267,36 +245,8 @@ def _normalize_analytic_sweep(params: Mapping[str, Any]) -> dict[str, Any]:
 
 
 def _analytic_sweep_key(params: Mapping[str, Any]) -> str:
+    # The job's own callable, so the key changes with the code that runs it.
     return task_key(analytic_sweep_payload, params, modules=_ANALYTIC_KEY_MODULES)
-
-
-def analytic_sweep_payload(
-    kernel: str, memory_sizes: Sequence[int], problem_size: int
-) -> dict[str, Any]:
-    """Evaluate one analytic sweep job (also the dedup key's callable)."""
-    # The registry may know a kernel under a different name than the CLI
-    # factory (e.g. sparse_matvec -> spmv); resolve through the kernel class.
-    spec = registry_get(build_kernel(kernel).registry_name or kernel)
-    sizes = [int(size) for size in memory_sizes]
-    costs = cost_grid(spec, [int(problem_size)], sizes)
-    intensities = spec.batch_intensity(np.asarray(sizes, dtype=float))
-    return {
-        "schema": ANALYTIC_SWEEP_SCHEMA,
-        "kernel": kernel,
-        "computation": spec.name,
-        "problem_size": int(problem_size),
-        "memory_sizes": sizes,
-        "rows": [
-            {
-                "memory_words": float(size),
-                "model_intensity": float(intensities[j]),
-                "cost_intensity": float(costs.intensity[0, j]),
-                "compute_ops": float(costs.compute_ops[0, j]),
-                "io_words": float(costs.io_words[0, j]),
-            }
-            for j, size in enumerate(sizes)
-        ],
-    }
 
 
 def _run_analytic_sweep(_: JobExecutor, params: Mapping[str, Any]) -> dict[str, Any]:

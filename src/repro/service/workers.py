@@ -30,13 +30,13 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 from repro.obs import trace as obs_trace
 from repro.service.retry import is_transient, transient_reason
-from repro.runtime.cache import ResultCache, TaskCache
+from repro.runtime.cache import ResultCache, TaskCache, cache_layout
 from repro.runtime.engine import SweepRunner
 from repro.runtime.tasks import TaskRunner
 from repro.service.jobs import Job, JobStore
 from repro.service.scheduler import JobScheduler, job_kind
 from repro.store.core import ResultStore
-from repro.store.query import query, report_document
+from repro.store.query import report
 from repro.store.readers import ingest_payload
 
 __all__ = ["ExecutorStats", "JobExecutor", "WorkerPool", "JobService"]
@@ -83,10 +83,10 @@ class JobExecutor:
         parallel: bool = True,
         max_workers: int | None = None,
     ) -> None:
-        root = Path(cache_dir).expanduser() if cache_dir else None
-        self.result_cache = ResultCache(root) if root else None
-        self.task_cache = TaskCache(root / "tasks") if root else None
-        self.result_store = ResultStore(root / "store") if root else None
+        layout = cache_layout(cache_dir) if cache_dir else None
+        self.result_cache = ResultCache(layout.results) if layout else None
+        self.task_cache = TaskCache(layout.tasks) if layout else None
+        self.result_store = ResultStore(layout.store) if layout else None
         self.parallel = parallel
         self.max_workers = max_workers
         self.task_runner = TaskRunner(
@@ -601,42 +601,18 @@ class JobService:
     ) -> dict[str, Any]:
         """The report document over recorded results (``GET /results``).
 
-        Filters narrow the raw records *before* an optional named transform
-        runs (transforms like ``speedup-trend`` need the full cross-run
-        history of whatever matched); ``limit`` keeps the last N rows of
-        whatever comes out.  An uncached service has no store and reports
-        zero records.
+        See :func:`repro.store.query.report`; an uncached service has no
+        store and reports zero records.
         """
-        if limit is not None and limit < 0:
-            raise ReproError(f"limit must be non-negative, got {limit!r}")
-        store = self.executor.result_store
-        records: list[dict[str, Any]] = []
-        if store is not None:
-            records = query(
-                store,
-                experiment=experiment,
-                scenario=scenario,
-                kernel=kernel,
-                suite=suite,
-                run_id=run_id,
-            )
-        if transform:
-            from repro.analysis.transforms import apply_transform
-
-            records = apply_transform(transform, records)
-        if limit is not None:
-            records = records[len(records) - min(limit, len(records)) :]
-        return report_document(
-            records,
+        return report(
+            self.executor.result_store,
+            experiment=experiment,
+            scenario=scenario,
+            kernel=kernel,
+            suite=suite,
+            run_id=run_id,
             transform=transform,
-            filters={
-                "experiment": experiment,
-                "scenario": scenario,
-                "kernel": kernel,
-                "suite": suite,
-                "run_id": run_id,
-                "limit": limit,
-            },
+            limit=limit,
         )
 
     def metrics_text(self) -> str:

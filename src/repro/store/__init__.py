@@ -11,8 +11,9 @@ artifacts, service job payloads) into *queryable history*:
 * :mod:`repro.store.transforms` -- named derived-metric passes (speedup
   trends, regressions, balance margins, roofline positions, cache hit
   rates), registered with :mod:`repro.analysis.transforms`;
-* :mod:`repro.store.query` -- the ``query()`` API and the table/JSON report
-  views behind ``repro report`` and ``GET /results``.
+* :mod:`repro.store.query` -- the ``query()`` filters, the one ``report()``
+  pipeline behind ``repro report`` and ``GET /results``, and the table/JSON
+  report views.
 
 Layering: the store depends on the runtime's content-addressed keys and on
 ``repro.analysis`` -- never on the service.  The service (and the CLI)
@@ -27,7 +28,13 @@ from repro.store.core import (
     RunInfo,
     StoreStats,
 )
-from repro.store.query import group_counts, query, records_table, report_document
+from repro.store.query import (
+    group_counts,
+    query,
+    records_table,
+    report,
+    report_document,
+)
 from repro.store.readers import (
     detect_reader,
     get_reader,
@@ -56,5 +63,6 @@ __all__ = [
     "reader_names",
     "records_table",
     "register_reader",
+    "report",
     "report_document",
 ]

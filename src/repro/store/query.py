@@ -1,9 +1,11 @@
 """Query and report views over the result store.
 
-``query()`` is the one filter path shared by the ``repro report`` CLI and
-the service's ``GET /results`` endpoint; ``records_table`` renders any
-record batch through :class:`repro.analysis.report.Table` so store output
-looks like every other report in the repo.
+``query()`` filters the store's records.  ``report()`` is the one pipeline
+behind the ``repro report`` CLI and the service's ``GET /results``
+endpoint: it filters, transforms, groups and keeps the last ``limit``
+records, and returns the JSON report document.  ``records_table`` renders
+any record batch through :class:`repro.analysis.report.Table` so store
+output looks like every other report in the repo.
 """
 
 from __future__ import annotations
@@ -11,10 +13,11 @@ from __future__ import annotations
 from typing import Any, Mapping, Sequence
 
 from repro.analysis.report import Table
+from repro.analysis.transforms import apply_transform
 from repro.exceptions import ConfigurationError
 from repro.store.core import ResultStore, RunInfo
 
-__all__ = ["query", "group_counts", "records_table", "report_document"]
+__all__ = ["query", "report", "group_counts", "records_table", "report_document"]
 
 REPORT_SCHEMA = "repro-report/v1"
 
@@ -40,22 +43,17 @@ def query(
     kernel: str | None = None,
     suite: str | None = None,
     run_id: str | None = None,
-    limit: int | None = None,
 ) -> list[dict[str, Any]]:
     """Merged store records matching every given filter, oldest run first.
 
     ``scenario`` matches exactly or as a prefix (so ``--scenario qr`` finds
-    ``qr-small`` and ``qr-large``); the other filters are exact.  ``limit``
-    keeps the *last* ``limit`` matches, since recent runs are the usual
-    question.
+    ``qr-small`` and ``qr-large``); the other filters are exact.
 
     ``suite`` and ``run_id`` are run metadata, which wins over a record's
     own column of that name when the two merge, so they are tested against
     each run; the record filters are tested before the merge, so only
     matches pay for it.
     """
-    if limit is not None and limit < 0:
-        raise ConfigurationError(f"limit must be non-negative, got {limit!r}")
 
     def run_matches(info: RunInfo) -> bool:
         return (suite is None or info.suite == suite) and (
@@ -72,13 +70,52 @@ def query(
             return isinstance(value, str) and value.startswith(scenario)
         return True
 
-    matched = store.select(
+    return store.select(
         run_matches if (suite, run_id) != (None, None) else None,
         record_matches if (experiment, kernel, scenario) != (None, None, None) else None,
     )
+
+
+def report(
+    store: ResultStore | None,
+    *,
+    experiment: str | None = None,
+    scenario: str | None = None,
+    kernel: str | None = None,
+    suite: str | None = None,
+    run_id: str | None = None,
+    transform: str | None = None,
+    group: str | None = None,
+    limit: int | None = None,
+) -> dict[str, Any]:
+    """The report document over recorded results, as :func:`report_document`.
+
+    The filters (see :func:`query`) narrow the raw records *before* an
+    optional named transform runs, since transforms like ``speedup-trend``
+    need the full cross-run history of whatever matched.  ``group`` then
+    collapses the rows to counts per value of that column, and ``limit``
+    keeps the *last* ``limit`` rows, since recent runs are the usual
+    question.  No store (an uncached service) reports zero records.
+    """
+    if limit is not None and limit < 0:
+        raise ConfigurationError(f"limit must be non-negative, got {limit!r}")
+    filters = {
+        "experiment": experiment,
+        "scenario": scenario,
+        "kernel": kernel,
+        "suite": suite,
+        "run_id": run_id,
+    }
+    records = [] if store is None else query(store, **filters)
+    if transform:
+        records = apply_transform(transform, records)
+    if group:
+        records = group_counts(records, group)
     if limit is not None:
-        matched = matched[len(matched) - min(limit, len(matched)) :]
-    return matched
+        records = records[len(records) - min(limit, len(records)) :]
+    return report_document(
+        records, transform=transform, filters={**filters, "group": group, "limit": limit}
+    )
 
 
 def group_counts(

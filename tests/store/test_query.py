@@ -12,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
-from repro.store import ResultStore, group_counts, query, records_table, report_document
+from repro.store import (
+    ResultStore,
+    group_counts,
+    query,
+    records_table,
+    report,
+    report_document,
+)
 from repro.store.core import STORE_SCHEMA, RunInfo
 from repro.store.query import REPORT_SCHEMA
 
@@ -62,12 +69,25 @@ class TestQuery:
         records = query(store, experiment="sweep", scenario="qr-")
         assert [r["x"] for r in records] == [1, 2]
 
+
+class TestReport:
     def test_limit_keeps_the_last_matches(self, store):
-        records = query(store, limit=2)
+        records = report(store, limit=2)["records"]
         assert [r["experiment"] for r in records] == ["fit", "sweep"]
-        assert query(store, limit=0) == []
+        assert report(store, limit=0)["records"] == []
         with pytest.raises(ConfigurationError, match="non-negative"):
-            query(store, limit=-1)
+            report(store, limit=-1)
+
+    def test_groups_before_the_limit(self, store):
+        document = report(store, kernel="qr", group="experiment", limit=1)
+        assert document["records"] == [{"experiment": "fit", "records": 1}]
+        assert document["filters"] == {"kernel": "qr", "group": "experiment", "limit": 1}
+
+    def test_no_store_reports_zero_records(self):
+        document = report(None, experiment="sweep")
+        assert document["count"] == 0 and document["records"] == []
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            report(None, limit=-1)
 
 
 class TestGroupCounts:
@@ -122,7 +142,7 @@ class TestReportDocument:
 
 
 # ---------------------------------------------------------------------------
-# query() against a merge-then-filter reference.
+# query() and report() against a merge-then-filter reference.
 # ---------------------------------------------------------------------------
 
 
@@ -201,9 +221,9 @@ _FILTERS = st.fixed_dictionaries(
         "scenario": st.sampled_from([None, "", "q", "qr-", "qr-small", "f"]),
         "suite": st.sampled_from([None, "quick", "full"]),
         "run_id": st.sampled_from([None, "run-a", "run-b"]),
-        "limit": st.sampled_from([None, 0, 1, 3, 100]),
     }
 )
+_LIMITS = st.sampled_from([None, 0, 1, 3, 100])
 
 
 def _write_store(root: Path, runs) -> None:
@@ -231,13 +251,15 @@ def _write_store(root: Path, runs) -> None:
 
 class TestQueryMatchesMergeThenFilter:
     @settings(max_examples=80, deadline=None)
-    @given(runs=_RUNS, filters=_FILTERS)
-    def test_same_records_in_the_same_order(self, runs, filters):
+    @given(runs=_RUNS, filters=_FILTERS, limit=_LIMITS)
+    def test_same_records_in_the_same_order(self, runs, filters, limit):
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             _write_store(root, runs)
-            assert query(ResultStore(root), **filters) == _reference_query(
-                root, **filters
+            store = ResultStore(root)
+            assert query(store, **filters) == _reference_query(root, **filters)
+            assert report(store, **filters, limit=limit)["records"] == _reference_query(
+                root, **filters, limit=limit
             )
 
     @settings(max_examples=40, deadline=None)

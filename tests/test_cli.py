@@ -6,7 +6,13 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro import cli
+from repro.cli import _DEFAULT_SWEEPS, build_parser, main
+from repro.core.intensity import PowerLawIntensity
+from repro.runtime import ExperimentScenario, analytic_sweep_payload, kernel_factories
+from repro.service.scheduler import JOB_TABLE
+from repro.service.workers import JobExecutor
+from repro.store import ResultStore, query
 
 
 class TestParser:
@@ -204,6 +210,29 @@ class TestReportAndIngest:
         assert main(["report", "--cache-dir", cache, "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["count"] == 0
 
+    def test_report_rejects_a_negative_limit(self, capsys, tmp_path):
+        argv = ["report", "--limit", "-1", "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 2
+        assert "limit must be non-negative" in capsys.readouterr().err
+
+    def test_pebble_records_its_task_keys(self, capsys, tmp_path):
+        root = tmp_path / "cache"
+        argv = [
+            "pebble", "--matmul-order", "4", "--fft-points", "32",
+            "--cache-dir", str(root),
+        ]
+        assert main(argv) == 0
+        scenario = ExperimentScenario(
+            "cli-pebble", "pebble", {"matmul_order": 4, "fft_points": 32}
+        )
+        keys = [task.key() for task in scenario.tasks()]
+        assert len(keys) == 8
+        records = query(ResultStore(root / "store"), experiment="pebble")
+        # The headline record carries the first key, each point its own.
+        assert [record["key"] for record in records] == [keys[0], *keys]
+        for key in keys:
+            assert (root / "tasks" / key[:2] / f"{key}.pkl").is_file()
+
     def test_pebble_cache_replays_every_point(self, capsys, tmp_path):
         argv = [
             "pebble", "--matmul-order", "4", "--fft-points", "16",
@@ -283,6 +312,85 @@ class TestSweepCommand:
         payload = json.loads(json_path.read_text())
         assert payload["schema"] == "repro-sweep-analytic/v1"
         assert payload["rebalance"]
+
+
+class TestCommandsLowerOntoTheServiceBuilders:
+    """A command's output is what the matching job or suite scenario returns."""
+
+    def test_every_kernel_has_a_default_sweep(self):
+        assert set(_DEFAULT_SWEEPS) == set(kernel_factories())
+
+    @pytest.mark.parametrize("kernel", sorted(_DEFAULT_SWEEPS))
+    def test_analytic_rows_are_the_analytic_job_rows(self, kernel, capsys, tmp_path):
+        out = tmp_path / "analytic.json"
+        assert main(["sweep", kernel, "--analytic", "--no-cache", "--json", str(out)]) == 0
+        sizes = _DEFAULT_SWEEPS[kernel][0]
+        expected = analytic_sweep_payload(kernel, sizes, 4096)["rows"]
+        assert json.loads(out.read_text())["rows"] == expected
+
+    def test_measured_sweep_is_the_sweep_job_result(self, capsys, tmp_path):
+        out = tmp_path / "sweep.json"
+        argv = [
+            "sweep", "fft", "--memory", "4,8,64", "--scale", "10",
+            "--no-cache", "--json", str(out),
+        ]
+        assert main(argv) == 0
+        entry = JOB_TABLE["sweep"]
+        params = entry.normalize({"kernel": "fft", "memory_sizes": [4, 8, 64], "scale": 10})
+        result = entry.run(JobExecutor(parallel=False), params)
+        assert json.loads(out.read_text()) == json.loads(json.dumps(result))
+
+    @pytest.mark.parametrize(
+        "argv, scenarios",
+        [
+            (
+                ["figure2", "--points", "32", "--block", "8"],
+                [("figure2", {"n_points": 32, "block_points": 8})],
+            ),
+            (
+                ["arrays", "--lengths", "2,4", "--sides", "2,4"],
+                [
+                    ("linear-array", {"lengths": (2, 4)}),
+                    ("mesh-array", {"sides": (2, 4)}),
+                    (
+                        "mesh-array",
+                        {
+                            "sides": (2, 4),
+                            "intensity": PowerLawIntensity(exponent=0.25),
+                            "computation_label": "4-d grid relaxation (law alpha^4)",
+                        },
+                    ),
+                ],
+            ),
+            (
+                ["systolic", "--order", "4", "--batches", "4"],
+                [("systolic", {"order": 4, "batches": 4})],
+            ),
+            (
+                ["pebble", "--matmul-order", "4", "--fft-points", "16"],
+                [("pebble", {"matmul_order": 4, "fft_points": 16})],
+            ),
+            (["warp"], [("warp", {})]),
+        ],
+        ids=["figure2", "arrays", "systolic", "pebble", "warp"],
+    )
+    def test_experiment_records_its_scenario_task_keys(
+        self, argv, scenarios, monkeypatch, capsys, tmp_path
+    ):
+        payloads = []
+        ingest = cli.ingest_payload
+
+        def recording_ingest(store, payload):
+            payloads.append(payload)
+            return ingest(store, payload)
+
+        monkeypatch.setattr(cli, "ingest_payload", recording_ingest)
+        assert main([*argv, "--serial", "--cache-dir", str(tmp_path)]) == 0
+        expected = [
+            [task.key() for task in ExperimentScenario("x", kind, params).tasks()]
+            for kind, params in scenarios
+        ]
+        assert [payload["task_keys"] for payload in payloads] == expected
 
 
 class TestSuiteCommand:

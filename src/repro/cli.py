@@ -914,7 +914,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--log-json", action="store_true",
         help="structured JSON-lines logging on stderr, each line stamped "
-        "with the trace/span IDs bound on the emitting thread",
+        "with the trace/span IDs of the span active on the emitting thread",
     )
     serve.add_argument(
         "--no-spans", action="store_true",

@@ -9,22 +9,23 @@ own service stack:
   histograms in a process-local registry, rendered as Prometheus text or
   JSON at ``GET /metrics``.  The task runtime, both on-disk caches, the job
   scheduler and the job executor all report here.
-* :mod:`repro.obs.trace` -- trace IDs minted at job submission (or accepted
-  via the ``X-Repro-Trace`` header / ``repro submit --trace``), carried on
-  the job, its journal lines and its spans, and surfaced in
-  ``GET /jobs/{id}`` next to the per-job state-transition timeline.
-* :mod:`repro.obs.spans` -- hierarchical spans over those trace IDs plus
-  the aggregating engine-phase profiler: a bounded ring buffer of finished
-  spans behind no-op-when-disabled hooks, span capture across the process
-  pool, ``GET /trace/{id}`` tree assembly, Chrome/Perfetto export and
-  JSON-lines logging correlated by trace/span IDs.
+* :mod:`repro.obs.spans` -- trace IDs and the hierarchical spans that
+  carry them, plus the aggregating engine-phase profiler.  A trace ID is
+  minted at job submission (or accepted via the ``X-Repro-Trace`` header /
+  ``repro submit --trace``) and carried on the job, its journal lines and
+  every span; a span's parent is one ``(trace_id, parent_span_id)`` pair,
+  and the job id names the job's root span.  Finished spans land in a
+  bounded ring buffer behind no-op-when-disabled hooks; the module also
+  captures spans across the process pool, assembles ``GET /trace/{id}``
+  trees, exports Chrome/Perfetto traces and writes JSON-lines logs
+  correlated by trace/span IDs.
 * :mod:`repro.obs.doctor` -- the ``repro doctor`` diagnostics: cache
   integrity, journal replayability, worker liveness and environment sanity
   checks, each a structured pass/warn/fail finding.
 
-This ``__init__`` deliberately exports only the metrics, trace and span
-layers: they sit *below* ``repro.runtime`` (which imports them to
-instrument itself), while :mod:`repro.obs.doctor` sits *above* the runtime
+This ``__init__`` deliberately exports only the metrics and span layers:
+they sit *below* ``repro.runtime`` (which imports them to instrument
+itself), while :mod:`repro.obs.doctor` sits *above* the runtime
 and the service and must be imported explicitly
 (``from repro.obs import doctor``) to keep the import graph acyclic.
 
@@ -41,18 +42,15 @@ from repro.obs.metrics import (
     MetricFamily,
     MetricsRegistry,
 )
-from repro.obs.trace import (
-    TRACE_HEADER,
-    bind,
-    current_trace_id,
-    new_trace_id,
-    normalize_trace_id,
-)
 from repro.obs.spans import (
     SPANS_SCHEMA,
+    TRACE_HEADER,
     SpanCollector,
     chrome_trace,
     current_span_id,
+    current_trace_id,
+    new_trace_id,
+    normalize_trace_id,
     phase,
     span,
     span_tree,
@@ -71,7 +69,6 @@ __all__ = [
     "SPANS_SCHEMA",
     "SpanCollector",
     "TRACE_HEADER",
-    "bind",
     "chrome_trace",
     "current_span_id",
     "current_trace_id",

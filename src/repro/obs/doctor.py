@@ -423,7 +423,8 @@ def check_journal(state_path: str | Path | None) -> list[Finding]:
                 "journal.replay",
                 WARN,
                 f"{len(store)} jobs recovered; {interrupted} were left open "
-                "and will requeue on service restart",
+                "and will requeue on service restart (or fail there, once "
+                "their retry budget is spent)",
                 replay_data,
             )
         )
@@ -518,8 +519,8 @@ def check_jobs(
                 FAIL,
                 f"{len(over_budget)} open jobs exceeded their retry budget "
                 "without reaching a terminal state; the retry machinery "
-                "lost them (restart the service to requeue, then report "
-                "the bug)",
+                "lost them (report the bug; restarting the service settles "
+                "them, failing interrupted jobs past their budget)",
                 data,
             )
         ]

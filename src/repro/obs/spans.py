@@ -1,9 +1,19 @@
-"""Hierarchical spans and the engine-phase profiler.
+"""Spans, the one carrier of a trace, and the engine-phase profiler.
 
-PR 6 gave every submission a flat trace ID; this module adds the missing
-structure: *spans* -- named, nested intervals with dual wall/monotonic
-stamps -- so a slow job can be decomposed layer by layer, from the HTTP
-submit handler down to one engine phase inside a pooled worker process.
+A *trace ID* names one submission end to end; *spans* -- named, nested
+intervals with dual wall/monotonic stamps -- say where its time went, from
+the HTTP submit handler down to one engine phase inside a pooled worker
+process.  Every span carries its trace: a span's parent is one
+``(trace_id, parent_span_id)`` pair (:data:`SpanParent`), so the current
+trace is simply the trace of the current span.
+
+Trace IDs are short opaque tokens: 16 lowercase hex characters when minted
+here (span IDs use the same mint), or 4..64 characters of
+``[A-Za-z0-9._-]`` when a client supplies one through the ``X-Repro-Trace``
+header (:data:`TRACE_HEADER`).  The scheduler stamps the trace on the job,
+so every journal line and ``GET /jobs/{id}`` payload carries it, and the job
+id names the job's root span, which the scheduler records once the job is
+terminal; every span of the job hangs beneath it.
 
 Design rules, in order of importance:
 
@@ -34,9 +44,9 @@ touching task parameters, content-addressed keys or numeric state -- the
 equivalence tests assert bitwise-identical engine outputs with tracing on
 and off.
 
-This module sits *below* the runtime, next to ``repro.obs.metrics`` and
-``repro.obs.trace``: it imports nothing above them, and every higher
-layer (runtime, arrays, pebble, service, store) calls in.
+This module sits *below* the runtime, next to ``repro.obs.metrics``: it
+imports nothing above it, and every higher layer (runtime, arrays, pebble,
+service, store) calls in.
 """
 
 from __future__ import annotations
@@ -44,6 +54,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 import sys
 import threading
 import time
@@ -53,21 +64,24 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Any, Iterator, Mapping, Sequence
 
+from repro.exceptions import ConfigurationError
 from repro.obs.metrics import REGISTRY
-from repro.obs.trace import current_trace_id
 
 __all__ = [
     "SPANS_SCHEMA",
     "SpanCollector",
+    "SpanParent",
+    "TRACE_HEADER",
+    "new_trace_id",
+    "normalize_trace_id",
     "enable",
     "disable",
     "enabled",
     "collector",
     "span",
     "phase",
-    "start_span",
-    "activate",
     "record_span",
+    "current_trace_id",
     "current_span_id",
     "task_context",
     "capture_spans",
@@ -97,8 +111,34 @@ _METRIC_DROPPED = REGISTRY.counter(
 )
 
 
-def _new_span_id() -> str:
+#: The HTTP request header a client uses to supply its own trace ID.
+TRACE_HEADER = "X-Repro-Trace"
+
+_TRACE_RE = re.compile(r"^[A-Za-z0-9._-]{4,64}$")
+
+#: Where a span hangs: ``(trace_id, parent_span_id)``.  ``(None, None)`` is
+#: a root with no trace; ``(trace_id, None)`` a root of that trace.
+SpanParent = tuple[str | None, str | None]
+
+
+def new_trace_id() -> str:
+    """Mint a fresh trace ID (16 hex characters); span IDs use it too."""
     return uuid.uuid4().hex[:16]
+
+
+def normalize_trace_id(value: Any) -> str:
+    """Validate a caller-supplied trace ID; raise on anything unusable.
+
+    Accepts 4..64 characters of ``[A-Za-z0-9._-]`` -- wide enough for UUIDs,
+    ULIDs and dotted request IDs from upstream proxies, narrow enough to be
+    safe in log lines, filenames and HTTP headers.
+    """
+    if not isinstance(value, str) or not _TRACE_RE.match(value):
+        raise ConfigurationError(
+            f"invalid trace id {value!r}: expected 4..64 characters of "
+            "[A-Za-z0-9._-]"
+        )
+    return value
 
 
 class SpanCollector:
@@ -202,37 +242,32 @@ def stats() -> dict[str, Any]:
 
 
 class ActiveSpan:
-    """One in-flight span.  Created by :func:`span` / :func:`start_span`.
+    """One in-flight span, and the context manager :func:`span` returns.
 
-    Phases accumulate under ``_phases`` (name -> [seconds, calls]) and are
-    flushed as synthetic child spans at :meth:`finish`.  A span is built
-    and finished in one thread/context; only the *job root* spans are
-    finished from another thread, after every child has been recorded.
+    Entering stamps both clocks and makes the span current for the enclosed
+    block; phases accumulate under ``_phases`` (name -> [seconds, calls])
+    and are flushed as synthetic child spans when the block exits and the
+    span is recorded.  A span is entered and exited in one thread/context.
     """
 
     __slots__ = (
         "trace_id", "span_id", "parent_id", "name", "kind",
-        "start_wall", "start_mono", "attributes", "_phases", "_done",
+        "start_wall", "start_mono", "attributes", "_phases", "_token",
     )
 
     def __init__(
         self,
         name: str,
         kind: str,
-        trace_id: str | None,
-        parent_id: str | None,
         attributes: Mapping[str, Any] | None,
+        parent: SpanParent,
     ) -> None:
         self.name = name
         self.kind = kind
-        self.trace_id = trace_id
-        self.span_id = _new_span_id()
-        self.parent_id = parent_id
-        self.start_wall = time.time()
-        self.start_mono = time.perf_counter()
+        self.trace_id, self.parent_id = parent
+        self.span_id = new_trace_id()
         self.attributes = dict(attributes) if attributes else {}
         self._phases: dict[str, list[float]] = {}
-        self._done = False
 
     def set(self, **attributes: Any) -> None:
         """Attach attributes to the span (scalars; last write wins)."""
@@ -246,33 +281,26 @@ class ActiveSpan:
             entry[0] += seconds
             entry[1] += 1.0
 
-    def finish(self) -> dict[str, Any] | None:
-        """Close the span and record it (plus its phase children)."""
-        if self._done:
-            return None
-        self._done = True
+    def __enter__(self) -> ActiveSpan:
+        self.start_wall = time.time()
+        self.start_mono = time.perf_counter()
+        self._token = _ACTIVE.set(self)
+        return self
+
+    def __exit__(self, exc_type: object, exc: object, tb: object) -> bool:
+        _ACTIVE.reset(self._token)
+        if exc_type is not None:
+            self.set(error=getattr(exc_type, "__name__", str(exc_type)))
         sink = _COLLECTOR
         if sink is None:
-            return None
+            return False
         duration = time.perf_counter() - self.start_mono
-        finished = {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "kind": self.kind,
-            "start_wall": self.start_wall,
-            "start_mono": self.start_mono,
-            "duration": duration,
-            "pid": os.getpid(),
-            "attributes": self.attributes,
-        }
         # One synthetic child per phase name: the aggregate, not 10^5 steps.
         for phase_name, (seconds, calls) in self._phases.items():
             sink.record(
                 {
                     "trace_id": self.trace_id,
-                    "span_id": _new_span_id(),
+                    "span_id": new_trace_id(),
                     "parent_id": self.span_id,
                     "name": phase_name,
                     "kind": "phase",
@@ -283,8 +311,21 @@ class ActiveSpan:
                     "attributes": {"calls": int(calls)},
                 }
             )
-        sink.record(finished)
-        return finished
+        sink.record(
+            {
+                "trace_id": self.trace_id,
+                "span_id": self.span_id,
+                "parent_id": self.parent_id,
+                "name": self.name,
+                "kind": self.kind,
+                "start_wall": self.start_wall,
+                "start_mono": self.start_mono,
+                "duration": duration,
+                "pid": os.getpid(),
+                "attributes": self.attributes,
+            }
+        )
+        return False
 
 
 class _NullContext:
@@ -302,50 +343,29 @@ class _NullContext:
 _NULL = _NullContext()
 
 
-class _SpanContext:
-    """Context manager binding one span as current for the enclosed block."""
-
-    __slots__ = ("_name", "_kind", "_attributes", "_span", "_token")
-
-    def __init__(
-        self, name: str, kind: str, attributes: Mapping[str, Any] | None
-    ) -> None:
-        self._name = name
-        self._kind = kind
-        self._attributes = attributes
-        self._span = None
-        self._token = None
-
-    def __enter__(self) -> ActiveSpan:
-        parent = _ACTIVE.get()
-        if parent is not None:
-            trace_id, parent_id = parent.trace_id, parent.span_id
-        else:
-            trace_id, parent_id = current_trace_id(), None
-        self._span = ActiveSpan(
-            self._name, self._kind, trace_id, parent_id, self._attributes
-        )
-        self._token = _ACTIVE.set(self._span)
-        return self._span
-
-    def __exit__(self, exc_type: object, exc: object, tb: object) -> bool:
-        _ACTIVE.reset(self._token)
-        if exc_type is not None:
-            self._span.set(error=getattr(exc_type, "__name__", str(exc_type)))
-        self._span.finish()
-        return False
+def _current_parent() -> SpanParent:
+    """The pair a new span hangs under: the current span, else no trace."""
+    active = _ACTIVE.get()
+    if active is None:
+        return None, None
+    return active.trace_id, active.span_id
 
 
 def span(
     name: str,
     kind: str = "internal",
     attributes: Mapping[str, Any] | None = None,
+    parent: SpanParent | None = None,
 ) -> Any:
-    """A context manager timing one named interval as a child of the
-    current span (or as a root).  A shared no-op when collection is off."""
+    """A context manager timing one named interval.
+
+    The span hangs under ``parent`` when given, else under the current
+    span, else it is a root with no trace.  A shared no-op when collection
+    is off.
+    """
     if _COLLECTOR is None:
         return _NULL
-    return _SpanContext(name, kind, attributes)
+    return ActiveSpan(name, kind, attributes, parent or _current_parent())
 
 
 class _PhaseTimer:
@@ -382,39 +402,6 @@ def phase(name: str) -> Any:
     return _PhaseTimer(target, name)
 
 
-def start_span(
-    name: str,
-    kind: str = "internal",
-    *,
-    trace_id: str | None = None,
-    parent_id: str | None = None,
-    attributes: Mapping[str, Any] | None = None,
-) -> ActiveSpan | None:
-    """Begin a span *without* binding it to the current context.
-
-    For spans whose start and finish live on different threads (a job's
-    root starts at submission, finishes at completion); pair with
-    :func:`activate` to parent work under it and call ``.finish()`` when
-    done.  Returns ``None`` when collection is off.
-    """
-    if _COLLECTOR is None:
-        return None
-    return ActiveSpan(name, kind, trace_id, parent_id, attributes)
-
-
-@contextmanager
-def activate(target: ActiveSpan | None) -> Iterator[ActiveSpan | None]:
-    """Bind an existing (unfinished) span as the current parent."""
-    if target is None:
-        yield None
-        return
-    token = _ACTIVE.set(target)
-    try:
-        yield target
-    finally:
-        _ACTIVE.reset(token)
-
-
 def record_span(
     name: str,
     kind: str,
@@ -424,15 +411,21 @@ def record_span(
     start_wall: float,
     duration: float,
     attributes: Mapping[str, Any] | None = None,
+    span_id: str | None = None,
 ) -> None:
-    """Record an already-measured interval directly (no context binding)."""
+    """Record an already-measured interval directly (no context binding).
+
+    ``span_id`` names the span when other spans already hang under a known
+    ID (a job's root is named by the job id); a fresh ID is minted
+    otherwise.
+    """
     sink = _COLLECTOR
     if sink is None:
         return
     sink.record(
         {
             "trace_id": trace_id,
-            "span_id": _new_span_id(),
+            "span_id": span_id or new_trace_id(),
             "parent_id": parent_id,
             "name": name,
             "kind": kind,
@@ -443,6 +436,12 @@ def record_span(
             "attributes": dict(attributes) if attributes else {},
         }
     )
+
+
+def current_trace_id() -> str | None:
+    """The current span's trace ID (for log correlation), if one is active."""
+    active = _ACTIVE.get()
+    return active.trace_id if active is not None else None
 
 
 def current_span_id() -> str | None:
@@ -456,19 +455,15 @@ def current_span_id() -> str | None:
 # ---------------------------------------------------------------------------
 
 
-def task_context() -> tuple[str | None, str | None] | None:
-    """The ``(trace_id, parent_span_id)`` to ship to a pool child.
+def task_context() -> SpanParent | None:
+    """The :data:`SpanParent` to ship to a pool child.
 
-    ``None`` when collection is off -- the runtime then submits the
-    untraced worker entry point, keeping the disabled path identical to
-    the pre-span code.
+    The same pair :func:`span` would hang a child under here; ``None`` when
+    collection is off, so the child's :func:`capture_spans` traces nothing.
     """
     if _COLLECTOR is None:
         return None
-    active = _ACTIVE.get()
-    if active is not None:
-        return active.trace_id, active.span_id
-    return current_trace_id(), None
+    return _current_parent()
 
 
 class CapturedSpans:
@@ -482,36 +477,38 @@ class CapturedSpans:
 
 @contextmanager
 def capture_spans(
-    ctx: tuple[str | None, str | None],
+    ctx: SpanParent | None,
     name: str,
     kind: str = "task",
     attributes: Mapping[str, Any] | None = None,
 ) -> Iterator[CapturedSpans]:
-    """Run a block under a local collector and hand its spans back.
+    """Run a block under a span named ``name`` and hand back what it finished.
 
-    Used inside pooled worker processes: the parent's ``ctx`` supplies the
-    trace and parent-span IDs, the block runs under a span named ``name``,
-    and every span finished inside lands in ``CapturedSpans.spans`` for
-    the parent to :func:`absorb`.  The process-global collector (absent,
-    or inherited over ``fork``) is saved and restored, so capture never
-    double-records.
+    Inside a pooled worker process ``ctx`` is the parent's
+    :func:`task_context`: the block's span hangs there, under a local
+    collector, and every span finished inside lands in
+    ``CapturedSpans.spans`` for the parent to :func:`absorb`.  The
+    process-global collector (absent, or inherited over ``fork``) is saved
+    and restored, so capture never double-records.
+
+    With ``ctx`` ``None`` nothing is captured: the block's span is an
+    ordinary :func:`span` of this process, a no-op when collection is off.
+    That is how a task runs in-process, where swapping the process-global
+    collector would race with other threads.
     """
     global _COLLECTOR
-    trace_id, parent_id = ctx
     captured = CapturedSpans()
+    if ctx is None:
+        with span(name, kind, attributes):
+            yield captured
+        return
     saved = _COLLECTOR
     local = SpanCollector(capacity=4096)
     _COLLECTOR = local
-    root = ActiveSpan(name, kind, trace_id, parent_id, attributes)
-    token = _ACTIVE.set(root)
     try:
-        yield captured
-    except BaseException as exc:
-        root.set(error=type(exc).__name__)
-        raise
+        with span(name, kind, attributes, parent=ctx):
+            yield captured
     finally:
-        _ACTIVE.reset(token)
-        root.finish()
         _COLLECTOR = saved
         captured.spans = local.spans()
 
@@ -656,8 +653,8 @@ class JsonLogFormatter(logging.Formatter):
     """One JSON object per log line, stamped with trace/span IDs.
 
     IDs come from the log record's ``trace_id``/``span_id`` extras when
-    the caller supplied them, else from the calling context -- so any log
-    line emitted under a bound trace correlates with its spans for free.
+    the caller supplied them, else from the current span -- so any log
+    line emitted inside a span correlates with its trace for free.
     """
 
     def format(self, record: logging.LogRecord) -> str:

@@ -1010,13 +1010,10 @@ def run_suite(
         store = store_for(runner)
         if store is not None:
             # Imported lazily for the same cycle reason as store_for.
-            from repro.obs.trace import current_trace_id
             from repro.store.readers import ingest_payload
 
             try:
-                ingest_payload(
-                    store, result.as_dict(), trace_id=current_trace_id()
-                )
+                ingest_payload(store, result.as_dict())
             except OSError:
                 # Recording history is best-effort: a disk error (real or
                 # injected) must not fail a suite whose results are in hand.

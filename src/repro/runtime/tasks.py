@@ -206,29 +206,19 @@ class Task:
         return self.fn(**self.params)
 
 
-def _run_task(task: Task) -> tuple[float, Any]:
-    """Worker entry point (top-level, picklable): ``(seconds, value)``.
+def _run_task(
+    task: Task, ctx: obs_spans.SpanParent | None
+) -> tuple[float, Any, list[dict[str, Any]]]:
+    """Worker entry point (top-level, picklable): ``(seconds, value, spans)``.
 
     The duration is measured here, in the executing process, so the parent's
     ``repro_task_seconds`` histogram reports true task wall time even when
-    the task ran in a pool child.
-    """
-    start = time.perf_counter()
-    value = task.run()
-    return time.perf_counter() - start, value
-
-
-def _run_task_traced(
-    task: Task, ctx: tuple[str | None, str | None]
-) -> tuple[float, Any, list[dict[str, Any]]]:
-    """Traced worker entry point: ``(seconds, value, finished_spans)``.
-
-    Submitted instead of :func:`_run_task` only when span collection is on
-    in the parent, so the disabled path ships exactly the pre-span tuple.
-    ``ctx`` carries the parent's trace/span IDs across the pool boundary;
-    the task runs under a local ``kind="task"`` span (engine phases
-    aggregate beneath it) and every span finished in the child returns
-    with the result for the parent to absorb.
+    the task ran in a pool child.  The task runs under a ``kind="task"``
+    span (engine phases aggregate beneath it).  In a pool child ``ctx`` is
+    the parent's :func:`~repro.obs.spans.task_context`, and ``spans`` holds
+    every span the child finished, for the parent to absorb; in-process
+    ``ctx`` is ``None``, the span hangs under the current one and ``spans``
+    is empty (see :func:`~repro.obs.spans.capture_spans`).
     """
     start = time.perf_counter()
     with obs_spans.capture_spans(
@@ -260,46 +250,27 @@ def execute_tasks(
     """
     if not tasks:
         return []
-    # None when span collection is off: the untraced entry point is then
-    # submitted unchanged, so tracing-off is byte-identical to pre-span code.
-    ctx = obs_spans.task_context()
     if not parallel or max_workers == 1 or len(tasks) == 1:
         results = []
         for task in tasks:
             try:
-                if ctx is None:
-                    seconds, value = _run_task(task)
-                else:
-                    # In-process: the contextvar already parents the span;
-                    # capture_spans is reserved for pool children, where
-                    # swapping the process-global collector is race-free.
-                    with obs_spans.span(
-                        f"task:{task.label}",
-                        kind="task",
-                        attributes={"key": task.key()},
-                    ):
-                        seconds, value = _run_task(task)
+                seconds, value, _ = _run_task(task, None)
             except Exception as exc:
                 raise _wrap_failure(task, exc) from exc
             _METRIC_TASK_SECONDS.observe(seconds)
             results.append(value)
         return results
+    ctx = obs_spans.task_context()
     workers = min(max_workers, len(tasks))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        if ctx is None:
-            futures = [pool.submit(_run_task, task) for task in tasks]
-        else:
-            futures = [pool.submit(_run_task_traced, task, ctx) for task in tasks]
+        futures = [pool.submit(_run_task, task, ctx) for task in tasks]
         results = []
         for task, future in zip(tasks, futures):
             try:
-                if ctx is None:
-                    seconds, value = future.result()
-                else:
-                    seconds, value, finished = future.result()
-                    obs_spans.absorb(finished)
+                seconds, value, finished = future.result()
             except Exception as exc:
                 raise _wrap_failure(task, exc) from exc
+            obs_spans.absorb(finished)
             _METRIC_TASK_SECONDS.observe(seconds)
             results.append(value)
         return results

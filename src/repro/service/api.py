@@ -101,8 +101,7 @@ from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
 from repro.exceptions import ReproError, ServiceError
-from repro.obs.spans import json_logging_enabled
-from repro.obs.trace import TRACE_HEADER
+from repro.obs.spans import TRACE_HEADER, json_logging_enabled
 from repro.service.jobs import DONE, FAILED, Job
 from repro.service.workers import JobService
 
@@ -139,7 +138,7 @@ class _Handler(BaseHTTPRequestHandler):
     # benchmarks and CI where per-request stderr lines are pure noise.  With
     # ``repro serve --log-json`` the structured log is the point, so requests
     # go through the logging stack (each line then carries the submission's
-    # trace/span IDs when one is bound on this thread).
+    # trace/span IDs when a span is active on this thread).
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         if json_logging_enabled():
             _ACCESS_LOG.info(format, *args)

@@ -30,7 +30,7 @@ from typing import Any
 from urllib.parse import urlencode
 
 from repro.exceptions import ServiceError
-from repro.obs.trace import TRACE_HEADER
+from repro.obs.spans import TRACE_HEADER
 
 __all__ = ["ServiceClient"]
 

@@ -28,7 +28,7 @@ from repro.exceptions import ConfigurationError, QueueSaturatedError
 from repro.kernels.base import Kernel
 from repro.obs import spans as obs_spans
 from repro.obs.metrics import REGISTRY
-from repro.obs.trace import new_trace_id, normalize_trace_id
+from repro.obs.spans import new_trace_id, normalize_trace_id
 from repro.runtime.engine import kernel_modules
 from repro.runtime.suites import (
     ExperimentScenario,
@@ -40,7 +40,7 @@ from repro.runtime.suites import (
 )
 from repro.runtime.tasks import task_key
 from repro.runtime.vectorized import analytic_sweep_payload
-from repro.service.jobs import Job, JobStore
+from repro.service.jobs import RUNNING, Job, JobStore
 from repro.service.retry import RetryPolicy
 
 if TYPE_CHECKING:
@@ -125,8 +125,11 @@ def _suite_key(params: Mapping[str, Any]) -> str:
 
 
 def _run_suite(executor: JobExecutor, params: Mapping[str, Any]) -> dict[str, Any]:
+    # The executor records the payload, as it does for every kind.
     suite = get_suite(params["suite"])
-    result = run_suite(suite, executor.sweep_runner(), task_runner=executor.task_runner)
+    result = run_suite(
+        suite, executor.sweep_runner(), task_runner=executor.task_runner, record=False
+    )
     return result.as_dict()
 
 
@@ -469,11 +472,8 @@ class JobScheduler:
                 self._followers.setdefault(primary_id, []).append(job.id)
                 self.stats.deduped += 1
                 _METRIC_DEDUP_ATTACHES.inc()
-                self._open_root_span(
-                    job,
-                    submit_wall,
-                    submit_mono,
-                    event="scheduler.dedup-attach",
+                self._record_admission(
+                    job, "scheduler.dedup-attach", submit_wall, submit_mono,
                     primary_id=primary_id,
                 )
                 return job
@@ -498,65 +498,61 @@ class JobScheduler:
             self._queue.append(job.id)
             _METRIC_QUEUE_DEPTH.set(len(self._queue))
             self._cond.notify()
-            self._open_root_span(
-                job, submit_wall, submit_mono, event="scheduler.enqueue"
+            self._record_admission(
+                job, "scheduler.enqueue", submit_wall, submit_mono
             )
             return job
 
-    def _open_root_span(
-        self,
+    @staticmethod
+    def _record_admission(
         job: Job,
+        event: str,
         submit_wall: float,
         submit_mono: float,
         *,
-        event: str,
         primary_id: str | None = None,
     ) -> None:
-        """Start the job's root span (covers submit -> terminal state).
+        """Record the validate/key/enqueue work as a child of the job's root.
 
-        Every submission gets its own root on its own trace -- followers
-        included, since dedup shares the *work* but not the request
-        identity.  The root is stashed as a transient attribute on the job
-        (never journaled) and finished by :meth:`_complete`; the validate/
-        key/enqueue work done so far is recorded as an already-measured
-        child so the tree shows admission cost next to queue wait.
+        Every submission owns a root on its own trace, named by its job id
+        -- followers included, since dedup shares the *work* but not the
+        request identity.  :meth:`_complete` records that root once the job
+        is terminal; this already-measured child shows admission cost next
+        to queue wait.
         """
-        root = obs_spans.start_span(
-            "service.submit",
-            kind="api",
-            trace_id=job.trace_id,
-            attributes={"job_id": job.id, "job_kind": job.kind},
-        )
-        if root is None:
-            return
-        job.root_span = root
         obs_spans.record_span(
             event,
             "scheduler",
             trace_id=job.trace_id,
-            parent_id=root.span_id,
+            parent_id=job.id,
             start_wall=submit_wall,
             duration=max(0.0, time.monotonic() - submit_mono),
             attributes={"primary_id": primary_id} if primary_id else None,
         )
 
-    def requeue(self, job: Job) -> None:
+    def requeue(self, job: Job) -> bool:
         """Re-enqueue a recovered job under its existing id (restart path).
 
-        Recovered duplicates are not re-deduplicated against each other: each
-        runs as its own primary (the caches make the repeats cheap), which
-        keeps recovery independent of replay order.
+        A job the journal shows ``running`` was interrupted mid-attempt, so
+        it takes the worker-crash rule through :meth:`retry` (attempt
+        budget, deadline, backoff) with reason ``restart-recovery``; the
+        result is ``False`` once its policy is spent, and the caller fails
+        it.  Queued jobs requeue as they are.  Recovered duplicates are not
+        re-deduplicated against each other: each runs as its own primary
+        (the caches make the repeats cheap), which keeps recovery
+        independent of replay order.
         """
-        key = job.key
-        if key is None:  # journal predates key persistence; recompute
-            key = job_key(job.kind, normalize_job_params(job.kind, job.params))
+        if job.key is None:  # journal predates key persistence; recompute
+            job.key = job_key(job.kind, normalize_job_params(job.kind, job.params))
+        if job.state == RUNNING:
+            return self.retry(job, reason="restart-recovery")
         with self._cond:
             self.store.requeue(job, reason="restart-recovery")
-            job.key = key
-            self._inflight.setdefault(key, job.id)
+            self._inflight.setdefault(job.key, job.id)
             self._queue.append(job.id)
             _METRIC_QUEUE_DEPTH.set(len(self._queue))
             self._cond.notify()
+        return True
 
     def retry(self, job: Job, *, reason: str) -> bool:
         """Requeue a failed attempt if the job's retry policy allows it.
@@ -668,16 +664,27 @@ class JobScheduler:
                 self.store.mark_done(target, result)
             else:
                 self.store.mark_failed(target, error)
-            # Close the submission's root span (primary and followers each
-            # own one): the root's duration is the client-visible latency,
-            # submit to terminal state.
-            root = getattr(target, "root_span", None)
-            if root is not None:
-                root.set(state=target.state, attempts=target.attempts)
-                if error is not None:
-                    root.set(error=error)
-                root.finish()
-                target.root_span = None
+            # The submission's root (primary and followers each own one),
+            # named by the job id its children hang under: the client-visible
+            # latency, submit to terminal state, for a recovered job too.
+            attributes = {
+                "job_id": target.id,
+                "job_kind": target.kind,
+                "state": target.state,
+                "attempts": target.attempts,
+            }
+            if error is not None:
+                attributes["error"] = error
+            obs_spans.record_span(
+                "service.submit",
+                "api",
+                trace_id=target.trace_id,
+                parent_id=None,
+                span_id=target.id,
+                start_wall=target.created_at,
+                duration=target.elapsed_seconds,
+                attributes=attributes,
+            )
 
     def close(self) -> None:
         """Wake every waiting worker so it can observe shutdown."""

@@ -28,7 +28,6 @@ from repro.exceptions import ReproError, ServiceError
 from repro.faults.injector import InjectedWorkerCrash, maybe_inject
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
-from repro.obs import trace as obs_trace
 from repro.service.retry import is_transient, transient_reason
 from repro.runtime.cache import ResultCache, TaskCache, cache_layout
 from repro.runtime.engine import SweepRunner
@@ -110,24 +109,21 @@ class JobExecutor:
         with self._stats_lock:
             self.stats.jobs_executed += 1
         start = time.perf_counter()
-        # Bind the job's trace for the duration: anything that reads
-        # ``current_trace_id()`` below this frame (a suite's store record,
-        # log lines) attributes its work to this submission.  The execution
-        # span parents under the job's root (opened at submission) so the
-        # trace tree separates queue wait from run time; recovered jobs
-        # without a live root simply start a fresh tree here.
-        with obs_trace.bind(job.trace_id):
-            with obs_spans.activate(getattr(job, "root_span", None)):
-                with obs_spans.span(
-                    "job.execute",
-                    kind="worker",
-                    attributes={
-                        "job_id": job.id,
-                        "job_kind": job.kind,
-                        "attempt": job.attempts,
-                    },
-                ):
-                    payload = run(self, job.params)
+        # Each attempt hangs under the job's root, whose span id is the job
+        # id (the scheduler records it once the job is terminal), so the
+        # trace tree separates queue wait from run time -- for a job
+        # recovered from the journal too.
+        with obs_spans.span(
+            "job.execute",
+            kind="worker",
+            attributes={
+                "job_id": job.id,
+                "job_kind": job.kind,
+                "attempt": job.attempts,
+            },
+            parent=(job.trace_id, job.id),
+        ):
+            payload = run(self, job.params)
         _METRIC_JOB_SECONDS.labels(kind=job.kind).observe(
             time.perf_counter() - start
         )
@@ -136,12 +132,10 @@ class JobExecutor:
     def record_payload(self, job: Job, payload: dict[str, Any]) -> None:
         """Ingest one finished job's result into the result store.
 
-        Best-effort by design: recording history must never fail or retry a
-        job that already finished.  Suite results record themselves inside
-        ``run_suite`` under the same cache root, so this ingest dedups to a
-        no-op for them -- the content-addressed run key makes the double
-        hook harmless.  Kinds whose table entry says ``record=False`` are
-        not ingested.
+        The one place a job's result is recorded, stamped with the job's
+        trace.  Best-effort by design: recording history must never fail or
+        retry a job that already finished.  Kinds whose table entry says
+        ``record=False`` are not ingested.
         """
         if self.result_store is None or not job_kind(job.kind, job.params).record:
             return
@@ -163,7 +157,7 @@ class JobExecutor:
     def record_trace(self, job: Job) -> None:
         """Ingest one terminal job's span tree into the result store.
 
-        Runs *after* the scheduler closed the job's root span, so the
+        Runs *after* the scheduler recorded the job's root span, so the
         snapshot includes the full submit-to-terminal tree.  Best-effort
         like :meth:`record_payload`: spans are diagnostics, never worth
         failing a finished job over.  The ``repro-spans/v1`` records make
@@ -469,11 +463,18 @@ class JobService:
         self._draining = threading.Event()
         for job in self.store.interrupted():
             try:
-                self.scheduler.requeue(job)
+                requeued = self.scheduler.requeue(job)
             except ReproError as exc:
                 # A stale journal entry (e.g. a suite renamed between
                 # versions) must not stop the service from booting.
                 self.store.mark_failed(job, f"unrecoverable after restart: {exc}")
+                continue
+            if not requeued:
+                self.store.mark_failed(
+                    job,
+                    "interrupted by a restart and the retry policy is "
+                    f"exhausted after {job.attempts} attempt(s)",
+                )
 
     # -- lifecycle -----------------------------------------------------------
 

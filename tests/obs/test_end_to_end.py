@@ -9,7 +9,9 @@ import threading
 import pytest
 
 from repro.exceptions import ServiceError
+from repro.obs import spans as obs_spans
 from repro.service import JobService, ServiceClient, serve
+from repro.service.jobs import DONE
 
 SWEEP = {"kernel": "matmul", "memory_sizes": [64, 256, 1024], "scale": 64}
 
@@ -102,6 +104,97 @@ class TestTracePropagation:
             "queued",
             "running",
             "done",
+        ]
+
+
+class TestJobRootSpan:
+    """The job id names the job's root span, recorded at the terminal state."""
+
+    @pytest.fixture(autouse=True)
+    def _collecting(self):
+        saved = obs_spans.collector()
+        obs_spans.enable(build_info={"git_rev": "testrev0"})
+        yield
+        obs_spans._COLLECTOR = saved
+
+    def _root(self, trace_id: str, job) -> dict:
+        """The one root of ``trace_id``, checked against its finished job."""
+        document = obs_spans.trace_document(
+            trace_id, obs_spans.collector().spans(trace_id)
+        )
+        assert document["roots"] == 1
+        (root,) = document["tree"]
+        assert root["name"] == "service.submit"
+        assert root["span_id"] == job.id
+        assert root["duration"] == pytest.approx(job.elapsed_seconds, abs=1e-6)
+        assert root["attributes"]["state"] == job.state
+        assert root["attributes"]["git_rev"] == "testrev0"
+        return root
+
+    def test_job_recovered_from_the_journal_keeps_its_root(self, tmp_path):
+        journal = tmp_path / "jobs.jsonl"
+        first = JobService(state_path=journal, parallel=False)
+        job = first.submit("sweep", SWEEP, trace_id="recovered-root-1")
+        first.scheduler.claim()  # this process dies mid-attempt
+        second = JobService(state_path=journal, parallel=False).start()
+        try:
+            finished = second.wait(job.id, 30.0)
+        finally:
+            second.stop()
+        assert finished.state == DONE and finished.attempts == 2
+        root = self._root("recovered-root-1", finished)
+        children = {child["name"]: child for child in root["children"]}
+        assert set(children) == {"scheduler.enqueue", "job.execute"}
+        assert children["job.execute"]["attributes"]["attempt"] == 2
+
+    def test_retried_job_keeps_one_root_over_its_attempts(self, monkeypatch):
+        from dataclasses import replace
+
+        from repro.service.scheduler import JOB_TABLE
+
+        sweep = JOB_TABLE["sweep"]
+        calls = []
+
+        def flaky_run(executor, params):
+            calls.append(params)
+            if len(calls) == 1:
+                raise OSError("transient")
+            return sweep.run(executor, params)
+
+        monkeypatch.setitem(JOB_TABLE, "sweep", replace(sweep, run=flaky_run))
+        service = JobService(parallel=False).start()
+        try:
+            job = service.submit("sweep", SWEEP, trace_id="retried-root-1")
+            finished = service.wait(job.id, 30.0)
+        finally:
+            service.stop()
+        assert finished.state == DONE and finished.attempts == 2
+        root = self._root("retried-root-1", finished)
+        attempts = [
+            child["attributes"] for child in root["children"]
+            if child["name"] == "job.execute"
+        ]
+        assert [a["attempt"] for a in attempts] == [1, 2]
+        assert attempts[0]["error"] == "OSError" and "error" not in attempts[1]
+
+    def test_primary_and_follower_each_own_one_root(self, tmp_path):
+        service = JobService(cache_dir=tmp_path / "cache", parallel=False)
+        primary = service.submit("sweep", SWEEP, trace_id="root-primary-1")
+        follower = service.submit("sweep", SWEEP, trace_id="root-follower-1")
+        assert follower.deduped_into == primary.id
+        service.start()
+        try:
+            service.wait(primary.id, 30.0)
+            service.wait(follower.id, 30.0)
+        finally:
+            service.stop()
+        root = self._root("root-primary-1", primary)
+        assert {child["name"] for child in root["children"]} == {
+            "scheduler.enqueue", "job.execute",
+        }
+        root = self._root("root-follower-1", follower)
+        assert [child["name"] for child in root["children"]] == [
+            "scheduler.dedup-attach",
         ]
 
 

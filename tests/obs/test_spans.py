@@ -33,7 +33,6 @@ from repro.obs.spans import (
     trace_document,
     tree_depth,
 )
-from repro.obs.trace import bind
 
 BUILD_INFO = {"git_rev": "testrev0", "python": "3.x", "numpy": "9.y"}
 
@@ -57,7 +56,6 @@ class TestDisabledPath:
         assert not obs_spans.enabled()
         assert obs_spans.span("x") is obs_spans._NULL
         assert obs_spans.phase("y") is obs_spans._NULL
-        assert obs_spans.start_span("root") is None
         assert obs_spans.task_context() is None
         assert obs_spans.current_span_id() is None
         # record/absorb are plain no-ops, not errors.
@@ -107,11 +105,12 @@ class TestDisabledPath:
 class TestSpanTrees:
     def test_nested_spans_record_parent_links(self):
         sink = _enable()
-        with bind("trace-nest"):
-            with obs_spans.span("outer", kind="runtime") as outer:
-                with obs_spans.span("inner", kind="task") as inner:
-                    assert obs_spans.current_span_id() == inner.span_id
-                assert obs_spans.current_span_id() == outer.span_id
+        with obs_spans.span(
+            "outer", kind="runtime", parent=("trace-nest", None)
+        ) as outer:
+            with obs_spans.span("inner", kind="task") as inner:
+                assert obs_spans.current_span_id() == inner.span_id
+            assert obs_spans.current_span_id() == outer.span_id
         spans = sink.spans("trace-nest")
         by_name = {s["name"]: s for s in spans}
         assert by_name["inner"]["parent_id"] == by_name["outer"]["span_id"]
@@ -121,20 +120,18 @@ class TestSpanTrees:
 
     def test_exception_marks_span_and_propagates(self):
         sink = _enable()
-        with bind("trace-err"):
-            with pytest.raises(ValueError):
-                with obs_spans.span("broken"):
-                    raise ValueError("boom")
+        with pytest.raises(ValueError):
+            with obs_spans.span("broken", parent=("trace-err", None)):
+                raise ValueError("boom")
         (recorded,) = sink.spans("trace-err")
         assert recorded["attributes"]["error"] == "ValueError"
 
     def test_phase_calls_aggregate_into_one_child(self):
         sink = _enable()
-        with bind("trace-phase"):
-            with obs_spans.span("task") as task:
-                for _ in range(100):
-                    with obs_spans.phase("wavefront.cycles"):
-                        pass
+        with obs_spans.span("task", parent=("trace-phase", None)) as task:
+            for _ in range(100):
+                with obs_spans.phase("wavefront.cycles"):
+                    pass
         spans = sink.spans("trace-phase")
         phases = [s for s in spans if s["kind"] == "phase"]
         assert len(phases) == 1, "100 phase passes must emit exactly one span"
@@ -152,10 +149,9 @@ class TestSpanTrees:
 
     def test_build_info_stamps_roots_only(self):
         sink = _enable()
-        with bind("trace-build"):
-            with obs_spans.span("root"):
-                with obs_spans.span("child"):
-                    pass
+        with obs_spans.span("root", parent=("trace-build", None)):
+            with obs_spans.span("child"):
+                pass
         by_name = {s["name"]: s for s in sink.spans("trace-build")}
         assert by_name["root"]["attributes"]["git_rev"] == "testrev0"
         assert "git_rev" not in by_name["child"]["attributes"]
@@ -172,43 +168,59 @@ class TestSpanTrees:
         names = [s["name"] for s in sink.spans()]
         assert names == ["s3", "s4", "s5", "s6"]
 
-    def test_job_root_pattern_start_activate_finish(self):
+    def test_job_root_recorded_at_terminal_after_its_children(self):
+        # A job's children hang under its id while it runs; its root, named
+        # by that id, is recorded once the job is terminal.
         sink = _enable()
-        root = obs_spans.start_span(
-            "service.submit", kind="api", trace_id="trace-job"
-        )
+        job_id = "a1b2c3d4e5f6"
         obs_spans.record_span(
             "scheduler.enqueue", "scheduler", trace_id="trace-job",
-            parent_id=root.span_id, start_wall=time.time(), duration=0.001,
+            parent_id=job_id, start_wall=time.time(), duration=0.001,
         )
-        with obs_spans.activate(root):
-            with obs_spans.span("job.execute", kind="worker"):
-                pass
-        root.set(state="done")
-        assert root.finish() is not None
-        assert root.finish() is None, "finish must be idempotent"
+        with obs_spans.span(
+            "job.execute", kind="worker", parent=("trace-job", job_id)
+        ):
+            pass
+        assert trace_document("trace-job", sink.spans("trace-job"))["roots"] == 2
+        obs_spans.record_span(
+            "service.submit", "api", trace_id="trace-job", parent_id=None,
+            span_id=job_id, start_wall=time.time(), duration=0.5,
+            attributes={"state": "done"},
+        )
         doc = trace_document("trace-job", sink.spans("trace-job"))
         assert doc["roots"] == 1 and doc["depth"] == 2
-        assert doc["tree"][0]["attributes"]["state"] == "done"
+        (root,) = doc["tree"]
+        assert root["span_id"] == job_id and root["duration"] == 0.5
+        assert root["attributes"]["state"] == "done"
+        assert root["attributes"]["git_rev"] == "testrev0"
+        assert {child["name"] for child in root["children"]} == {
+            "scheduler.enqueue", "job.execute",
+        }
 
-    def test_activate_none_is_a_noop(self):
-        _enable()
-        with obs_spans.activate(None) as bound:
-            assert bound is None
-            assert obs_spans.current_span_id() is None
+    def test_untraced_root_has_no_trace_or_parent(self):
+        sink = _enable()
+        with obs_spans.span("loose") as loose:
+            assert obs_spans.current_trace_id() is None
+            assert obs_spans.current_span_id() == loose.span_id
+            assert obs_spans.task_context() == (None, loose.span_id)
+        assert obs_spans.current_span_id() is None
+        assert obs_spans.task_context() == (None, None)
+        (recorded,) = sink.spans()
+        assert recorded["trace_id"] is None and recorded["parent_id"] is None
 
     def test_capture_spans_round_trips_the_pool_boundary(self):
         sink = _enable()
-        with bind("trace-pool"):
-            with obs_spans.span("tasks.run", kind="runtime"):
-                ctx = obs_spans.task_context()
-                assert ctx[0] == "trace-pool"
-                parent_span_id = ctx[1]
-                # What the pooled child process does, minus the pickling:
-                with obs_spans.capture_spans(ctx, "task:work") as captured:
-                    with obs_spans.phase("inner.loop"):
-                        pass
-                obs_spans.absorb(captured.spans)
+        with obs_spans.span(
+            "tasks.run", kind="runtime", parent=("trace-pool", None)
+        ):
+            ctx = obs_spans.task_context()
+            assert ctx[0] == "trace-pool"
+            parent_span_id = ctx[1]
+            # What the pooled child process does, minus the pickling:
+            with obs_spans.capture_spans(ctx, "task:work") as captured:
+                with obs_spans.phase("inner.loop"):
+                    pass
+            obs_spans.absorb(captured.spans)
         spans = sink.spans("trace-pool")
         by_name = {s["name"]: s for s in spans}
         assert by_name["task:work"]["parent_id"] == parent_span_id
@@ -270,9 +282,8 @@ class TestAssemblyAndExport:
 class TestTracingNeverPerturbsScience:
     def _traced(self, fn):
         _enable()
-        with bind("identity-check"):
-            with obs_spans.span("probe", kind="task"):
-                result = fn()
+        with obs_spans.span("probe", kind="task", parent=("identity-check", None)):
+            result = fn()
         obs_spans.disable()
         return result
 
@@ -322,9 +333,8 @@ class TestJsonLogging:
         record = logging.LogRecord(
             "repro.test", logging.INFO, __file__, 1, "hello %s", ("world",), None
         )
-        with bind("trace-log"):
-            with obs_spans.span("logging") as active:
-                line = json.loads(formatter.format(record))
+        with obs_spans.span("logging", parent=("trace-log", None)) as active:
+            line = json.loads(formatter.format(record))
         assert line["message"] == "hello world"
         assert line["trace_id"] == "trace-log"
         assert line["span_id"] == active.span_id

@@ -1,4 +1,4 @@
-"""Tests for trace-ID minting and binding (repro.obs.trace)."""
+"""Tests for trace-ID minting and propagation through spans (repro.obs.spans)."""
 
 from __future__ import annotations
 
@@ -8,12 +8,22 @@ import threading
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.obs.trace import (
-    bind,
+from repro.obs import spans as obs_spans
+from repro.obs.spans import (
     current_trace_id,
     new_trace_id,
     normalize_trace_id,
+    span,
 )
+
+
+@pytest.fixture
+def _collecting():
+    """Span collection on for one test, then back to the previous state."""
+    saved = obs_spans.collector()
+    obs_spans.enable(build_info={})
+    yield
+    obs_spans._COLLECTOR = saved
 
 
 class TestMinting:
@@ -34,12 +44,17 @@ class TestMinting:
             normalize_trace_id(bad)
 
 
+@pytest.mark.usefixtures("_collecting")
 class TestBinding:
+    """Entering a span binds its trace as the current one for the block."""
+
     def test_bind_scopes_the_current_trace(self):
         assert current_trace_id() is None
-        with bind("trace-1234"):
+        with span("outer", parent=("trace-1234", None)):
             assert current_trace_id() == "trace-1234"
-            with bind("trace-5678"):
+            with span("child"):
+                assert current_trace_id() == "trace-1234"
+            with span("other", parent=("trace-5678", None)):
                 assert current_trace_id() == "trace-5678"
             assert current_trace_id() == "trace-1234"
         assert current_trace_id() is None
@@ -48,7 +63,7 @@ class TestBinding:
         seen = {}
 
         def worker(name: str) -> None:
-            with bind(name):
+            with span("work", parent=(name, None)):
                 seen[name] = current_trace_id()
 
         threads = [
@@ -58,5 +73,6 @@ class TestBinding:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(10.0)
+            assert not thread.is_alive()
         assert seen == {f"trace-{i:04d}": f"trace-{i:04d}" for i in range(4)}

@@ -315,13 +315,19 @@ class TestAcceptance:
         runner = SweepRunner(cache=ResultCache(tmp_path / "cache"))
         direct = run_suite("quick", runner, task_runner=task_runner_for(runner))
 
-        _, client = live_service()  # shares tmp_path/"cache" (now warm)
-        document = client.submit_and_wait("suite", {"suite": "quick"}, timeout=300.0)
-        payload = document["result"]
+        service, client = live_service()  # shares tmp_path/"cache" (now warm)
+        job = client.submit("suite", {"suite": "quick"}, trace_id="suite-http-1")
+        payload = client.wait(job["id"], timeout=300.0)["result"]
 
         assert payload["schema"] == "repro-suite-result/v3"
         assert payload["experiments"] == direct.as_dict()["experiments"]
         assert payload["scenarios"] == direct.as_dict()["scenarios"]
+        # The executor records the suite job's result once, under its trace.
+        store = service.executor.result_store
+        assert service.executor.stats.results_recorded == 1
+        assert store.stats.deduped == 0
+        (run,) = [info for info in store.runs() if info.run_id == payload["run_id"]]
+        assert run.trace_id == "suite-http-1"
 
     def test_eight_identical_sweeps_execute_once(self, live_service):
         """Acceptance: N identical submissions run the underlying tasks once."""

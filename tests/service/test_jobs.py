@@ -283,6 +283,36 @@ class TestRecoveryResilience:
         assert len(service.store) == 0
         assert service.scheduler.queue_depth == 0
 
+    def test_restart_recovery_spends_the_retry_budget(self, tmp_path):
+        # Each boot claims the job and "dies" mid-attempt, leaving it running
+        # in the journal.  Recovery retries it under its policy (3 attempts
+        # for experiments), then fails it instead of requeueing forever.
+        from repro.obs.doctor import check_jobs
+        from repro.service.workers import JobService
+
+        path = tmp_path / "jobs.jsonl"
+        service = JobService(state_path=path, parallel=False)
+        job_id = service.submit("experiment", {"experiment": "warp"}).id
+        claims = 0
+        for _ in range(5):
+            service = JobService(state_path=path, parallel=False)
+            if service.job(job_id).terminal:
+                continue
+            claimed = service.scheduler.claim(timeout=5.0)
+            assert claimed is not None and claimed.id == job_id
+            claims += 1
+        assert claims == 3
+        job = JobService(state_path=path, parallel=False).job(job_id)
+        assert job.state == FAILED and job.attempts == 3
+        assert job.error == (
+            "interrupted by a restart and the retry policy is exhausted "
+            "after 3 attempt(s)"
+        )
+        reasons = [event.get("reason") for event in job.timeline]
+        assert reasons.count("restart-recovery") == 3  # boots 1-3 requeued it
+        (progress,) = check_jobs(path)
+        assert progress.status == "pass"
+
 
 class TestTimelineCompaction:
     def _churn(self, store, job, cycles):

@@ -338,7 +338,10 @@ def _runner_from_args(args: argparse.Namespace, *, parallel_default: bool) -> Sw
 
 def _add_task_runtime_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--jobs", type=int, default=None, help="worker processes (default: one per core)"
+        "--jobs",
+        type=int,
+        default=None,
+        help="worker processes (default: one per CPU of the affinity mask)",
     )
     parser.add_argument(
         "--serial", action="store_true", help="run every task in-process, one at a time"

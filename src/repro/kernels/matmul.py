@@ -101,47 +101,106 @@ class BlockedMatrixMultiply(Kernel):
         return ComputationCost(ops_per_tile * tiles, io_per_tile * tiles)
 
     def _run(self, ctx: ExecutionContext, *, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if a.ndim != 2 or b.ndim != 2:
-            raise ConfigurationError("matrix multiplication requires 2-D operands")
-        if a.shape[1] != b.shape[0]:
-            raise ConfigurationError(
-                f"incompatible shapes for multiplication: {a.shape} and {b.shape}"
-            )
+        a, b = _operands(a, b)
         n_rows, n_inner = a.shape
         n_cols = b.shape[1]
         rows, cols, chunk_width = self._tile_geometry(ctx.memory.capacity_words)
 
-        # External memory holds the operands and the result; only tiles are
-        # ever resident in the PE.
-        c = np.zeros((n_rows, n_cols), dtype=float)
+        # The first tile with its first chunk is the largest working set the
+        # loop holds, so holding it once charges the loop's peak residency
+        # (and raises its MemoryCapacityError, if any).
+        if n_rows and n_cols:
+            tile_rows, tile_cols = min(rows, n_rows), min(cols, n_cols)
+            chunk = min(chunk_width, n_inner)
+            with ctx.memory.buffer("c_tile", tile_rows * tile_cols), \
+                    ctx.memory.buffer("a_chunk", tile_rows * chunk), \
+                    ctx.memory.buffer("b_chunk", chunk * tile_cols):
+                pass
 
+        # The same ``c_tile += a_chunk @ b_chunk`` per chunk, in the same
+        # order, as the reference loop; each tile is charged in closed form.
+        c = np.zeros((n_rows, n_cols), dtype=float)
+        k_spans = [slice(k0, k0 + chunk_width) for k0 in range(0, n_inner, chunk_width)]
+        b_panels = [
+            [b[k_span, j0 : j0 + cols] for k_span in k_spans]
+            for j0 in range(0, n_cols, cols)
+        ]
         for i0 in range(0, n_rows, rows):
             i1 = min(i0 + rows, n_rows)
-            for j0 in range(0, n_cols, cols):
+            a_panel = [a[i0:i1, k_span] for k_span in k_spans]
+            for j0, b_panel in zip(range(0, n_cols, cols), b_panels):
                 j1 = min(j0 + cols, n_cols)
                 tile_rows, tile_cols = i1 - i0, j1 - j0
-                tile_ops = 0.0
-                tile_io = 0.0
-                with ctx.memory.buffer("c_tile", tile_rows * tile_cols):
-                    c_tile = np.zeros((tile_rows, tile_cols))
-                    for k0 in range(0, n_inner, chunk_width):
-                        k1 = min(k0 + chunk_width, n_inner)
-                        chunk = k1 - k0
-                        with ctx.memory.buffer("a_chunk", tile_rows * chunk), \
-                                ctx.memory.buffer("b_chunk", chunk * tile_cols):
-                            a_chunk = a[i0:i1, k0:k1]
-                            b_chunk = b[k0:k1, j0:j1]
-                            ctx.io.read(tile_rows * chunk)
-                            ctx.io.read(chunk * tile_cols)
-                            tile_io += tile_rows * chunk + chunk * tile_cols
-                            c_tile += a_chunk @ b_chunk
-                            ops = 2.0 * tile_rows * tile_cols * chunk
-                            ctx.ops.add(ops)
-                            tile_ops += ops
-                    c[i0:i1, j0:j1] = c_tile
-                    ctx.io.write(tile_rows * tile_cols)
-                    tile_io += tile_rows * tile_cols
-                ctx.phases.record(f"tile[{i0}:{i1},{j0}:{j1}]", tile_ops, tile_io)
+                c_tile = np.zeros((tile_rows, tile_cols))
+                for a_chunk, b_chunk in zip(a_panel, b_panel):
+                    c_tile += a_chunk @ b_chunk
+                c[i0:i1, j0:j1] = c_tile
+                tile_ops = 2.0 * tile_rows * tile_cols * n_inner
+                tile_reads = (tile_rows + tile_cols) * n_inner
+                ctx.ops.add(tile_ops)
+                ctx.io.read(tile_reads)
+                ctx.io.write(tile_rows * tile_cols)
+                ctx.phases.record(
+                    f"tile[{i0}:{i1},{j0}:{j1}]",
+                    tile_ops,
+                    float(tile_reads + tile_rows * tile_cols),
+                )
         return c
+
+
+def _operands(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``b`` as float matrices, checked to be multipliable."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ConfigurationError("matrix multiplication requires 2-D operands")
+    if a.shape[1] != b.shape[0]:
+        raise ConfigurationError(
+            f"incompatible shapes for multiplication: {a.shape} and {b.shape}"
+        )
+    return a, b
+
+
+def _blocked_matmul_reference(
+    kernel: BlockedMatrixMultiply, ctx: ExecutionContext, a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """The chunk-by-chunk specification of :meth:`BlockedMatrixMultiply._run`:
+    every buffer held and every op and word charged as the chunk is
+    processed.  Only the equivalence tests call it."""
+    a, b = _operands(a, b)
+    n_rows, n_inner = a.shape
+    n_cols = b.shape[1]
+    rows, cols, chunk_width = kernel._tile_geometry(ctx.memory.capacity_words)
+
+    # External memory holds the operands and the result; only tiles are
+    # ever resident in the PE.
+    c = np.zeros((n_rows, n_cols), dtype=float)
+
+    for i0 in range(0, n_rows, rows):
+        i1 = min(i0 + rows, n_rows)
+        for j0 in range(0, n_cols, cols):
+            j1 = min(j0 + cols, n_cols)
+            tile_rows, tile_cols = i1 - i0, j1 - j0
+            tile_ops = 0.0
+            tile_io = 0.0
+            with ctx.memory.buffer("c_tile", tile_rows * tile_cols):
+                c_tile = np.zeros((tile_rows, tile_cols))
+                for k0 in range(0, n_inner, chunk_width):
+                    k1 = min(k0 + chunk_width, n_inner)
+                    chunk = k1 - k0
+                    with ctx.memory.buffer("a_chunk", tile_rows * chunk), \
+                            ctx.memory.buffer("b_chunk", chunk * tile_cols):
+                        a_chunk = a[i0:i1, k0:k1]
+                        b_chunk = b[k0:k1, j0:j1]
+                        ctx.io.read(tile_rows * chunk)
+                        ctx.io.read(chunk * tile_cols)
+                        tile_io += tile_rows * chunk + chunk * tile_cols
+                        c_tile += a_chunk @ b_chunk
+                        ops = 2.0 * tile_rows * tile_cols * chunk
+                        ctx.ops.add(ops)
+                        tile_ops += ops
+                c[i0:i1, j0:j1] = c_tile
+                ctx.io.write(tile_rows * tile_cols)
+                tile_io += tile_rows * tile_cols
+            ctx.phases.record(f"tile[{i0}:{i1},{j0}:{j1}]", tile_ops, tile_io)
+    return c

@@ -30,10 +30,11 @@ Four check groups, each producing pass/warn/fail :class:`Finding` records:
 * **span buffer** -- when span collection is enabled in this process, the
   ring buffer's dropped-span counter: any evictions are a warning, because
   ``GET /trace/{id}`` may then return partial trees for older jobs.
-* **environment sanity** -- numpy importable (with version), and the CPU
-  affinity mask vs. ``os.cpu_count()`` and the requested ``--jobs``:
-  oversubscribing an affinity-restricted container is the classic silent
-  slow-job cause.
+* **environment sanity** -- numpy importable (with version), the CPU
+  affinity mask vs. ``os.cpu_count()`` and the requested ``--jobs``
+  (oversubscribing an affinity-restricted container is the classic silent
+  slow-job cause), and each loaded OpenBLAS with its thread count here,
+  against the one thread a pool child runs.
 
 This module sits *above* the runtime and service layers (it imports both),
 so it is intentionally **not** re-exported from ``repro.obs``; import it as
@@ -663,7 +664,7 @@ def check_environment(jobs: int | None = None) -> list[Finding]:
     import os
     import platform
 
-    from repro.runtime.tasks import worker_count_source
+    from repro.runtime.tasks import openblas_threads, worker_count_source
 
     findings = []
     try:
@@ -725,6 +726,24 @@ def check_environment(jobs: int | None = None) -> list[Finding]:
                 data,
             )
         )
+
+    # The lookup the pool initializer uses to cap each child at one thread.
+    threads = openblas_threads()
+    if threads:
+        libraries = ", ".join(
+            f"{name} runs {count} threads" for name, count in threads.items()
+        )
+        detail = f"{libraries} here; pool children run 1 each, on a {label}"
+    else:
+        detail = "no OpenBLAS loaded; BLAS threads are left as they are"
+    findings.append(
+        Finding(
+            "env.blas",
+            PASS,
+            detail,
+            {"openblas_threads": threads, "pool_child_threads": 1 if threads else None},
+        )
+    )
     return findings
 
 

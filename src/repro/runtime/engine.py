@@ -103,7 +103,8 @@ class SweepRunner:
         collected back in submission order, so the output is deterministic
         and identical to a serial run.
     max_workers:
-        Pool size; defaults to the machine's core count.
+        Pool size; defaults to the CPUs in the scheduling affinity mask
+        (:func:`~repro.runtime.tasks.default_worker_count`).
     cache:
         Optional :class:`ResultCache`.  Points whose key is present are
         replayed without executing anything; fresh executions are stored

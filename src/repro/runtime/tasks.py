@@ -23,6 +23,7 @@ over :func:`~repro.runtime.engine.run_point`, against a
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import importlib
 import inspect
@@ -49,6 +50,8 @@ __all__ = [
     "callable_code_version",
     "default_worker_count",
     "execute_tasks",
+    "loaded_openblas",
+    "openblas_threads",
     "resolve_tasks",
 ]
 
@@ -98,6 +101,73 @@ def default_worker_count() -> int:
     ``os.cpu_count()`` reports the host's cores and oversubscribes the pool.
     """
     return worker_count_source()[0]
+
+
+#: Name templates of OpenBLAS's thread-count entry points, in the order they
+#: are tried: the scipy-openblas wheels' ILP64 names, plain ILP64, plain.
+_OPENBLAS_THREAD_API = (
+    "scipy_openblas_{}_num_threads64_",
+    "openblas_{}_num_threads64_",
+    "openblas_{}_num_threads",
+)
+
+
+def loaded_openblas() -> list[tuple[str, ctypes.CDLL, str]]:
+    """Each OpenBLAS mapped into this process: ``(path, library, api)``.
+
+    ``api`` is the first template of :data:`_OPENBLAS_THREAD_API` the library
+    exports.  Empty where ``/proc`` is missing or no OpenBLAS is loaded.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            # Only a line's pathname, its sixth field, can name a library.
+            paths = {
+                line.split(maxsplit=5)[5].strip()
+                for line in maps
+                if "openblas" in line.lower()
+            }
+    except OSError:
+        return []
+    found = []
+    for path in sorted(paths):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:  # mapped but no longer openable (e.g. deleted)
+            continue
+        for api in _OPENBLAS_THREAD_API:
+            if hasattr(library, api.format("set")):
+                found.append((path, library, api))
+                break
+    return found
+
+
+def _c_function(library: ctypes.CDLL, name: str, restype: Any, *argtypes: Any) -> Any:
+    """``library``'s function ``name``, with its C prototype declared."""
+    function = getattr(library, name)
+    function.restype, function.argtypes = restype, argtypes
+    return function
+
+
+def openblas_threads() -> dict[str, int]:
+    """Thread count of each loaded OpenBLAS, by library file name."""
+    return {
+        os.path.basename(path): _c_function(library, api.format("get"), ctypes.c_int)()
+        for path, library, api in loaded_openblas()
+    }
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: run every loaded OpenBLAS on one thread.
+
+    A forked child inherits OpenBLAS's default of one thread per CPU, so two
+    children on two CPUs would contend.  In a fresh child the setter also
+    starts OpenBLAS's thread server, whose idle thread busy-waits, so the
+    server is shut down again; a one-thread OpenBLAS never needs it.
+    """
+    for _, library, api in loaded_openblas():
+        _c_function(library, api.format("set"), None, ctypes.c_int)(1)
+        if hasattr(library, "blas_thread_shutdown_"):
+            _c_function(library, "blas_thread_shutdown_", ctypes.c_int)()
 
 
 @lru_cache(maxsize=None)
@@ -246,7 +316,8 @@ def execute_tasks(
     :class:`~repro.exceptions.TaskExecutionError` naming the failing task's
     label (the original exception is chained as ``__cause__``); in a
     parallel batch the first failure *in submission order* wins, matching
-    the serial path.
+    the serial path.  Pool children run OpenBLAS on one thread each
+    (:func:`_one_blas_thread`); a serial batch keeps this process's threads.
     """
     if not tasks:
         return []
@@ -262,7 +333,7 @@ def execute_tasks(
         return results
     ctx = obs_spans.task_context()
     workers = min(max_workers, len(tasks))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
         futures = [pool.submit(_run_task, task, ctx) for task in tasks]
         results = []
         for task, future in zip(tasks, futures):

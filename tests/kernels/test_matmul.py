@@ -7,8 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import ConfigurationError
-from repro.kernels.matmul import BlockedMatrixMultiply, tile_side_for_memory
+from repro.exceptions import ConfigurationError, MemoryCapacityError
+from repro.kernels.base import ExecutionContext
+from repro.kernels.matmul import (
+    BlockedMatrixMultiply,
+    _blocked_matmul_reference,
+    tile_side_for_memory,
+)
 
 
 class TestTileSideForMemory:
@@ -143,3 +148,95 @@ class TestBlockedMatrixMultiplyCosts:
         p1 = kernel.default_problem(8)
         p2 = kernel.default_problem(8)
         np.testing.assert_array_equal(p1["a"], p2["a"])
+
+
+def _outcome(run):
+    """What one run gave: output bytes and the reprs of its cost, peak and
+    phases (so an int where the other gives a float shows), or the type and
+    message of the error it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            output, cost, peak, phases = run()
+    except Exception as exc:  # the error is the outcome
+        return type(exc), str(exc)
+    return output.tobytes(), repr(cost), peak, repr(phases)
+
+
+class TestFastPathMatchesChunkReference:
+    """The tile-at-a-time kernel against the chunk-by-chunk loop: bitwise
+    outputs, identical cost, peak residency and phase list, and the same
+    error wherever one raises."""
+
+    @staticmethod
+    def _assert_equivalent(a, b, memory, tile_shape=None):
+        kernel = BlockedMatrixMultiply(tile_shape=tile_shape)
+
+        def fast():
+            execution = kernel.execute(memory, a=a, b=b)
+            return (
+                execution.output,
+                execution.cost,
+                execution.peak_memory_words,
+                execution.phases.phases,
+            )
+
+        def reference():
+            ctx = ExecutionContext.with_capacity(memory)
+            output = _blocked_matmul_reference(kernel, ctx, a, b)
+            return output, ctx.cost(), ctx.memory.peak_words, ctx.phases.phases
+
+        outcome = _outcome(fast)
+        assert outcome == _outcome(reference)
+        return outcome
+
+    @given(
+        n_rows=st.integers(min_value=0, max_value=20),
+        n_inner=st.integers(min_value=0, max_value=20),
+        n_cols=st.integers(min_value=0, max_value=20),
+        memory=st.one_of(
+            st.integers(min_value=3, max_value=60),
+            st.integers(min_value=3, max_value=2000),
+        ),
+        tile_shape=st.one_of(
+            st.none(),
+            st.tuples(
+                st.integers(min_value=1, max_value=12),
+                st.integers(min_value=1, max_value=12),
+            ),
+        ),
+        specials=st.sampled_from([0.0, 0.3]),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(
+        self, n_rows, n_inner, n_cols, memory, tile_shape, specials, seed
+    ):
+        """Any rectangular shape (empty ones too), any memory and tile shape,
+        including tiles that overflow the memory; a share of the entries
+        set to +-0.0 or NaN."""
+        rng = np.random.default_rng(seed)
+        operands = []
+        for shape in ((n_rows, n_inner), (n_inner, n_cols)):
+            x = rng.standard_normal(shape)
+            mask = rng.random(shape) < specials
+            x[mask] = rng.choice([0.0, -0.0, np.nan], size=int(mask.sum()))
+            operands.append(x)
+        self._assert_equivalent(*operands, memory, tile_shape)
+
+    def test_same_errors(self, rng):
+        a = rng.standard_normal((6, 5))
+        b = rng.standard_normal((5, 7))
+        # A 3 x 3 tile fills 9 of 10 words; the clamped one-word chunks
+        # then overflow the memory.
+        clamped = self._assert_equivalent(a, b, 10, (3, 3))
+        assert clamped[0] is MemoryCapacityError
+        assert "'a_chunk'" in clamped[1]
+        # A tile that fills the whole memory leaves no room for panels.
+        assert self._assert_equivalent(a, b, 9, (3, 3))[0] is ConfigurationError
+        assert self._assert_equivalent(a, b.T, 48)[0] is ConfigurationError
+
+    def test_full_suite_points(self):
+        kernel = BlockedMatrixMultiply()
+        for memory in (12, 27, 48, 108, 192, 300, 432):
+            problem = kernel.problem_for_memory(memory, 48)
+            self._assert_equivalent(problem["a"], problem["b"], memory)

@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
+from repro.kernels.base import ExecutionContext
+from repro.kernels.matmul import tile_side_for_memory
 from repro.kernels.triangularization import (
     BlockedLUTriangularization,
+    _blocked_lu_reference,
     make_diagonally_dominant,
     unblocked_lu,
 )
@@ -120,3 +123,84 @@ class TestBlockedLUCosts:
         a = make_diagonally_dominant(10, seed=21)
         off_diagonal = np.abs(a).sum(axis=1) - np.abs(np.diag(a))
         assert np.all(np.abs(np.diag(a)) > off_diagonal - 1e-9)
+
+
+def _outcome(run):
+    """What one run gave: output bytes and the reprs of its cost, peak and
+    phases (so an int where the other gives a float shows), or the type and
+    message of the error it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            output, cost, peak, phases = run()
+    except Exception as exc:  # the error is the outcome
+        return type(exc), str(exc)
+    return output.tobytes(), repr(cost), peak, repr(phases)
+
+
+class TestFastPathMatchesTileReference:
+    """The step-at-a-time kernel against the tile-by-tile loop: bitwise
+    outputs, identical cost, peak residency and phase list, and the same
+    error wherever one raises."""
+
+    @staticmethod
+    def _assert_equivalent(a, memory):
+        kernel = BlockedLUTriangularization()
+
+        def fast():
+            execution = kernel.execute(memory, a=a)
+            return (
+                execution.output,
+                execution.cost,
+                execution.peak_memory_words,
+                execution.phases.phases,
+            )
+
+        def reference():
+            ctx = ExecutionContext.with_capacity(memory)
+            output = _blocked_lu_reference(ctx, a)
+            return output, ctx.cost(), ctx.memory.peak_words, ctx.phases.phases
+
+        outcome = _outcome(fast)
+        assert outcome == _outcome(reference)
+        return outcome
+
+    @given(
+        n=st.integers(min_value=0, max_value=24),
+        memory=st.one_of(
+            st.integers(min_value=3, max_value=60),
+            st.integers(min_value=3, max_value=2000),
+        ),
+        dominant=st.booleans(),
+        specials=st.sampled_from([0.0, 0.2]),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, n, memory, dominant, specials, seed):
+        """Any order (empty too) and any memory, on diagonally dominant or
+        plain random matrices; a share of the entries set to +-0.0 or NaN,
+        so zero pivots and NaN propagation both occur."""
+        rng = np.random.default_rng(seed)
+        a = make_diagonally_dominant(n, seed=seed) if dominant else rng.standard_normal((n, n))
+        mask = rng.random((n, n)) < specials
+        a[mask] = rng.choice([0.0, -0.0, np.nan], size=int(mask.sum()))
+        self._assert_equivalent(a, memory)
+
+    @pytest.mark.parametrize("memory", [3, 12, 27, 300])
+    @pytest.mark.parametrize("where", [0, 1])
+    def test_zero_pivot_raises_the_same_error(self, memory, where):
+        """A zero first pivot, or one that elimination makes exactly zero."""
+        a = make_diagonally_dominant(9, seed=4)
+        a[where, where] = a[where, 0] / a[0, 0] * a[0, where] if where else 0.0
+        outcome = self._assert_equivalent(a, memory)
+        # Only a block's last pivot goes unchecked, so a one-column block
+        # (M < 12) checks none, and a two-column one misses the second.
+        if tile_side_for_memory(memory) > where + 1:
+            assert outcome == (
+                ConfigurationError,
+                "zero pivot encountered; matrix needs pivoting",
+            )
+
+    def test_full_suite_points(self):
+        kernel = BlockedLUTriangularization()
+        for memory in (12, 27, 48, 108, 192, 300, 432):
+            self._assert_equivalent(kernel.problem_for_memory(memory, 48)["a"], memory)

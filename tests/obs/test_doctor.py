@@ -326,6 +326,30 @@ class TestEnvironment:
         assert statuses["env.numpy"].status == PASS
         assert "numpy" in statuses["env.numpy"].data
 
+    def test_blas_finding_names_each_openblas_and_the_pool_threads(self):
+        from repro.runtime.tasks import openblas_threads
+
+        threads = openblas_threads()
+        if not threads:
+            pytest.skip("no OpenBLAS loaded in this process")
+        findings = _by_check(check_environment())
+        finding = findings["env.blas"]
+        assert finding.status == PASS
+        assert finding.data == {"openblas_threads": threads, "pool_child_threads": 1}
+        for name, count in threads.items():
+            assert f"{name} runs {count} threads" in finding.detail
+        workers = findings["env.affinity"].data["worker_count"]
+        assert f"pool children run 1 each, on a {workers}-CPU" in finding.detail
+
+    def test_blas_finding_without_openblas(self, monkeypatch):
+        import repro.runtime.tasks as tasks
+
+        monkeypatch.setattr(tasks, "loaded_openblas", lambda: [])
+        finding = _by_check(check_environment())["env.blas"]
+        assert finding.status == PASS
+        assert finding.data == {"openblas_threads": {}, "pool_child_threads": None}
+        assert "no OpenBLAS loaded" in finding.detail
+
     def test_oversubscribed_jobs_warn(self):
         import os
 

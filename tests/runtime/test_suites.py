@@ -176,6 +176,15 @@ class TestRunSuite:
         for s, p in zip(serial.results, parallel.results):
             assert p.sweep.intensities == s.sweep.intensities
 
+    def test_quick_suite_payload_serial_equals_parallel(self):
+        """The whole payload, the BLAS-dependent ``*_max_abs_error`` fields
+        included: pool children run one BLAS thread, this process its own
+        default."""
+        serial = run_suite("quick", SweepRunner()).as_dict()
+        parallel = run_suite("quick", SweepRunner(parallel=True, max_workers=2)).as_dict()
+        assert parallel["scenarios"] == serial["scenarios"]
+        assert parallel["experiments"] == serial["experiments"]
+
     def test_scenario_lookup_and_analysis(self, mini_suite):
         result = run_suite(mini_suite)
         matmul = result.scenario("mini-matmul")

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import pickle
+import time
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, TaskExecutionError
@@ -14,6 +17,7 @@ from repro.runtime.tasks import (
     callable_code_version,
     default_worker_count,
     execute_tasks,
+    openblas_threads,
     task_key,
 )
 
@@ -157,6 +161,27 @@ class TestExecuteTasks:
         assert execute_tasks(tasks, parallel=True, max_workers=3) == [
             x * x for x in range(8)
         ]
+
+
+def blas_threads_after_a_product() -> tuple[dict[str, int], int]:
+    """A BLAS-heavy task: its OpenBLAS thread counts and how many threads
+    its process runs, taken after the product."""
+    a = np.ones((300, 300))
+    a @ a
+    time.sleep(0.05)  # keep this child busy so the other takes a task too
+    return openblas_threads(), len(os.listdir("/proc/self/task"))
+
+
+class TestPoolChildrenRunOneBlasThread:
+    def test_every_child_runs_one_thread(self):
+        before = openblas_threads()
+        if not before:
+            pytest.skip("no OpenBLAS loaded in this process")
+        tasks = [Task(fn=blas_threads_after_a_product) for _ in range(4)]
+        results = execute_tasks(tasks, parallel=True, max_workers=2)
+        assert results == [({name: 1 for name in before}, 1)] * 4
+        # The parent keeps its own BLAS threads.
+        assert openblas_threads() == before
 
 
 def test_default_worker_count_positive():

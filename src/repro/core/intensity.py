@@ -354,14 +354,16 @@ class TabulatedIntensity(IntensityFunction):
         if target_intensity <= self._vals[0]:
             return max(self._mems[0], _MIN_MEMORY_WORDS)
         # Within the measured range: binary search on the monotone segments.
+        # A step depends only on (lo, hi), so once one leaves them unchanged
+        # every later step would too: stopping there returns the same bits.
         if target_intensity <= self._vals[-1]:
             lo, hi = self._mems[0], self._mems[-1]
             for _ in range(200):
                 mid = math.sqrt(lo * hi)
-                if self(mid) < target_intensity:
-                    lo = mid
-                else:
-                    hi = mid
+                step = (mid, hi) if self(mid) < target_intensity else (lo, mid)
+                if step == (lo, hi):
+                    break
+                lo, hi = step
             return hi
         # Beyond the measured range: extrapolate along the tail slope.
         slope = self._tail_slope()

@@ -20,6 +20,7 @@ from typing import Any, Mapping, Sequence
 from repro.analysis.sweep import MemorySweepResult, normalize_memory_sizes
 from repro.exceptions import ConfigurationError
 from repro.kernels.base import Kernel, KernelExecution
+from repro.obs import spans as obs_spans
 from repro.runtime.cache import ResultCache
 from repro.runtime.tasks import Task, default_worker_count, resolve_tasks
 
@@ -84,6 +85,17 @@ class SweepPlan:
             )
         object.__setattr__(
             self, "memory_sizes", normalize_memory_sizes(self.memory_sizes)
+        )
+
+    @property
+    def problem_ignores_memory(self) -> bool:
+        """True when every memory size runs the same problem: a fixed one, or
+        the problem of a kernel that keeps the base
+        :meth:`Kernel.problem_for_memory` (the grid kernels scale theirs with M).
+        """
+        return (
+            self.problem is not None
+            or type(self.kernel).problem_for_memory is Kernel.problem_for_memory
         )
 
     def problem_at(self, memory_words: int) -> dict[str, Any]:
@@ -157,13 +169,19 @@ class SweepRunner:
 
         All points from all plans share the worker pool, so a multi-kernel
         suite saturates the machine even when individual sweeps are short.
-        The returned list is ordered like ``plans``.
+        A plan whose problem ignores the memory size builds it once and its
+        points share it; each point's key is still the content hash of its
+        problem.  The returned list is ordered like ``plans``.
         """
         points: list[Task] = []
-        for plan in plans:
-            for size in plan.memory_sizes:
-                plan.kernel.validate_memory(size)
-                points.append(point_task(plan.kernel, size, plan.problem_at(size)))
+        with obs_spans.phase("sweep.problems"):
+            for plan in plans:
+                problem = None
+                for size in plan.memory_sizes:
+                    plan.kernel.validate_memory(size)
+                    if problem is None or not plan.problem_ignores_memory:
+                        problem = plan.problem_at(size)
+                    points.append(point_task(plan.kernel, size, problem))
 
         executions, _ = resolve_tasks(
             points,

@@ -988,9 +988,9 @@ def run_suite(
     runtime_info: dict[str, object] = {
         "parallel": runner.parallel,
         "max_workers": runner.max_workers,
-        "cache": runner.cache.stats.as_dict() if runner.cache else None,
+        "cache": None if runner.cache is None else runner.cache.stats.as_dict(),
         "task_cache": (
-            task_runner.cache.stats.as_dict() if task_runner.cache else None
+            None if task_runner.cache is None else task_runner.cache.stats.as_dict()
         ),
         "task_runner": task_runner.stats.as_dict(),
         "points": sum(len(plan.memory_sizes) for plan in plans),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,65 @@ from repro.core.intensity import (
     TabulatedIntensity,
 )
 from repro.exceptions import ConfigurationError, RebalanceInfeasibleError
+
+
+def _bisection_200(table: TabulatedIntensity, target: float) -> float:
+    """Reference for ``table.invert(target)`` with ``0 < target <= F(M_max)``:
+    the geometric bisection run for a fixed 200 steps."""
+    (m_first, f_first), (m_last, _) = table.samples[0], table.samples[-1]
+    if target <= f_first:
+        return max(m_first, 1.0)
+    lo, hi = m_first, m_last
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        if table(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("d", value)
+
+
+_INTENSITIES = st.floats(min_value=1e-3, max_value=1e6)
+
+
+@st.composite
+def _tables_and_targets(draw) -> tuple[TabulatedIntensity, float]:
+    """A monotone, non-monotone or flat table, and a target it can bisect for."""
+    mems = sorted(
+        draw(
+            st.lists(
+                st.integers(min_value=1, max_value=10**9),
+                min_size=2, max_size=8, unique=True,
+            )
+        )
+    )
+    size = len(mems)
+    shape = draw(st.sampled_from(["monotone", "non-monotone", "flat"]))
+    if shape == "monotone":
+        vals = sorted(draw(st.lists(_INTENSITIES, min_size=size, max_size=size)))
+    elif shape == "non-monotone":
+        vals = draw(st.lists(_INTENSITIES, min_size=size, max_size=size))
+    else:  # one or two plateaus
+        levels = draw(st.lists(_INTENSITIES, min_size=1, max_size=2))
+        vals = sorted(
+            draw(st.lists(st.sampled_from(levels), min_size=size, max_size=size))
+        )
+    # invert bisects for targets in (F(M_first), F(M_last)]; a target at or
+    # below F(M_first) returns M_first.
+    first, last = vals[0], vals[-1]
+    bisected = [v for v in vals if first < v <= last]
+    where = draw(st.sampled_from(["inside", "sample", "sample"]))
+    if where == "inside" and first < last:
+        target = draw(st.floats(min_value=first, max_value=last, exclude_min=True))
+    elif bisected and draw(st.booleans()):
+        target = draw(st.sampled_from(bisected))
+    else:
+        target = draw(st.sampled_from([v for v in vals if v <= last]))
+    return TabulatedIntensity(mems, vals), target
 
 
 class TestPowerLawIntensity:
@@ -219,6 +279,27 @@ class TestTabulatedIntensity:
     def test_non_positive_samples_rejected(self):
         with pytest.raises(ConfigurationError):
             TabulatedIntensity([4, 16], [0.0, 2.0])
+
+    @given(case=_tables_and_targets())
+    @settings(max_examples=400)
+    def test_invert_is_bitwise_the_200_step_bisection(self, case):
+        table, target = case
+        assert _bits(table.invert(target)) == _bits(_bisection_200(table, target))
+
+    def test_invert_stops_at_the_bisection_fixpoint(self):
+        calls = []
+
+        class Counting(TabulatedIntensity):
+            def __call__(self, memory_words):
+                calls.append(memory_words)
+                return super().__call__(memory_words)
+
+        mems = [4, 16, 64, 256]
+        table = Counting(mems, [m**0.5 for m in mems])
+        memory = table.invert(8.0)
+        # Geometric bisection over [4, 256] pins a double within ~60 steps.
+        assert len(calls) < 100, len(calls)
+        assert _bits(memory) == _bits(_bisection_200(table, 8.0))
 
     @given(
         exponent=st.floats(min_value=0.25, max_value=1.0),

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from repro.core.model import ComputationCost
 from repro.exceptions import ConfigurationError
 from repro.kernels.base import ExecutionContext, Kernel, outputs_match
 from repro.kernels import default_kernels
+from repro.runtime.suites import KERNEL_FACTORIES
 
 
 class _ToyDoublingKernel(Kernel):
@@ -139,3 +140,33 @@ class TestDefaultKernels:
                 memory = 4096
             execution = kernel.execute(memory, **problem)
             assert kernel.verify(execution), kernel.name
+
+
+def _array_bytes(value: Any, path: str = "problem") -> Iterator[tuple[str, str, bytes]]:
+    """``(path, dtype, bytes)`` of every numpy array reachable from a problem."""
+    if isinstance(value, np.ndarray):
+        yield path, value.dtype.str, value.tobytes()
+    elif isinstance(value, Mapping):
+        for key in sorted(value):
+            yield from _array_bytes(value[key], f"{path}[{key!r}]")
+    elif hasattr(value, "__dict__"):
+        yield from _array_bytes(vars(value), f"{path}.{type(value).__name__}")
+
+
+class TestKernelsLeaveTheirProblemUnchanged:
+    """The sweep engine runs every point of a plan whose problem ignores the
+    memory size on one shared problem instance, which is only sound while
+    kernels copy or merely read their inputs."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_FACTORIES))
+    def test_execute_leaves_every_problem_array_unchanged(self, name):
+        kernel = KERNEL_FACTORIES[name]()
+        # A d-dimensional grid needs 4**d words for its smallest haloed block.
+        small = max(16, 4 ** getattr(kernel, "dimension", 1))
+        large = 4096
+        problem = kernel.problem_for_memory(small, 8)
+        before = list(_array_bytes(problem))
+        assert before, f"{name}'s problem holds no arrays"
+        for memory in (small, large):
+            kernel.execute(memory, **problem)
+            assert list(_array_bytes(problem)) == before, (name, memory)

@@ -9,7 +9,8 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.kernels.base import Kernel
-from repro.runtime.cache import MISS, ResultCache, TaskCache
+from repro.obs import spans as obs_spans
+from repro.runtime.cache import MISS, EntryStore, ResultCache, TaskCache
 from repro.runtime.engine import SweepRunner
 from repro.runtime.suites import (
     EXPERIMENT_KINDS,
@@ -232,6 +233,47 @@ class TestRunSuite:
         assert len(rows) == 6
         assert rows[0]["suite"] == "mini"
         assert {"scenario", "kernel", "memory_words", "intensity"} <= set(rows[0])
+
+
+class TestRunSuiteRuntimeInfo:
+    def test_an_empty_configured_cache_reports_zero_lookups(self, tmp_path, monkeypatch):
+        """A configured cache reports its stats even when it holds no entries,
+        and reporting them never lists the cache directory."""
+
+        def no_listing(self):
+            raise AssertionError("run_suite listed a cache's entries")
+
+        monkeypatch.setattr(EntryStore, "__len__", no_listing)
+        experiments_only = ScenarioSuite(
+            name="experiments-only",
+            description="",
+            scenarios=(),
+            experiments=(ExperimentScenario("only-figure2", "figure2"),),
+        )
+        result = run_suite(
+            experiments_only, SweepRunner(cache=ResultCache(tmp_path / "cache"))
+        )
+        assert result.runtime["cache"] == {
+            "hits": 0, "misses": 0, "stores": 0, "store_failures": 0,
+        }
+        assert result.runtime["task_cache"]["misses"] == 1
+
+    def test_uncached_runners_report_no_cache(self, mini_suite):
+        runtime = run_suite(mini_suite).runtime
+        assert runtime["cache"] is None and runtime["task_cache"] is None
+
+    def test_traced_suite_times_problem_building_under_its_root(
+        self, mini_suite, monkeypatch
+    ):
+        monkeypatch.setattr(obs_spans, "_COLLECTOR", None)
+        sink = obs_spans.enable(build_info={"git_rev": "testrev0"})
+        run_suite(mini_suite)
+        spans = sink.spans()
+        (root,) = [s for s in spans if s["name"] == "suite.run"]
+        (problems,) = [s for s in spans if s["name"] == "sweep.problems"]
+        assert problems["kind"] == "phase"
+        assert problems["parent_id"] == root["span_id"]
+        assert problems["attributes"]["calls"] == 1
 
 
 class TestRunSuiteExperiments:

@@ -7,12 +7,36 @@ import pytest
 from repro.analysis.sweep import MemorySweep
 from repro.exceptions import ConfigurationError
 from repro.kernels.fft import BlockedFFT
+from repro.kernels.grid import GridRelaxation
 from repro.kernels.matmul import BlockedMatrixMultiply
 from repro.runtime.cache import MISS, ResultCache
-from repro.runtime.engine import SweepPlan, SweepRunner, execution_key
+from repro.runtime.engine import SweepPlan, SweepRunner, execution_key, point_task
 
 MEMORIES = (12, 27, 48)
 SCALE = 12
+GRID_MEMORIES = (16, 36, 64)
+
+
+def _mixed_plans() -> list[SweepPlan]:
+    """Two plans whose problem ignores the memory size, and one grid plan."""
+    return [
+        SweepPlan(kernel=BlockedMatrixMultiply(), memory_sizes=MEMORIES, scale=SCALE),
+        SweepPlan(kernel=BlockedFFT(), memory_sizes=(4, 8, 64), scale=10),
+        SweepPlan(kernel=GridRelaxation(2), memory_sizes=GRID_MEMORIES, scale=7),
+    ]
+
+
+def _count_calls(monkeypatch, klass: type, method: str) -> list[tuple]:
+    """Record the arguments of every call to ``klass.method``."""
+    calls = []
+    original = getattr(klass, method)
+
+    def counting(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(klass, method, counting)
+    return calls
 
 
 class TestSweepPlan:
@@ -179,3 +203,36 @@ class TestPointKeys:
         monkeypatch.setattr(BlockedMatrixMultiply, "verify", lambda self, execution: False)
         with pytest.raises(ConfigurationError, match="incorrect result at M=12"):
             SweepRunner(verify=True).run_default(BlockedMatrixMultiply(), MEMORIES, SCALE)
+
+
+class TestSharedProblems:
+    """A plan whose problem ignores M builds it once; grids build one per size."""
+
+    def test_problem_ignores_memory(self):
+        matmul, fft, grid = _mixed_plans()
+        assert matmul.problem_ignores_memory and fft.problem_ignores_memory
+        assert not grid.problem_ignores_memory
+        fixed = SweepPlan(
+            kernel=GridRelaxation(2), memory_sizes=GRID_MEMORIES,
+            problem=GridRelaxation(2).default_problem(4),
+        )
+        assert fixed.problem_ignores_memory
+
+    def test_cold_run_builds_each_plans_problem_once(self, monkeypatch):
+        matmul = _count_calls(monkeypatch, BlockedMatrixMultiply, "default_problem")
+        fft = _count_calls(monkeypatch, BlockedFFT, "default_problem")
+        grid = _count_calls(monkeypatch, GridRelaxation, "problem_for_memory")
+        results = SweepRunner().run_plans(_mixed_plans())
+        assert matmul == [(SCALE,)]
+        assert fft == [(10,)]
+        assert grid == [(memory, 7) for memory in GRID_MEMORIES]
+        assert all(len(result.executions) == 3 for result in results)
+
+    def test_point_keys_hash_each_points_own_problem(self):
+        plans = _mixed_plans()
+        for plan, result in zip(plans, SweepRunner().run_plans(plans)):
+            assert result.point_keys == tuple(
+                point_task(plan.kernel, m, plan.problem_at(m)).key()
+                for m in plan.memory_sizes
+            )
+            assert len(set(result.point_keys)) == len(plan.memory_sizes)

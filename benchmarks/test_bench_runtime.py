@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from conftest import emit
+from conftest import best_of, emit
 
 from repro.core import registry
 from repro.experiments.pebble_bounds import blocked_matmul_order, pebble_point_tasks
@@ -98,7 +98,9 @@ def test_bench_pebble_fast_engine_beats_validated_engine():
     The validating engine (``record_moves=True``) is the seed code path: it
     checks every move's legality against hash sets and allocates a ``Move``
     per step.  The fast engine plays the identical strategy on
-    integer-indexed arrays with a lazy-deletion LRU heap.
+    integer-indexed arrays with a lazy-deletion LRU heap.  Each engine
+    takes the best of ``TIMING_REPEATS`` runs, since one preemption can
+    decide a single 4-30 ms race.
     """
     cases = [
         ("matmul[10] S=32 blocked", matmul_dag(10), 32, blocked_matmul_order(10, 32)),
@@ -107,13 +109,10 @@ def test_bench_pebble_fast_engine_beats_validated_engine():
     lines = []
     total_fast = total_validated = 0.0
     for label, dag, limit, order in cases:
-        started = time.perf_counter()
-        fast = play_topological(dag, limit, order=order)
-        fast_seconds = time.perf_counter() - started
-
-        started = time.perf_counter()
-        validated = play_topological(dag, limit, order=order, record_moves=True)
-        validated_seconds = time.perf_counter() - started
+        fast, fast_seconds = best_of(lambda: play_topological(dag, limit, order=order))
+        validated, validated_seconds = best_of(
+            lambda: play_topological(dag, limit, order=order, record_moves=True)
+        )
 
         assert fast.io_operations == validated.io_operations
         assert fast.peak_red_pebbles == validated.peak_red_pebbles

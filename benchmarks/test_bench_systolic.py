@@ -14,12 +14,10 @@ root (the perf baseline the CI perf-smoke job asserts against).
 from __future__ import annotations
 
 import json
-import math
-import time
 from pathlib import Path
 
 import numpy as np
-from conftest import emit
+from conftest import best_of, emit
 
 from repro.arrays.systolic import LinearMatvecArray, OutputStationaryMatmulArray
 from repro.arrays.triangular_qr import GentlemanKungTriangularArray
@@ -40,25 +38,10 @@ MATVEC_CASES = ((64, 4), (256, 2), (512, 2))
 #: whole-band updates per wavefront step); small orders are dominated by
 #: the per-step rotation batch, so the timed cases start at 32 columns.
 QR_CASES = ((32, 64), (64, 128), (128, 256))
-
-#: Timing repetitions, applied identically to both engines.  A single run
-#: per side is vulnerable to one GC pause or scheduler preemption on a
-#: shared CI runner; an *asymmetric* policy (one reference run vs
-#: best-of-3 fast runs, as earlier revisions did) systematically biases
-#: the reported speedup upward, because only the fast engine gets to
-#: discard its unlucky runs.
-TIMING_REPEATS = 3
-
-
-def _timed(fn, *args, repeats: int = TIMING_REPEATS):
-    """Best-of-``repeats`` wall-clock time, same policy for both engines."""
-    best = math.inf
-    result = None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        result = fn(*args)
-        best = min(best, time.perf_counter() - started)
-    return result, best
+#: (order, rows) QR cases run on the fast engine only, like
+#: ``MATMUL_FAST_ONLY_CASES``: the order-256 array on 512 rows is the
+#: ``full`` suite's largest QR.
+QR_FAST_ONLY_CASES = ((256, 512),)
 
 
 def test_bench_systolic_arrays(benchmark):
@@ -90,10 +73,10 @@ def test_bench_wavefront_engine_vs_reference():
             (rng.standard_normal((order, order)), rng.standard_normal((order, order)))
             for _ in range(batches)
         ]
-        reference, reference_seconds = _timed(
+        reference, reference_seconds = best_of(
             OutputStationaryMatmulArray(order, engine="reference").run, problems
         )
-        fast, fast_seconds = _timed(
+        fast, fast_seconds = best_of(
             OutputStationaryMatmulArray(order, engine="fast").run, problems
         )
         assert fast.cycles == reference.cycles
@@ -124,7 +107,7 @@ def test_bench_wavefront_engine_vs_reference():
             for _ in range(batches)
         ]
         mesh = OutputStationaryMatmulArray(order, engine="fast")
-        fast, fast_seconds = _timed(mesh.run, problems)
+        fast, fast_seconds = best_of(mesh.run, problems)
         report = mesh.verify(problems)
         assert report.ok, f"order-{order} fast mesh mismatch: {report.max_abs_error}"
         rows["matmul"].append(
@@ -147,10 +130,10 @@ def test_bench_wavefront_engine_vs_reference():
             (rng.standard_normal((length, length)), rng.standard_normal(length))
             for _ in range(batches)
         ]
-        reference, reference_seconds = _timed(
+        reference, reference_seconds = best_of(
             LinearMatvecArray(length, engine="reference").run, problems
         )
-        fast, fast_seconds = _timed(
+        fast, fast_seconds = best_of(
             LinearMatvecArray(length, engine="fast").run, problems
         )
         assert fast.cycles == reference.cycles
@@ -177,10 +160,10 @@ def test_bench_wavefront_engine_vs_reference():
 
     for order, qr_rows in QR_CASES:
         a = rng.standard_normal((qr_rows, order))
-        reference, reference_seconds = _timed(
+        reference, reference_seconds = best_of(
             GentlemanKungTriangularArray(order, engine="reference").run, a
         )
-        fast, fast_seconds = _timed(
+        fast, fast_seconds = best_of(
             GentlemanKungTriangularArray(order, engine="fast").run, a
         )
         assert fast.cycles == reference.cycles
@@ -204,10 +187,31 @@ def test_bench_wavefront_engine_vs_reference():
             f"({speedup:.1f}x)"
         )
 
+    for order, qr_rows in QR_FAST_ONLY_CASES:
+        a = rng.standard_normal((qr_rows, order))
+        array = GentlemanKungTriangularArray(order, engine="fast")
+        fast, fast_seconds = best_of(array.run, a)
+        report = array.verify(a)
+        assert report.ok, f"order-{order} fast QR mismatch: {report.max_abs_error}"
+        rows["qr"].append(
+            {
+                "order": order,
+                "rows": qr_rows,
+                "cycles": fast.cycles,
+                "reference_seconds": None,
+                "fast_seconds": fast_seconds,
+                "speedup": None,
+            }
+        )
+        lines.append(
+            f"QR array    {order:3d} cols: reference  (skipped), fast "
+            f"{fast_seconds * 1e3:7.1f} ms (verified against numpy)"
+        )
+
     payload = {
         # v2: symmetric best-of-N timing for both engines, QR order-128 and
-        # matvec length-512 rows, and fast-only rows (order-256 mesh) whose
-        # reference_seconds/speedup are null.
+        # matvec length-512 rows, and fast-only rows (order-256 mesh and
+        # order-256 QR) whose reference_seconds/speedup are null.
         "schema": "repro-bench-systolic/v2",
         "description": (
             "Cycle-level systolic simulators: validating reference engine vs "
@@ -225,7 +229,7 @@ def test_bench_wavefront_engine_vs_reference():
 
     # Speedup floors.  The floors are conservative fractions of the typical
     # factors -- matmul-32 ~1500x and matvec-256/512 ~120-180x with the
-    # schedule-free engines, QR-64 10-15x with the banded anti-diagonal
+    # schedule-free engines, QR-64 14-18x with the banded anti-diagonal
     # engine -- so a miss means a real regression, not runner jitter.  The
     # CI perf-smoke job re-asserts tighter floors from the artifact (mesh
     # >= 100x, matvec >= 40x); tier-1 keeps these loose ones because it runs

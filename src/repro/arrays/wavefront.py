@@ -20,7 +20,7 @@ replaying their cycles.
   ``batches*n + n`` and ``batches*n**2`` for the matvec array.
 * **Triangular QR array: banded anti-diagonal steps.**  Its boundary cells
   generate data-dependent rotations, so the engine keeps the wavefront
-  order and runs each anti-diagonal as whole-band updates (see
+  order and runs each anti-diagonal as unmasked whole-band updates (see
   :func:`qr_wavefront`).
 
 Every elementary floating-point operation is performed in the same order as
@@ -209,6 +209,14 @@ def matvec_wavefront(
 # ---------------------------------------------------------------------------
 
 
+#: Rows per sub-band of a QR step's band.  Sub-band rows ``[a0, a1)`` update
+#: columns ``a0:`` only, so a taller sub-band computes more dead lanes and a
+#: shorter one issues more numpy calls.  At order 256 with 512 rows (2-vCPU
+#: x86-64 VM, numpy 2.4), heights of 32 to 96 rows timed within 2% of each
+#: other (best of 8), 16 rows 24% slower and one unsplit band 32% slower.
+_SUB_BAND_ROWS = 48
+
+
 def qr_wavefront(a: np.ndarray, order: int) -> tuple[np.ndarray, int, int]:
     """Banded anti-diagonal replay of the triangular array's dataflow.
 
@@ -226,18 +234,23 @@ def qr_wavefront(a: np.ndarray, order: int) -> tuple[np.ndarray, int, int]:
       in-flight row block;
     * every Givens rotation of the step is generated by **one** array-input
       :func:`~repro.arrays.triangular_qr.givens_rotation` call;
-    * the internal-cell sweeps apply as two banded row expressions over
-      ``r[lo:hi]`` and the matching (reversed) block of in-flight rows, with
-      a precomputed strict-upper-triangular mask keeping each row's write
-      confined to its ``j > i`` tail.
+    * the cell updates apply as two row expressions, ``c*r + s*v`` and
+      ``-s*r + c*v``, over ``r``'s band rows and the matching (reversed)
+      block of in-flight rows, per sub-band of ``_SUB_BAND_ROWS`` rows
+      sliced from the sub-band's first row's column on.
 
-    Every elementwise operation evaluates the exact expression the reference
-    engine evaluates for that cell, and the dependency order (``(k, i)``
-    after ``(k-1, i)`` and ``(k, i-1)``) is preserved by the step ordering,
-    so for finite inputs the result is bitwise identical.  Cells the
-    reference never writes (the strictly-lower zeros of ``r``; components
-    behind a row's boundary interaction) are never written here either, so
-    garbage can't leak in through masked-out lanes.  A NaN/inf input row
+    The updates need no mask.  They never mix columns (lanes), and for
+    array row ``i`` lane ``j`` is live in both ``r[i]`` and the in-flight
+    row exactly when ``j >= i``; lane ``i`` is the boundary cell's
+    ``c*r[i, i] + s*vec[k, i]``.  The dead lanes ``j < i`` -- ``r``'s strict
+    lower triangle and the in-flight row's consumed entries -- only combine
+    with each other, so they never reach a live lane, and one ``np.triu``
+    at the end restores the reference's +0.0 below the diagonal.
+
+    Every live lane evaluates the exact expression the reference engine
+    evaluates for that cell, and the dependency order (``(k, i)`` after
+    ``(k-1, i)`` and ``(k, i-1)``) is preserved by the step ordering, so
+    for finite inputs the result is bitwise identical.  A NaN/inf input row
     smears the same NaN/inf wake across both engines, but only up to NaN
     sign/payload: IEEE 754 leaves NaN propagation through two-NaN operands
     unspecified, and CPython's scalar ``+`` keeps the second operand's NaN
@@ -256,8 +269,7 @@ def qr_wavefront(a: np.ndarray, order: int) -> tuple[np.ndarray, int, int]:
 
     work = np.array(a, dtype=float)  # the in-flight (partially rotated) rows
     work_flat = work.reshape(-1)
-    diagonal = r.reshape(-1)[:: n + 1]  # writable view of r's diagonal
-    tail_mask = np.triu(np.ones((n, n), dtype=bool), k=1)
+    diagonal = r.reshape(-1)[:: n + 1]  # view of r's diagonal
 
     # Per-step phases aggregate (total seconds + call count per name), so an
     # order-128 QR's ~380 steps cost ~380 clock-read pairs and flush as two
@@ -274,23 +286,20 @@ def qr_wavefront(a: np.ndarray, order: int) -> tuple[np.ndarray, int, int]:
             incoming = work_flat[step * n - (n - 1) * np.arange(lo, hi)]
         c, s = givens_rotation(boundary, incoming)
         with obs_spans.phase("qr_wavefront.apply"):
-            new_boundary = c * boundary + s * incoming
-            if n > 1:
-                # Band rows ordered by i ascending; the matching in-flight
-                # rows k = step - i come out of a reversed slice of the block.
-                r_band = r[lo:hi]
-                v_band = work[step - hi + 1 : step - lo + 1][::-1]
-                mask = tail_mask[lo:hi]
-                new_r = c[:, None] * r_band + s[:, None] * v_band
-                new_v = -s[:, None] * r_band + c[:, None] * v_band
-                r[lo:hi] = np.where(mask, new_r, r_band)
-                work[step - hi + 1 : step - lo + 1] = np.where(
-                    mask, new_v, v_band
-                )[::-1]
-            diagonal[lo:hi] = new_boundary
+            for a0 in range(lo, hi, _SUB_BAND_ROWS):
+                a1 = min(a0 + _SUB_BAND_ROWS, hi)
+                # Rows ordered by i ascending; the matching in-flight rows
+                # k = step - i come out of a reversed slice of the block.
+                r_band = r[a0:a1, a0:]
+                v_band = work[step - a1 + 1 : step - a0 + 1, a0:][::-1]
+                c_band = c[a0 - lo : a1 - lo, None]
+                s_band = s[a0 - lo : a1 - lo, None]
+                new_r = c_band * r_band + s_band * v_band
+                v_band[...] = -s_band * r_band + c_band * v_band
+                r_band[...] = new_r
 
     # One boundary + (n - i - 1) internal interactions per (k, i) pair --
     # every pair occurs exactly once, so the totals close over the schedule.
     active_cell_steps = m * n * (n + 1) // 2
     rotations = m * n
-    return r, active_cell_steps, rotations
+    return np.triu(r), active_cell_steps, rotations

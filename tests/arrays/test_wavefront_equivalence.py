@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arrays import wavefront
 from repro.arrays.systolic import LinearMatvecArray, OutputStationaryMatmulArray
 from repro.arrays.triangular_qr import GentlemanKungTriangularArray
 from repro.arrays.wavefront import ENGINES, validate_engine
@@ -325,6 +326,62 @@ class TestTriangularQREquivalence:
         assert fast.active_cell_steps == reference.active_cell_steps
         assert fast.rotations_generated == reference.rotations_generated
         assert fast.r_factor.tobytes() == reference.r_factor.tobytes()
+
+    @given(
+        m=st.integers(min_value=1, max_value=24),
+        n=st.integers(min_value=1, max_value=12),
+        height=st.integers(min_value=1, max_value=3),
+        density=st.sampled_from([0.0, 0.1, 0.3]),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_split_bands_match_reference(self, m, n, height, density, seed):
+        """Sub-bands of 1-3 rows split the bands of n <= 12 several ways, and
+        each sub-band starts its lanes at its own first row's column.  Finite
+        inputs match bitwise; with +-inf and +-0.0 the NaNs match in place."""
+        rng = np.random.default_rng(seed)
+        a = _with_specials(rng, (m, n), density)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(wavefront, "_SUB_BAND_ROWS", height)
+            reference, fast = _run_both(
+                lambda e: GentlemanKungTriangularArray(n, engine=e), a
+            )
+        assert fast.active_cell_steps == reference.active_cell_steps
+        assert fast.rotations_generated == reference.rotations_generated
+        if density == 0.0:
+            assert fast.r_factor.tobytes() == reference.r_factor.tobytes()
+        else:
+            assert _equal_up_to_nan_bits([fast.r_factor], [reference.r_factor])
+
+    def test_order_96_spot_check_at_the_default_sub_band_height(self, rng):
+        """A split band's lower sub-band does live work.
+
+        Input row ``k`` leaves array row ``k`` all zeros, so it meets the
+        rows ``i > k`` as idle pairs.  A lower sub-band (rows ``i`` >= the
+        sub-band height) holds a live pair ``k >= i`` only once the input
+        runs past twice the sub-band height.
+        """
+        n, m = 96, 128
+        assert m > 2 * wavefront._SUB_BAND_ROWS and n > wavefront._SUB_BAND_ROWS
+        a = rng.standard_normal((m, n))
+        reference = GentlemanKungTriangularArray(n, engine="reference").run(a)
+        fast = GentlemanKungTriangularArray(n, engine="fast").run(a)
+        assert fast.active_cell_steps == reference.active_cell_steps
+        assert fast.r_factor.tobytes() == reference.r_factor.tobytes()
+
+    def test_strict_lower_triangle_stays_positive_zero_after_inf(self, rng):
+        """An inf input turns the fast engine's discarded lanes NaN, yet R's
+        strict lower triangle reads +0.0, sign bit clear, as the reference
+        leaves it."""
+        n = 6
+        a = rng.standard_normal((9, n))
+        a[0, 0] = np.inf
+        lower = np.tril_indices(n, k=-1)
+        for engine in ENGINES:
+            with np.errstate(invalid="ignore"):
+                r = GentlemanKungTriangularArray(n, engine=engine).run(a).r_factor
+            assert np.isnan(r[0, 0])
+            assert r[lower].tobytes() == np.zeros(len(lower[0])).tobytes(), engine
 
     def test_degenerate_one_cell_array(self, rng):
         a = rng.standard_normal((5, 1))

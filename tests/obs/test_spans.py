@@ -326,6 +326,27 @@ class TestTracingNeverPerturbsScience:
         )
 
 
+class TestQRWavefrontPhases:
+    def test_one_span_per_phase_and_one_call_per_step(self, rng):
+        """An order-64 array on 100 rows: its widest bands split into
+        sub-bands, but each phase is timed once per wavefront step."""
+        from repro.arrays.triangular_qr import GentlemanKungTriangularArray
+
+        order, rows = 64, 100
+        sink = _enable()
+        with obs_spans.span("qr", kind="task", parent=("trace-qr", None)) as task:
+            GentlemanKungTriangularArray(order, engine="fast").run(
+                rng.standard_normal((rows, order))
+            )
+        phases = [s for s in sink.spans("trace-qr") if s["kind"] == "phase"]
+        assert sorted(s["name"] for s in phases) == [
+            "givens_rotation_batch", "qr_wavefront.apply", "qr_wavefront.gather",
+        ]
+        for recorded in phases:
+            assert recorded["attributes"]["calls"] == rows + order - 1
+            assert recorded["parent_id"] == task.span_id
+
+
 class TestJsonLogging:
     def test_formatter_carries_bound_trace_and_span(self):
         _enable()

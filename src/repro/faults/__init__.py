@@ -14,7 +14,9 @@ points that the service stack calls at the moments real systems break:
   cost a future cache miss, never a failed job);
 * ``journal-torn-write`` -- persist only a prefix of one journal line, the
   artifact a crash mid-append leaves (exercises torn-tail repair, replay
-  skipping and ``repro doctor``'s torn-line classification).
+  skipping and ``repro doctor``'s torn-line classification);
+* ``manifest-torn-write`` -- the same for one line of the result store's
+  manifest (exercises the store's rebuild of its index from the segments).
 
 Injection is **off by default and free when off**: every injection point is
 a module-global ``None`` check.  Chaos runs activate it via

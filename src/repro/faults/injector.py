@@ -63,6 +63,7 @@ FAULT_KINDS = (
     "slow-task",
     "cache-write-failure",
     "journal-torn-write",
+    "manifest-torn-write",
 )
 
 ENV_SPEC = "REPRO_FAULTS"
@@ -297,8 +298,9 @@ def maybe_inject(kind: str, site: str = "") -> None:
     * ``slow-task`` sleeps for the rule's ``delay`` and returns;
     * ``task-crash`` raises :class:`InjectedWorkerCrash`;
     * ``cache-write-failure`` raises :class:`OSError`;
-    * ``journal-torn-write`` never fires here -- it needs the caller to
-      write partial data, so journal writers use :func:`torn_write_armed`.
+    * ``journal-torn-write`` and ``manifest-torn-write`` never fire here --
+      they need the caller to write partial data, so journal and store
+      manifest writers use :func:`torn_write_armed`.
     """
     injector = _INJECTOR
     if injector is None:
@@ -316,16 +318,18 @@ def maybe_inject(kind: str, site: str = "") -> None:
         raise OSError(f"injected cache write failure at {site or 'cache'}")
 
 
-def torn_write_armed(site: str = "") -> bool:
-    """True when a ``journal-torn-write`` rule fires for this journal append.
+def torn_write_armed(site: str = "", kind: str = "journal-torn-write") -> bool:
+    """True when a torn-write rule of ``kind`` fires for this append.
 
-    The caller then persists only a prefix of its line -- the artifact an
-    interrupted ``write(2)`` leaves -- instead of raising.
+    ``kind`` is ``journal-torn-write`` (the job journal) or
+    ``manifest-torn-write`` (the result store's manifest).  The caller then
+    persists only a prefix of its line -- the artifact an interrupted
+    ``write(2)`` leaves -- instead of raising.
     """
     injector = _INJECTOR
     if injector is None:
         return False
-    if injector.decide("journal-torn-write", site) is None:
+    if injector.decide(kind, site) is None:
         return False
-    _METRIC_INJECTED.labels(kind="journal-torn-write").inc()
+    _METRIC_INJECTED.labels(kind=kind).inc()
     return True

@@ -6,9 +6,10 @@ Four check groups, each producing pass/warn/fail :class:`Finding` records:
   task pickle entries) and the result store, decoding every entry with that
   cache's own ``read_entry`` (the store's ``read_segment``), so an entry
   the cache would drop as a miss fails here: truncated (zero-byte) or
-  undecodable entries are failures, leftover temp files and
-  misplaced/unaccounted bytes are warnings.  The check only reads; it
-  constructs no cache or store.
+  undecodable entries are failures, leftover temp files,
+  misplaced/unaccounted bytes and a store manifest that disagrees with the
+  segments (segments without lines, lines without segments, torn lines)
+  are warnings.  The check only reads; it constructs no cache or store.
 * **journal replayability** -- parse every line of the JSON-lines job
   journal with :func:`~repro.service.jobs.parse_snapshot`, the validator
   replay uses, so every line replay skips is reported: a bad *tail* line
@@ -210,6 +211,7 @@ def check_cache_integrity(cache_dir: str | Path | None) -> list[Finding]:
         ]
 
     from repro.runtime.cache import ResultCache, TaskCache, cache_layout
+    from repro.store.core import MANIFEST_NAME, manifest_drift
 
     # Each cache's own decoder: an entry the cache would drop as a miss
     # fails here too.  Nothing is constructed, so the doctor only reads.
@@ -232,6 +234,13 @@ def check_cache_integrity(cache_dir: str | Path | None) -> list[Finding]:
         scan = _scan_entries(store_root, suffix, loader)
         accounted += scan["accounted_bytes"]
         broken = scan["corrupt"] + scan["truncated"]
+        drift = 0
+        if check == "cache.store":
+            scan.update(manifest_drift(layout.store))
+            drift = sum(
+                scan[name]
+                for name in ("segments_without_lines", "lines_without_segments", "torn_lines")
+            )
         if broken:
             findings.append(
                 Finding(
@@ -251,6 +260,19 @@ def check_cache_integrity(cache_dir: str | Path | None) -> list[Finding]:
                     WARN,
                     f"{scan['misplaced']} entries outside their shard "
                     "directory (never looked up; wasted disk)",
+                    scan,
+                )
+            )
+        elif drift:
+            findings.append(
+                Finding(
+                    check,
+                    WARN,
+                    f"manifest disagrees with the segments: "
+                    f"{scan['segments_without_lines']} segments without lines, "
+                    f"{scan['lines_without_segments']} lines without segments, "
+                    f"{scan['torn_lines']} torn lines; the next store read "
+                    "rebuilds it from the segments",
                     scan,
                 )
             )
@@ -284,7 +306,10 @@ def check_cache_integrity(cache_dir: str | Path | None) -> list[Finding]:
 
     # Unaccounted bytes: whatever lives under the root that is no store's
     # entry (stray files, orphans).  The scans glob exactly what each
-    # store's disk_usage_bytes() counts.
+    # store's disk_usage_bytes() counts, the store's manifest included.
+    manifest = layout.store / MANIFEST_NAME
+    if manifest.is_file():
+        accounted += manifest.stat().st_size
     total_bytes = sum(
         path.stat().st_size for path in root.rglob("*") if path.is_file()
     )

@@ -150,6 +150,10 @@ class SpanCollector:
         self.build_info = dict(build_info) if build_info else None
         self._lock = threading.Lock()
         self._spans: deque[dict[str, Any]] = deque()
+        # Each trace's spans in ring order, evicted with the ring, so a
+        # per-trace lookup does not scan the whole buffer.  Lists, not
+        # deques: a trace holds a few spans, and an empty deque is ~600 bytes.
+        self._by_trace: dict[str, list[dict[str, Any]]] = {}
         self.dropped = 0
 
     def record(self, finished: dict[str, Any]) -> None:
@@ -161,12 +165,22 @@ class SpanCollector:
             for key, value in self.build_info.items():
                 attributes.setdefault(key, value)
             finished["attributes"] = attributes
+        trace_id = finished.get("trace_id")
         with self._lock:
             if len(self._spans) >= self.capacity:
-                self._spans.popleft()
+                evicted = self._spans.popleft()
+                evicted_trace = evicted.get("trace_id")
+                if evicted_trace is not None:
+                    # The oldest span of the ring is the oldest of its trace.
+                    trace = self._by_trace[evicted_trace]
+                    del trace[0]
+                    if not trace:
+                        del self._by_trace[evicted_trace]
                 self.dropped += 1
                 _METRIC_DROPPED.inc()
             self._spans.append(finished)
+            if trace_id is not None:
+                self._by_trace.setdefault(trace_id, []).append(finished)
 
     def extend(self, finished: Sequence[Mapping[str, Any]]) -> None:
         for item in finished:
@@ -175,10 +189,9 @@ class SpanCollector:
     def spans(self, trace_id: str | None = None) -> list[dict[str, Any]]:
         """A snapshot of buffered spans, optionally for one trace."""
         with self._lock:
-            snapshot = list(self._spans)
-        if trace_id is None:
-            return snapshot
-        return [s for s in snapshot if s.get("trace_id") == trace_id]
+            if trace_id is None:
+                return list(self._spans)
+            return list(self._by_trace.get(trace_id, ()))
 
     def stats(self) -> dict[str, Any]:
         with self._lock:
@@ -188,6 +201,7 @@ class SpanCollector:
     def clear(self) -> None:
         with self._lock:
             self._spans.clear()
+            self._by_trace.clear()
 
 
 #: The process-global collector; ``None`` means collection is disabled and

@@ -334,29 +334,36 @@ def _disk_usage(root: Path, pattern: str) -> int:
     return total
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
+def _atomic_write(path: Path, data: bytes) -> int:
     """Publish ``data`` at ``path`` atomically (unique temp file + rename).
 
     Concurrent processes storing the same key each publish a complete entry,
-    last writer wins; readers never observe a truncated file.
+    last writer wins; readers never observe a truncated file.  Returns the
+    inode number of the published file.
 
     The chaos suite's ``cache-write-failure`` fault injects an ``OSError``
     here, covering every consumer of this helper (both caches and the
-    result store's segment writes) with one injection point.
+    result store's segment and manifest writes) with one injection point.
+    The shard directory is created only when the temp file cannot be: it
+    almost always exists, and creating it first costs a failing ``mkdir``.
     """
     maybe_inject("cache-write-failure", site=str(path))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=f"{path.stem[:8]}-", suffix=".tmp", dir=path.parent
-    )
+    temp = {"prefix": f"{path.stem[:8]}-", "suffix": ".tmp", "dir": path.parent}
+    try:
+        fd, tmp_name = tempfile.mkstemp(**temp)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp_name = tempfile.mkstemp(**temp)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
+            inode = os.fstat(handle.fileno()).st_ino
         os.replace(tmp_name, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp_name)
         raise
+    return inode
 
 
 def _problem_summary(problem: Mapping[str, Any]) -> dict[str, Any]:

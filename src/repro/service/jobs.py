@@ -38,7 +38,7 @@ import time
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO
 
 from repro.exceptions import ConfigurationError, ServiceError
 from repro.faults.injector import torn_write_armed
@@ -274,6 +274,9 @@ class JobStore:
         # snapshot would concatenate onto the torn prefix, turning one
         # harmless crash artifact into an unparseable mid-file line.
         self._tail_torn = False
+        # One unbuffered append handle, opened at the first write and closed
+        # by close().
+        self._journal: BinaryIO | None = None
         if self.state_path is not None and self.state_path.exists():
             self._tail_torn = self._detect_torn_tail()
             self._replay()
@@ -425,27 +428,36 @@ class JobStore:
         line = json.dumps(snapshot, sort_keys=True, default=str) + "\n"
         data = line.encode()
         try:
-            self.state_path.parent.mkdir(parents=True, exist_ok=True)
-            with self.state_path.open("ab") as handle:
-                if self._tail_torn:
-                    # Terminate the torn line a crash (or injected torn
-                    # write) left, so it stays one skippable bad line
-                    # instead of corrupting this snapshot.
-                    handle.write(b"\n")
-                    self._tail_torn = False
-                    _METRIC_JOURNAL_TORN_REPAIRS.inc()
-                if torn_write_armed(site=f"journal:{job.id}"):
-                    # Chaos mode: emulate a crash mid-append by persisting
-                    # only a prefix of the line and "losing" the rest.
-                    handle.write(data[: max(1, len(data) // 2)])
-                    self._tail_torn = True
-                    return
-                handle.write(data)
+            if self._journal is None:
+                self.state_path.parent.mkdir(parents=True, exist_ok=True)
+                self._journal = self.state_path.open("ab", buffering=0)
+            handle = self._journal
+            if self._tail_torn:
+                # Terminate the torn line a crash (or injected torn
+                # write) left, so it stays one skippable bad line
+                # instead of corrupting this snapshot.
+                handle.write(b"\n")
+                self._tail_torn = False
+                _METRIC_JOURNAL_TORN_REPAIRS.inc()
+            if torn_write_armed(site=f"journal:{job.id}"):
+                # Chaos mode: emulate a crash mid-append by persisting
+                # only a prefix of the line and "losing" the rest.
+                handle.write(data[: max(1, len(data) // 2)])
+                self._tail_torn = True
+                return
+            handle.write(data)
         except OSError:
             # Best-effort durability: an unwritable journal must not take
             # down live jobs.  Recovery for this transition is lost; the
             # metric (and repro doctor) is how anyone finds out.
             _METRIC_JOURNAL_WRITE_FAILURES.inc()
+
+    def close(self) -> None:
+        """Close the journal's append handle; a later transition reopens it."""
+        with self._lock:
+            if self._journal is not None:
+                self._journal.close()
+                self._journal = None
 
     def _replay(self) -> None:
         for line in self.state_path.read_text().splitlines():

@@ -491,8 +491,11 @@ class JobService:
         return self
 
     def stop(self, timeout: float = 5.0) -> bool:
-        """Stop the worker pool; ``False`` when the stop was unclean."""
-        return self.pool.stop(timeout)
+        """Stop the worker pool and close the journal; ``False`` when the
+        stop was unclean."""
+        clean = self.pool.stop(timeout)
+        self.store.close()
+        return clean
 
     @property
     def draining(self) -> bool:

@@ -15,7 +15,7 @@ from typing import Any, Mapping, Sequence
 from repro.analysis.report import Table
 from repro.analysis.transforms import apply_transform
 from repro.exceptions import ConfigurationError
-from repro.store.core import ResultStore, RunInfo
+from repro.store.core import ResultStore
 
 __all__ = ["query", "report", "group_counts", "records_table", "report_document"]
 
@@ -47,32 +47,16 @@ def query(
     """Merged store records matching every given filter, oldest run first.
 
     ``scenario`` matches exactly or as a prefix (so ``--scenario qr`` finds
-    ``qr-small`` and ``qr-large``); the other filters are exact.
-
-    ``suite`` and ``run_id`` are run metadata, which wins over a record's
-    own column of that name when the two merge, so they are tested against
-    each run; the record filters are tested before the merge, so only
-    matches pay for it.
+    ``qr-small`` and ``qr-large``); the other filters are exact.  The store
+    parses only the segments the filters can match
+    (:meth:`~repro.store.core.ResultStore.select`).
     """
-
-    def run_matches(info: RunInfo) -> bool:
-        return (suite is None or info.suite == suite) and (
-            run_id is None or info.run_id == run_id
-        )
-
-    def record_matches(record: Mapping[str, Any]) -> bool:
-        if experiment is not None and record.get("experiment") != experiment:
-            return False
-        if kernel is not None and record.get("kernel") != kernel:
-            return False
-        if scenario is not None:
-            value = record.get("scenario")
-            return isinstance(value, str) and value.startswith(scenario)
-        return True
-
     return store.select(
-        run_matches if (suite, run_id) != (None, None) else None,
-        record_matches if (experiment, kernel, scenario) != (None, None, None) else None,
+        experiment=experiment,
+        scenario=scenario,
+        kernel=kernel,
+        suite=suite,
+        run_id=run_id,
     )
 
 

@@ -186,12 +186,49 @@ class TestStoreIntegrity:
         finding = _by_check(check_cache_integrity(tmp_path))["cache.store"]
         assert finding.status == FAIL
 
+    def test_manifest_without_a_segment_line_warns(self, tmp_path):
+        path = self._store_with_run(tmp_path)
+        (tmp_path / "store" / "manifest.jsonl").write_bytes(b"")
+        statuses = _by_check(check_cache_integrity(tmp_path))
+        finding = statuses["cache.store"]
+        assert finding.status == WARN and "1 segments without lines" in finding.detail
+        assert finding.data["segments_without_lines"] == 1
+        # The manifest is accounted disk usage, not stray bytes.
+        assert statuses["cache.disk"].status == PASS
+        assert path.exists()
+
+    def test_manifest_line_without_a_segment_warns(self, tmp_path):
+        self._store_with_run(tmp_path).unlink()
+        finding = _by_check(check_cache_integrity(tmp_path))["cache.store"]
+        assert finding.status == WARN
+        assert finding.data["lines_without_segments"] == 1
+
+    def test_torn_manifest_line_warns_and_the_next_read_repairs_it(self, tmp_path):
+        from repro.store import ResultStore
+
+        self._store_with_run(tmp_path)
+        manifest = tmp_path / "store" / "manifest.jsonl"
+        with manifest.open("ab") as handle:
+            handle.write(b'{"run": {"run_key"')
+        finding = _by_check(check_cache_integrity(tmp_path))["cache.store"]
+        assert finding.status == WARN and finding.data["torn_lines"] == 1
+        assert ResultStore(tmp_path / "store").run_count() == 1
+        statuses = _by_check(check_cache_integrity(tmp_path))
+        assert statuses["cache.store"].status == PASS
+        assert statuses["cache.disk"].status == PASS
+
     def test_store_tmp_orphans_not_double_reported(self, tmp_path):
         path = self._store_with_run(tmp_path)
         (path.parent / "leftover.tmp").write_text("partial")
         statuses = _by_check(check_cache_integrity(tmp_path))
         assert statuses["cache.store.orphans"].status == WARN
         assert "cache.results.orphans" not in statuses
+
+
+def _open_one_job(path):
+    store = JobStore(path)
+    store.create("suite", {"suite": "quick"})
+    store.close()
 
 
 class TestJournal:
@@ -202,6 +239,7 @@ class TestJournal:
         store.mark_running(job)
         if finish:
             store.mark_done(job, {"ok": True})
+        store.close()
         return path
 
     def test_clean_journal_passes(self, tmp_path):
@@ -288,20 +326,21 @@ class TestJobProgress:
         job = store.create("suite", {"suite": "quick"})
         store.mark_running(job)
         store.mark_done(job, {"ok": True})
+        store.close()
         (finding,) = check_jobs(path)
         assert finding.status == PASS
         assert finding.data["open_jobs"] == 0
 
     def test_fresh_open_job_passes(self, tmp_path):
         path = tmp_path / "jobs.jsonl"
-        JobStore(path).create("suite", {"suite": "quick"})
+        _open_one_job(path)
         (finding,) = check_jobs(path, max_job_age=300.0)
         assert finding.status == PASS
         assert finding.data["open_jobs"] == 1
 
     def test_stale_open_job_warns(self, tmp_path):
         path = tmp_path / "jobs.jsonl"
-        JobStore(path).create("suite", {"suite": "quick"})
+        _open_one_job(path)
         (finding,) = check_jobs(path, max_job_age=0.0)
         assert finding.status == WARN
         assert finding.data["stuck"][0]["state"] == "queued"
@@ -315,6 +354,7 @@ class TestJobProgress:
         for _ in range(3):
             store.mark_running(job)
             store.requeue(job, reason="worker-crash")
+        store.close()
         (finding,) = check_jobs(path)
         assert finding.status == FAIL
         assert finding.data["over_budget"][0]["attempts"] == 3
@@ -442,6 +482,7 @@ class TestRunDoctor:
         journal = tmp_path / "jobs.jsonl"
         store = JobStore(journal)
         store.mark_done(store.create("suite", {"suite": "quick"}), {"ok": 1})
+        store.close()
         report = run_doctor(cache_dir=tmp_path / "cache", state_path=journal)
         assert report.exit_code == 1
         failed = [f.check for f in report.findings if f.status == FAIL]

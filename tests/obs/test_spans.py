@@ -20,6 +20,8 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import spans as obs_spans
 from repro.obs.spans import (
@@ -227,6 +229,26 @@ class TestSpanTrees:
         assert by_name["inner.loop"]["kind"] == "phase"
         tree = span_tree(spans)
         assert tree_depth(tree) == 3  # tasks.run -> task:work -> inner.loop
+
+
+class TestPerTraceLookup:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        capacity=st.integers(1, 6),
+        traces=st.lists(st.sampled_from(["t-a", "t-b", "t-c", None]), max_size=40),
+        clear_at=st.integers(0, 40),
+    )
+    def test_matches_the_ring_filtered_by_trace(self, capacity, traces, clear_at):
+        sink = SpanCollector(capacity)
+        for index, trace_id in enumerate(traces):
+            if index == clear_at:
+                sink.clear()
+            sink.record({"name": f"s{index}", "trace_id": trace_id, "parent_id": "p"})
+            ring = sink.spans()
+            for trace in ("t-a", "t-b", "t-c"):
+                assert sink.spans(trace) == [s for s in ring if s["trace_id"] == trace]
+            # Evicted traces leave nothing behind in the index.
+            assert set(sink._by_trace) == {s["trace_id"] for s in ring} - {None}
 
 
 class TestAssemblyAndExport:

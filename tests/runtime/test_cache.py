@@ -12,7 +12,7 @@ from repro.exceptions import ConfigurationError
 from repro.kernels.grid import GridRelaxation
 from repro.kernels.matmul import BlockedMatrixMultiply
 from repro.kernels.triangularization import BlockedLUTriangularization
-from repro.runtime.cache import MISS, ResultCache, TaskCache, _fingerprint
+from repro.runtime.cache import MISS, ResultCache, TaskCache, _atomic_write, _fingerprint
 from repro.runtime.engine import execution_key
 
 
@@ -180,6 +180,27 @@ class TestDiskUsage:
         store.store("ab" * 32, "value")
         (store.root / "ab" / "scratch.tmp").write_bytes(b"x" * 4096)
         assert store.disk_usage_bytes() == store._path("ab" * 32).stat().st_size
+
+
+class TestAtomicWrite:
+    def test_existing_shard_makes_no_mkdir_and_a_missing_one_is_created(
+        self, tmp_path, monkeypatch
+    ):
+        made = []
+        mkdir = type(tmp_path).mkdir
+
+        def counting_mkdir(path, *args, **kwargs):
+            made.append(path)
+            return mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(type(tmp_path), "mkdir", counting_mkdir)
+        shard = tmp_path / "ab"
+        _atomic_write(shard / "abc.json", b"first")
+        assert made == [shard] and (shard / "abc.json").read_bytes() == b"first"
+        inode = _atomic_write(shard / "abd.json", b"second")
+        assert made == [shard] and (shard / "abd.json").read_bytes() == b"second"
+        assert inode == (shard / "abd.json").stat().st_ino
+        assert not list(shard.glob("*.tmp"))
 
 
 class TestConcurrentWriters:

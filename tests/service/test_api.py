@@ -262,6 +262,17 @@ class TestResultsEndpoint:
         stats = client.cache_stats()
         assert stats["store"]["records"] >= 1
 
+    def test_a_query_that_matches_nothing_reads_no_segment(self, live_service):
+        _, client = live_service()
+        client.submit_and_wait("experiment", {"experiment": "warp"})
+        client.submit_and_wait("experiment", {"experiment": "figure2"})
+        before = client.cache_stats()["store"]
+        assert before["runs"] >= 2 and "segments_read" in before
+        assert client.results(kernel="no-such-kernel")["count"] == 0
+        assert client.cache_stats()["store"]["segments_read"] == before["segments_read"]
+        assert client.results(experiment="warp")["count"] == 1
+        assert client.cache_stats()["store"]["segments_read"] == before["segments_read"] + 1
+
     def test_filters_and_limit(self, live_service):
         _, client = live_service()
         client.submit_and_wait("experiment", {"experiment": "warp"})

@@ -6,6 +6,7 @@ import json
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +162,7 @@ class TestPersistence:
         job = store.create("experiment", {"experiment": "warp", "params": {}})
         store.mark_running(job)
         store.mark_done(job, {"summary": {"cell_not_io_starved": True}})
+        store.close()
 
         recovered = JobStore(path)
         twin = recovered.get(job.id)
@@ -175,6 +177,7 @@ class TestPersistence:
         queued = store.create("suite", {"suite": "quick"})
         running = store.create("suite", {"suite": "mixed"})
         store.mark_running(running)
+        store.close()
 
         recovered = JobStore(path)
         interrupted = {job.id for job in recovered.interrupted()}
@@ -186,6 +189,7 @@ class TestPersistence:
         job = store.create("suite", {"suite": "quick"})
         store.mark_running(job)
         store.mark_done(job, {"ok": True})
+        store.close()
         with path.open("a") as handle:
             handle.write('{"schema": "repro-service-job/v1", "job": {"id": "tr')
 
@@ -205,6 +209,7 @@ class TestPersistence:
         done = store.create("suite", {"suite": "quick"})
         store.mark_running(done)
         store.mark_done(done, {"ok": True})
+        store.close()
         with path.open("a") as handle:
             handle.write(json.dumps({"schema": STATE_SCHEMA, "job": job}) + "\n")
 
@@ -218,11 +223,39 @@ class TestPersistence:
         job = store.create("suite", {"suite": "quick"})
         store.mark_running(job)
         store.mark_failed(job, "boom")
+        store.close()
         lines = path.read_text().splitlines()
         assert len(lines) == 3
         states = [json.loads(line)["job"]["state"] for line in lines]
         assert states == [QUEUED, RUNNING, FAILED]
         assert JobStore(path).get(job.id).state == FAILED
+
+    def test_transitions_share_one_journal_handle_until_close(self, tmp_path, monkeypatch):
+        path = tmp_path / "jobs.jsonl"
+        opened = []
+        real_open = Path.open
+
+        def counting_open(self, mode="r", *args, **kwargs):
+            handle = real_open(self, mode, *args, **kwargs)
+            if self == path and "a" in mode:
+                opened.append(handle)
+            return handle
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        store = JobStore(path)
+        for _ in range(3):
+            job = store.create("suite", {"suite": "quick"})
+            store.mark_running(job)
+            store.mark_done(job, {"ok": True})
+        assert len(opened) == 1
+        store.close()
+        assert opened[0].closed
+        assert len(path.read_text().splitlines()) == 9
+        # A transition after close() reopens the journal.
+        store.create("suite", {"suite": "quick"})
+        assert len(opened) == 2 and not opened[1].closed
+        store.close()
+        assert len(JobStore(path)) == 4
 
     def test_concurrent_transitions_keep_the_journal_line_oriented(self, tmp_path):
         path = tmp_path / "jobs.jsonl"
@@ -238,6 +271,7 @@ class TestPersistence:
             thread.start()
         for thread in threads:
             thread.join()
+        store.close()
 
         recovered = JobStore(path)
         assert len(recovered) == 8
@@ -346,6 +380,7 @@ class TestTimelineCompaction:
         store = JobStore(path)
         job = store.create("suite", {"suite": "quick"})
         self._churn(store, job, 25)
+        store.close()
 
         recovered = JobStore(path)
         twin = recovered.get(job.id)

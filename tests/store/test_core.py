@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.faults.injector import FaultInjector, install, uninstall
 from repro.store import core
 from repro.store.core import (
     RESERVED_RUN_COLUMNS,
@@ -16,6 +18,7 @@ from repro.store.core import (
     Frame,
     ResultStore,
     git_revision,
+    manifest_drift,
 )
 from repro.store.query import query
 
@@ -108,8 +111,10 @@ class TestAppendRun:
     def test_clear_removes_every_segment(self, store):
         store.append_run(RECORDS, source="test", run_id="a")
         store.append_run(RECORDS, source="test", run_id="b")
-        assert store.disk_usage_bytes() > 0
+        segments = sum(path.stat().st_size for path in store.root.glob("runs/*/*.json"))
+        assert store.disk_usage_bytes() == segments + store.manifest.stat().st_size
         assert store.clear() == 2
+        assert not store.manifest.exists()
         assert store.run_count() == 0 and store.records() == []
         assert store.disk_usage_bytes() == 0
 
@@ -156,6 +161,186 @@ class TestAppendRun:
         assert [run.git_rev for run in store.runs()] == ["f" * 40] * 2
 
 
+def _segment(store: ResultStore, run_key: str):
+    return store.root / "runs" / run_key[:2] / f"{run_key}.json"
+
+
+def _manifest_keys(store: ResultStore) -> list[str]:
+    return [json.loads(line)["run"]["run_key"] for line in store.manifest.read_bytes().splitlines()]
+
+
+def _manifest_keys_of_whole_lines(store: ResultStore) -> list[str]:
+    keys = []
+    for line in store.manifest.read_bytes().splitlines():
+        try:
+            keys.append(json.loads(line)["run"]["run_key"])
+        except ValueError:
+            continue
+    return keys
+
+
+class TestManifest:
+    """The manifest and each handle's index, against the segments they describe."""
+
+    def test_each_append_adds_one_line_with_the_value_sets(self, store):
+        receipt = store.append_run(RECORDS, source="test", suite="s")
+        (line,) = [json.loads(raw) for raw in store.manifest.read_bytes().splitlines()]
+        assert line["run"]["run_key"] == receipt.run_key and line["run"]["suite"] == "s"
+        assert line["kernel"] == ["matmul"] and line["experiment"] == ["sweep", "fit"]
+        assert line["scenario"] == []
+        assert line["bytes"] == _segment(store, receipt.run_key).stat().st_size
+        store.append_run(RECORDS, source="test")  # a dedup adds no line
+        assert len(_manifest_keys(store)) == 1
+
+    def test_torn_manifest_append_is_rebuilt_at_the_next_open(self, store):
+        install(FaultInjector.from_spec("manifest-torn-write:count=1", seed=3))
+        try:
+            torn = store.append_run(RECORDS, source="test", run_id="torn")
+        finally:
+            uninstall()
+        assert not store.manifest.read_bytes().endswith(b"\n")
+        # The next append terminates the torn line before it writes its own.
+        whole = store.append_run(RECORDS[:1], source="test", run_id="whole")
+        drift = manifest_drift(store.root)
+        assert drift["torn_lines"] == 1 and drift["segments_without_lines"] == 1
+        assert _manifest_keys_of_whole_lines(store) == [whole.run_key]
+        reopened = ResultStore(store.root)
+        assert {run.run_key for run in reopened.runs()} == {torn.run_key, whole.run_key}
+        assert len(reopened) == 3
+        # The rebuild parsed the one segment without a whole line, and
+        # compacted the torn line away.
+        assert reopened.stats.segments_read == 1 + 2
+        assert sorted(_manifest_keys(reopened)) == sorted([torn.run_key, whole.run_key])
+        assert set(manifest_drift(store.root).values()) == {0, 2}
+
+    def test_segment_without_a_line_is_found_at_open(self, store):
+        first = store.append_run(RECORDS, source="test", run_id="a")
+        second = store.append_run(RECORDS, source="test", run_id="b")
+        # A crash between the segment write and the manifest append.
+        lines = store.manifest.read_bytes().splitlines(keepends=True)
+        store.manifest.write_bytes(lines[0])
+        assert manifest_drift(store.root)["segments_without_lines"] == 1
+        reopened = ResultStore(store.root)
+        assert reopened.run_count() == 2 and reopened.stats.segments_read == 1
+        assert _manifest_keys(reopened) == [first.run_key, second.run_key]
+        # A store written before the manifest existed: every segment is found.
+        store.manifest.unlink()
+        reopened = ResultStore(store.root)
+        assert len(reopened) == 4 and reopened.stats.segments_read == 2
+        assert sorted(_manifest_keys(reopened)) == sorted([first.run_key, second.run_key])
+        # Once indexed, a fresh handle parses no segment to build its index.
+        fresh = ResultStore(store.root)
+        assert fresh.run_count() == 2 and fresh.stats.segments_read == 0
+
+    def test_deleted_segment_line_is_dropped_and_the_manifest_does_not_grow(self, store):
+        kept = store.append_run(RECORDS, source="test", run_id="kept")
+        sizes = []
+        for index in range(5):
+            receipt = store.append_run(RECORDS, source="test", run_id=f"op-{index}")
+            _segment(store, receipt.run_key).unlink()
+            handle = ResultStore(store.root)
+            assert [run.run_key for run in handle.runs()] == [kept.run_key]
+            sizes.append(store.manifest.stat().st_size)
+        assert _manifest_keys(store) == [kept.run_key]
+        assert len(set(sizes)) == 1
+
+    def test_two_handles_see_each_others_appends_after_a_query(self, tmp_path):
+        first = ResultStore(tmp_path / "store")
+        second = ResultStore(tmp_path / "store")
+        assert query(first, kernel="matmul") == [] and query(second) == []
+        a = first.append_run(RECORDS, source="test", run_id="a")
+        assert [r["run_key"] for r in query(second, kernel="matmul")] == [a.run_key] * 2
+        b = second.append_run(RECORDS, source="test", run_id="b")
+        for handle in (first, second):
+            assert handle.run_count() == 2 and len(handle) == 4
+            assert [run.run_key for run in handle.runs()] == [a.run_key, b.run_key]
+
+    def test_a_replaced_manifest_makes_a_live_handle_rebuild(self, store):
+        a = store.append_run(RECORDS, source="test", run_id="a")
+        assert store.run_count() == 1
+        # Another process clears the store and records a different run.
+        other = ResultStore(store.root)
+        other.clear()
+        b = other.append_run(RECORDS[:1], source="test", run_id="b")
+        assert [run.run_key for run in store.runs()] == [b.run_key]
+        assert not _segment(store, a.run_key).exists() and len(store) == 1
+
+    def test_an_append_racing_a_compaction_waits_for_it_and_is_seen(self, store, monkeypatch):
+        store.append_run(RECORDS, source="test", run_id="kept")
+        doomed = store.append_run(RECORDS, source="test", run_id="doomed")
+        _segment(store, doomed.run_key).unlink()
+        other = ResultStore(store.root)
+        racers: list[threading.Thread] = []
+        rewrite = core._atomic_write
+
+        def rewrite_while_another_handle_appends(path, data):
+            if path == store.manifest and not racers:
+                racers.append(
+                    threading.Thread(
+                        target=other.append_run,
+                        args=(RECORDS[:1],),
+                        kwargs={"source": "test", "run_id": "racer"},
+                    )
+                )
+                racers[0].start()
+                # The compaction holds the manifest lock, so the racer's
+                # append waits instead of landing in the file being replaced.
+                racers[0].join(0.2)
+            return rewrite(path, data)
+
+        monkeypatch.setattr(core, "_atomic_write", rewrite_while_another_handle_appends)
+        compacting = ResultStore(store.root)
+        assert compacting.run_count() == 1
+        racers[0].join(10)
+        assert not racers[0].is_alive()
+        assert [run.run_id for run in compacting.runs()] == ["kept", "racer"]
+
+    def test_long_scenarios_share_a_signature_and_still_filter_exactly(self, store):
+        for run_id, scenario in (
+            ("a", "task:BlockedMatrixMultiply@M=233"),
+            ("b", "task:BlockedMatrixMultiply@M=302"),
+            ("c", "task:StreamingTriangularSolve@M=7"),
+        ):
+            store.append_run(
+                [{"experiment": "span", "scenario": scenario}], source="test", run_id=run_id
+            )
+        assert [r["run_id"] for r in query(store, scenario="task:BlockedMatrixMultiply@M=3")] == [
+            "b"
+        ]
+        assert [r["run_id"] for r in query(store, scenario="task:Blocked")] == ["a", "b"]
+        assert len(store._groups) == 2  # a and b differ only past the indexed prefix
+        read = store.stats.segments_read
+        # Past the indexed prefix the index over-approximates and the
+        # record filter decides; within it, it excludes exactly.
+        assert query(store, scenario="task:StreamingTriangularSolve@M=8") == []
+        assert store.stats.segments_read == read + 1
+        assert query(store, scenario="task:Streaming-no-such") == []
+        assert store.stats.segments_read == read + 1
+
+    @pytest.mark.parametrize("runs", [40, 2000])
+    def test_nothing_matches_reads_no_segment_on_a_live_handle(self, store, runs):
+        kernels = ("fft", "matmul", "lu", "qr")
+        holding_fft = set()
+        for index in range(runs):
+            kernel = kernels[index % len(kernels)]
+            receipt = store.append_run(
+                [{"experiment": "sweep", "kernel": kernel, "x": index}],
+                source="test",
+                run_id=f"run-{index}",
+            )
+            if kernel == "fft":
+                holding_fft.add(receipt.run_key)
+        assert store.run_count() == runs
+        assert store.stats.segments_read == 0
+        assert query(store, kernel="no-such-kernel") == []
+        assert query(store, scenario="no-such-") == []
+        assert query(store, suite="no-such-suite") == []
+        assert store.stats.segments_read == 0
+        rows = query(store, kernel="fft")
+        assert {row["run_key"] for row in rows} == holding_fft
+        assert store.stats.segments_read == len(holding_fft)
+
+
 class TestConcurrency:
     def test_two_threads_append_without_torn_records(self, tmp_path):
         """Two appenders race on one directory; every segment stays whole."""
@@ -185,6 +370,67 @@ class TestConcurrency:
             assert segment["schema"] == STORE_SCHEMA
             assert len(segment["records"]) == segment["run"]["record_count"]
         assert len(store.records()) == 2 * runs_per_thread
+
+    def test_compactions_racing_appends_lose_no_manifest_line(self, tmp_path):
+        """Appenders race handles whose first read compacts the manifest."""
+        root = tmp_path / "store"
+        errors: list[BaseException] = []
+        appended: set[str] = set()
+        compacted: list[ResultStore] = []
+
+        def append(worker: int) -> None:
+            handle = ResultStore(root)
+            for i in range(30):
+                receipt = handle.append_run(
+                    [{"experiment": "sweep", "worker": worker, "i": i}],
+                    source="test",
+                    run_id=f"w{worker}-{i}",
+                )
+                appended.add(receipt.run_key)
+
+        def compact(worker: int) -> None:
+            # Each round deletes a segment, so the fresh handle's first read
+            # drops its line by rewriting the manifest.  The handle stays
+            # live: a line lost to its rewrite would hide a run from it.
+            for i in range(15):
+                doomed = ResultStore(root).append_run(
+                    [{"doomed": i}], source="test", run_id=f"doomed-{worker}-{i}"
+                )
+                _segment(ResultStore(root), doomed.run_key).unlink()
+                handle = ResultStore(root)
+                handle.run_count()
+                compacted.append(handle)
+
+        def guarded(target, worker: int) -> None:
+            try:
+                target(worker)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=guarded, args=(append, w)) for w in range(3)]
+            threads += [threading.Thread(target=guarded, args=(compact, w)) for w in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == [] and len(appended) == 90
+        for handle in compacted:
+            assert appended <= {run.run_key for run in handle.runs()}
+        drift = manifest_drift(root)
+        assert drift == {
+            "manifest_lines": 90,
+            "segments_without_lines": 0,
+            "lines_without_segments": 0,
+            "torn_lines": 0,
+        }
+        fresh = ResultStore(root)
+        assert fresh.run_count() == 90 and fresh.stats.segments_read == 0
 
     def test_two_threads_racing_on_the_same_payload_store_one_run(self, tmp_path):
         root = tmp_path / "store"

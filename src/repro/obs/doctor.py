@@ -752,13 +752,16 @@ def check_environment(jobs: int | None = None) -> list[Finding]:
             )
         )
 
-    # The lookup the pool initializer uses to cap each child at one thread.
+    # The lookup the runtime uses to run every task on one BLAS thread.
     threads = openblas_threads()
     if threads:
         libraries = ", ".join(
             f"{name} runs {count} threads" for name, count in threads.items()
         )
-        detail = f"{libraries} here; pool children run 1 each, on a {label}"
+        detail = (
+            f"{libraries} in this process; every task runs on 1 thread, "
+            f"serial runs included, on a {label}"
+        )
     else:
         detail = "no OpenBLAS loaded; BLAS threads are left as they are"
     findings.append(
@@ -766,7 +769,7 @@ def check_environment(jobs: int | None = None) -> list[Finding]:
             "env.blas",
             PASS,
             detail,
-            {"openblas_threads": threads, "pool_child_threads": 1 if threads else None},
+            {"openblas_threads": threads, "task_threads": 1 if threads else None},
         )
     )
     return findings

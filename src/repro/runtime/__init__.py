@@ -9,8 +9,9 @@ This package replaces per-point serial experiment loops with these layers:
 * :mod:`repro.runtime.tasks` -- the generic task abstraction: any top-level
   callable plus parameters, content-addressed by module source (the one key
   scheme), and the one resolve loop that looks keys up in a cache, runs each
-  distinct miss once (serially or across a process pool, in deterministic
-  order) and stores the fresh results;
+  distinct miss once (in-process or on its owner's long-lived
+  :class:`TaskPool`, in deterministic order, always on one BLAS thread) and
+  stores the fresh results;
 * :mod:`repro.runtime.engine` -- the memory-sweep client of the task layer:
   every (kernel, memory size, problem) point is a task, resolved against a
   :class:`ResultCache`;
@@ -55,6 +56,7 @@ from repro.runtime.suites import (
 )
 from repro.runtime.tasks import (
     Task,
+    TaskPool,
     TaskRunner,
     TaskRunStats,
     callable_code_version,
@@ -88,6 +90,7 @@ __all__ = [
     "SweepRunner",
     "Task",
     "TaskCache",
+    "TaskPool",
     "TaskRunner",
     "TaskRunStats",
     "analytic_summary_rows",

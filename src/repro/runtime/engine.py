@@ -22,7 +22,7 @@ from repro.exceptions import ConfigurationError
 from repro.kernels.base import Kernel, KernelExecution
 from repro.obs import spans as obs_spans
 from repro.runtime.cache import ResultCache
-from repro.runtime.tasks import Task, default_worker_count, resolve_tasks
+from repro.runtime.tasks import Task, TaskPool, default_worker_count, resolve_tasks, task_pool
 
 __all__ = ["SweepPlan", "SweepRunner", "execution_key", "kernel_modules", "point_task"]
 
@@ -125,6 +125,10 @@ class SweepRunner:
     verify:
         Check every execution's output against the kernel's reference
         implementation, as in :class:`MemorySweep`.
+    pool:
+        A parallel runner's :class:`~repro.runtime.tasks.TaskPool`, shared
+        with its owner's other runners; by default a parallel runner owns a
+        new one, which :func:`~repro.runtime.suites.task_runner_for` shares.
     """
 
     def __init__(
@@ -134,6 +138,7 @@ class SweepRunner:
         max_workers: int | None = None,
         cache: ResultCache | None = None,
         verify: bool = False,
+        pool: TaskPool | None = None,
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise ConfigurationError(
@@ -143,6 +148,7 @@ class SweepRunner:
         self.max_workers = max_workers or default_worker_count()
         self.cache = cache
         self.verify = verify
+        self.pool = pool or task_pool(parallel, self.max_workers)
 
     # -- public API ----------------------------------------------------------
 
@@ -184,10 +190,7 @@ class SweepRunner:
                     points.append(point_task(plan.kernel, size, problem))
 
         executions, _ = resolve_tasks(
-            points,
-            None if self.verify else self.cache,
-            parallel=self.parallel,
-            max_workers=self.max_workers,
+            points, None if self.verify else self.cache, self.pool
         )
         if self.verify:
             for point, execution in zip(points, executions):

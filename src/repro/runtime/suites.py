@@ -874,7 +874,7 @@ class SuiteResult:
 
 
 def task_runner_for(runner: SweepRunner) -> TaskRunner:
-    """A :class:`TaskRunner` matching a sweep runner's pool and cache setup.
+    """A :class:`TaskRunner` sharing a sweep runner's pool, with a matching cache.
 
     Its task cache sits under the sweep cache's root (:func:`cache_layout`).
     """
@@ -882,7 +882,10 @@ def task_runner_for(runner: SweepRunner) -> TaskRunner:
     if runner.cache is not None:
         cache = TaskCache(cache_layout(runner.cache.root).tasks)
     return TaskRunner(
-        parallel=runner.parallel, max_workers=runner.max_workers, cache=cache
+        parallel=runner.parallel,
+        max_workers=runner.max_workers,
+        cache=cache,
+        pool=runner.pool,
     )
 
 
@@ -955,9 +958,10 @@ def run_suite(
 ) -> SuiteResult:
     """Execute a suite: sweeps as one flat point batch, experiments as tasks.
 
-    ``task_runner`` defaults to one mirroring ``runner``'s parallelism and
-    cache location (:func:`task_runner_for`), so serial/parallel and
-    cached/uncached behave consistently across both halves of the suite.
+    ``task_runner`` defaults to one sharing ``runner``'s pool and cache
+    location (:func:`task_runner_for`), so both halves of the suite run on
+    one pool, forked once, and serial/parallel and cached/uncached behave
+    consistently across them.
 
     When the runner is cached and ``record`` is true, the finished result is
     ingested into the result store under the same cache root, making every

@@ -10,15 +10,21 @@ content-addressed by :func:`task_key`, a SHA-256 digest of
 
 This is the runtime's one key scheme.  :func:`resolve_tasks` is its one
 resolve loop: look up each key in a cache, run each distinct missing key
-once (serially or across a ``concurrent.futures`` process pool), store the
-fresh results, and return everything in submission order -- so serial and
-parallel execution of the same batch are bitwise identical, and warm reruns
-replay entirely from the cache.  Two runners call it: :class:`TaskRunner`
-for the experiment drivers (Figure 2, Section 4 arrays, the pebble game, the
-Warp study) against a :class:`~repro.runtime.cache.TaskCache`, and the sweep
+once (in this process, or on a :class:`TaskPool`), store the fresh results,
+and return everything in submission order -- so serial and parallel
+execution of the same batch are bitwise identical, and warm reruns replay
+entirely from the cache.  Two runners call it: :class:`TaskRunner` for the
+experiment drivers (Figure 2, Section 4 arrays, the pebble game, the Warp
+study) against a :class:`~repro.runtime.cache.TaskCache`, and the sweep
 engine (:class:`~repro.runtime.engine.SweepRunner`), whose points are tasks
 over :func:`~repro.runtime.engine.run_point`, against a
 :class:`~repro.runtime.cache.ResultCache`.
+
+A parallel runner owns one :class:`TaskPool`, or shares its owner's: the
+job service's runners share one, and so do a suite's two runners.  The pool
+is forked at its owner's first pooled batch and reused by every later one.
+Every task runs on one BLAS thread, pooled or in-process, so one task key
+always names one payload.
 """
 
 from __future__ import annotations
@@ -28,13 +34,16 @@ import hashlib
 import importlib
 import inspect
 import json
+import multiprocessing
 import os
+import signal
 import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.exceptions import ConfigurationError, TaskExecutionError
@@ -44,6 +53,7 @@ from repro.runtime.cache import MISS, EntryStore, TaskCache, _fingerprint
 
 __all__ = [
     "Task",
+    "TaskPool",
     "TaskRunner",
     "TaskRunStats",
     "task_key",
@@ -53,6 +63,7 @@ __all__ = [
     "loaded_openblas",
     "openblas_threads",
     "resolve_tasks",
+    "task_pool",
 ]
 
 TASK_KEY_SCHEMA = 1
@@ -72,6 +83,10 @@ _METRIC_DEDUPED = REGISTRY.counter(
 )
 _METRIC_TASK_SECONDS = REGISTRY.histogram(
     "repro_task_seconds", "Wall time of one executed task."
+)
+_METRIC_POOL_STARTS = REGISTRY.counter(
+    "repro_task_pool_starts_total",
+    "Task pools forked: a pool's first batch, and the next batch after a child died.",
 )
 
 
@@ -156,18 +171,97 @@ def openblas_threads() -> dict[str, int]:
     }
 
 
-def _one_blas_thread() -> None:
-    """Pool initializer: run every loaded OpenBLAS on one thread.
+def _one_blas_thread(*, stop_server: bool = True) -> None:
+    """Run every loaded OpenBLAS on one thread.
 
-    A forked child inherits OpenBLAS's default of one thread per CPU, so two
-    children on two CPUs would contend.  In a fresh child the setter also
-    starts OpenBLAS's thread server, whose idle thread busy-waits, so the
-    server is shut down again; a one-thread OpenBLAS never needs it.
+    BLAS bits can depend on the thread count, and OpenBLAS defaults to one
+    thread per CPU, so two pool children on two CPUs would also contend.  In
+    a fresh pool child the setter starts OpenBLAS's thread server, whose idle
+    thread busy-waits, so ``stop_server`` shuts it down again; a one-thread
+    OpenBLAS never needs it.  An in-process owner leaves its server up:
+    another of its threads may be inside a BLAS call.
     """
     for _, library, api in loaded_openblas():
         _c_function(library, api.format("set"), None, ctypes.c_int)(1)
-        if hasattr(library, "blas_thread_shutdown_"):
+        if stop_server and hasattr(library, "blas_thread_shutdown_"):
             _c_function(library, "blas_thread_shutdown_", ctypes.c_int)()
+
+
+_IN_PROCESS_BLAS_SET = False
+_IN_PROCESS_BLAS_LOCK = threading.Lock()
+
+
+def _one_blas_thread_here() -> None:
+    """Set this process's OpenBLAS to one thread, once, before its first task.
+
+    The count is process-global, so it is never switched per task: the job
+    service's workers run tasks concurrently.
+    """
+    global _IN_PROCESS_BLAS_SET
+    if _IN_PROCESS_BLAS_SET:
+        return
+    with _IN_PROCESS_BLAS_LOCK:
+        if not _IN_PROCESS_BLAS_SET:
+            _one_blas_thread(stop_server=False)
+            _IN_PROCESS_BLAS_SET = True
+
+
+#: ``(pid, read end, write end)`` of the pipe pool children watch to exit
+#: with the process that owns them; only that process keeps the write end.
+_LIFELINE: tuple[int, int, int] | None = None
+_LIFELINE_LOCK = threading.Lock()
+
+
+def _lifeline() -> tuple[int, int]:
+    """This process's lifeline pipe, ``(read end, write end)``, made on first use."""
+    global _LIFELINE
+    with _LIFELINE_LOCK:
+        if _LIFELINE is None or _LIFELINE[0] != os.getpid():
+            _LIFELINE = (os.getpid(), *os.pipe())
+        return _LIFELINE[1], _LIFELINE[2]
+
+
+def _exit_with_owner(read_end: int, write_end: int) -> None:
+    """Make this pool child die with its owner, however the owner dies.
+
+    The child closes its inherited copies of the lifeline and watches the
+    pipe through a description of its own (``F_SETOWN`` is per open file
+    description, and siblings share the inherited one).  When the owner's
+    write end closes -- at its exit, even by ``SIGKILL`` -- the kernel sends
+    ``SIGIO``, whose default action ends the child.  A worker *thread's*
+    death closes nothing, so it cannot take the pool down.  Without
+    ``/proc`` the child is left to the pool's own shutdown.
+    """
+    import fcntl  # POSIX only, and this runs only in a forked child
+
+    try:
+        watch = os.open(f"/proc/self/fd/{read_end}", os.O_RDONLY | os.O_NONBLOCK)
+    except OSError:
+        watch = None
+    os.close(read_end)
+    os.close(write_end)
+    if watch is None:
+        return
+    signal.signal(signal.SIGIO, signal.SIG_DFL)
+    fcntl.fcntl(watch, fcntl.F_SETOWN, os.getpid())
+    fcntl.fcntl(watch, fcntl.F_SETFL, fcntl.fcntl(watch, fcntl.F_GETFL) | os.O_ASYNC)
+    try:
+        if os.read(watch, 1) == b"":  # the owner died before the watch was set
+            os._exit(1)
+    except BlockingIOError:  # the owner holds the write end: all is well
+        pass
+
+
+def _start_child(read_end: int, write_end: int) -> None:
+    """Pool initializer: one BLAS thread, no inherited tracing, exit with the owner.
+
+    A child outlives the batch it was forked for, so it must not trace into
+    the span collector it inherited: each task ships its own context
+    (:func:`_run_task`).
+    """
+    _one_blas_thread()
+    obs_spans.disable()
+    _exit_with_owner(read_end, write_end)
 
 
 @lru_cache(maxsize=None)
@@ -285,10 +379,12 @@ def _run_task(
     ``repro_task_seconds`` histogram reports true task wall time even when
     the task ran in a pool child.  The task runs under a ``kind="task"``
     span (engine phases aggregate beneath it).  In a pool child ``ctx`` is
-    the parent's :func:`~repro.obs.spans.task_context`, and ``spans`` holds
-    every span the child finished, for the parent to absorb; in-process
-    ``ctx`` is ``None``, the span hangs under the current one and ``spans``
-    is empty (see :func:`~repro.obs.spans.capture_spans`).
+    the parent's :func:`~repro.obs.spans.task_context` at submission, and
+    ``spans`` holds every span the child finished, for the parent to absorb
+    (a ``None`` context traces nothing there: the child dropped the
+    collector it inherited).  In-process ``ctx`` is ``None``, the span hangs
+    under the current one and ``spans`` is empty (see
+    :func:`~repro.obs.spans.capture_spans`).
     """
     start = time.perf_counter()
     with obs_spans.capture_spans(
@@ -305,46 +401,117 @@ def _wrap_failure(task: Task, exc: BaseException) -> TaskExecutionError:
     )
 
 
-def execute_tasks(
-    tasks: Sequence[Task], *, parallel: bool, max_workers: int
-) -> list[Any]:
-    """Execute tasks (no cache), preserving submission order.
+class TaskPool:
+    """One owner's long-lived process pool, forked at its first batch.
 
-    The pool primitive behind :func:`resolve_tasks`: results are collected
-    back in submission order, so the output is deterministic and identical
-    to a serial run.  A task that raises surfaces as
+    A ``ProcessPoolExecutor`` of ``max_workers`` forked children, each
+    started by :func:`_start_child`: one BLAS thread, no inherited tracing,
+    and exit with the owning process.  Every runner sharing the pool feeds
+    its one FIFO queue, so the job service's two workers never run more than
+    ``max_workers`` children between them.
+
+    The pool is supervised in the worker pool's idiom: a child's death
+    breaks the batches in flight with ``BrokenProcessPool`` (which the job
+    service retries as transient), the broken executor is dropped, and the
+    next batch forks a fresh one.  ``repro_task_pool_starts_total`` counts
+    every fork.  :meth:`close` joins the children; a later batch forks again.
+    An owner that never calls it loses its children when the pool is
+    garbage-collected or the interpreter exits, as with any
+    ``ProcessPoolExecutor``.
+    """
+
+    def __init__(self, max_workers: int) -> None:
+        self.max_workers = max_workers
+        self._lock = threading.Lock()
+        self._executor: ProcessPoolExecutor | None = None
+
+    def _live(self) -> ProcessPoolExecutor:
+        with self._lock:
+            if self._executor is None:
+                self._executor = ProcessPoolExecutor(
+                    self.max_workers,
+                    # Pinned: the children find the lifeline by inheritance.
+                    mp_context=multiprocessing.get_context("fork"),
+                    initializer=_start_child,
+                    initargs=_lifeline(),
+                )
+                _METRIC_POOL_STARTS.inc()
+            return self._executor
+
+    def _drop(self, executor: ProcessPoolExecutor) -> None:
+        """Forget a broken executor, unless another batch already replaced it."""
+        with self._lock:
+            if self._executor is executor:
+                self._executor = None
+        executor.shutdown(wait=False)
+
+    def run(self, tasks: Sequence[Task]) -> list[Any]:
+        """Run a batch on the children; results in submission order.
+
+        The first failure in submission order wins, as in a serial run, and
+        the batch's unstarted tasks are cancelled.  ``BrokenProcessPool``
+        passes through unwrapped: it says nothing about the task.
+        """
+        executor = self._live()
+        ctx = obs_spans.task_context()
+        futures = []
+        try:
+            futures = [executor.submit(_run_task, task, ctx) for task in tasks]
+            return [_collect(task, future.result) for task, future in zip(tasks, futures)]
+        except BrokenProcessPool:
+            self._drop(executor)
+            raise
+        finally:
+            for future in futures:
+                future.cancel()  # a no-op for finished futures
+
+    def close(self, *, wait: bool = True) -> None:
+        """Shut the children down once the work in flight is done.
+
+        ``wait`` joins them; without it, close returns at once and the
+        children exit after their last task.
+        """
+        with self._lock:
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=wait)
+
+
+def task_pool(parallel: bool, max_workers: int) -> TaskPool | None:
+    """A new pool for a parallel owner; ``None`` runs tasks in-process."""
+    return TaskPool(max_workers) if parallel and max_workers > 1 else None
+
+
+def _collect(task: Task, outcome: Callable[[], Any]) -> Any:
+    """One task's value from its ``_run_task`` outcome, its spans absorbed."""
+    try:
+        seconds, value, finished = outcome()
+    except BrokenProcessPool:
+        raise
+    except Exception as exc:
+        raise _wrap_failure(task, exc) from exc
+    obs_spans.absorb(finished)
+    _METRIC_TASK_SECONDS.observe(seconds)
+    return value
+
+
+def execute_tasks(tasks: Sequence[Task], pool: TaskPool | None) -> list[Any]:
+    """Execute tasks (no cache) on ``pool``, or in-process when ``None``.
+
+    The execution primitive behind :func:`resolve_tasks`: results come back
+    in submission order, so the output is deterministic and identical to a
+    serial run.  A task that raises surfaces as
     :class:`~repro.exceptions.TaskExecutionError` naming the failing task's
-    label (the original exception is chained as ``__cause__``); in a
-    parallel batch the first failure *in submission order* wins, matching
-    the serial path.  Pool children run OpenBLAS on one thread each
-    (:func:`_one_blas_thread`); a serial batch keeps this process's threads.
+    label (the original exception is chained as ``__cause__``).  A pool runs
+    every batch, a one-task batch too; in-process, this process's OpenBLAS
+    is set to one thread before the first task, as in a pool child.
     """
     if not tasks:
         return []
-    if not parallel or max_workers == 1 or len(tasks) == 1:
-        results = []
-        for task in tasks:
-            try:
-                seconds, value, _ = _run_task(task, None)
-            except Exception as exc:
-                raise _wrap_failure(task, exc) from exc
-            _METRIC_TASK_SECONDS.observe(seconds)
-            results.append(value)
-        return results
-    ctx = obs_spans.task_context()
-    workers = min(max_workers, len(tasks))
-    with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
-        futures = [pool.submit(_run_task, task, ctx) for task in tasks]
-        results = []
-        for task, future in zip(tasks, futures):
-            try:
-                seconds, value, finished = future.result()
-            except Exception as exc:
-                raise _wrap_failure(task, exc) from exc
-            obs_spans.absorb(finished)
-            _METRIC_TASK_SECONDS.observe(seconds)
-            results.append(value)
-        return results
+    if pool is not None:
+        return pool.run(tasks)
+    _one_blas_thread_here()
+    return [_collect(task, partial(_run_task, task, None)) for task in tasks]
 
 
 @dataclass
@@ -374,11 +541,7 @@ class TaskRunStats:
 
 
 def resolve_tasks(
-    tasks: Sequence[Task],
-    cache: EntryStore | None,
-    *,
-    parallel: bool,
-    max_workers: int,
+    tasks: Sequence[Task], cache: EntryStore | None, pool: TaskPool | None
 ) -> tuple[list[Any], TaskRunStats]:
     """Resolve a batch in submission order: ``(results, batch counters)``.
 
@@ -411,7 +574,7 @@ def resolve_tasks(
         slots[key] = [i]
         unique.append(task)
 
-    fresh = execute_tasks(unique, parallel=parallel, max_workers=max_workers)
+    fresh = execute_tasks(unique, pool)
     stats.executed = len(unique)
     _METRIC_CACHE_HITS.inc(stats.cache_hits)
     _METRIC_DEDUPED.inc(stats.deduped)
@@ -438,6 +601,10 @@ class TaskRunner:
         Optional :class:`~repro.runtime.cache.TaskCache`.  Tasks whose key is
         present are replayed without executing anything; fresh results are
         stored back.
+    pool:
+        A parallel runner's :class:`TaskPool`, shared with its owner's other
+        runners; by default a parallel runner owns a new one
+        (:func:`task_pool`).
 
     Tasks sharing a key within a batch execute once (see
     :func:`resolve_tasks`); :attr:`stats` accumulates every batch's counters.
@@ -449,6 +616,7 @@ class TaskRunner:
         parallel: bool = False,
         max_workers: int | None = None,
         cache: TaskCache | None = None,
+        pool: TaskPool | None = None,
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise ConfigurationError(
@@ -457,6 +625,7 @@ class TaskRunner:
         self.parallel = parallel
         self.max_workers = max_workers or default_worker_count()
         self.cache = cache
+        self.pool = pool or task_pool(parallel, self.max_workers)
         self.stats = TaskRunStats()
         # One runner may be shared by several threads (the job service's
         # worker pool); counter updates are read-modify-write and need a lock.
@@ -480,9 +649,7 @@ class TaskRunner:
             return results
 
     def _run_batch(self, tasks: Sequence[Task]) -> list[Any]:
-        results, batch = resolve_tasks(
-            tasks, self.cache, parallel=self.parallel, max_workers=self.max_workers
-        )
+        results, batch = resolve_tasks(tasks, self.cache, self.pool)
         with self._stats_lock:
             self.stats.executed += batch.executed
             self.stats.cache_hits += batch.cache_hits

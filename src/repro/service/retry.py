@@ -25,6 +25,7 @@ rather than whatever the defaults have become since.
 from __future__ import annotations
 
 import hashlib
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -116,11 +117,13 @@ class RetryPolicy:
 
 #: Failure shapes worth a retry: environmental, not deterministic.  A job
 #: that raises ``ConfigurationError`` (bad params) or a numerical error will
-#: fail identically on every attempt and is failed immediately instead.
+#: fail identically on every attempt and is failed immediately instead.  A
+#: task pool child that died breaks its pool; the next batch forks a new one.
 _TRANSIENT_TYPES: tuple[type[BaseException], ...] = (
     OSError,
     TimeoutError,
     ConnectionError,
+    BrokenProcessPool,
 )
 
 
@@ -143,4 +146,6 @@ def transient_reason(exc: BaseException) -> str:
         return "connection-error"
     if isinstance(exc, OSError):
         return "os-error"
+    if isinstance(exc, BrokenProcessPool):
+        return "task-pool-broken"
     return type(exc).__name__

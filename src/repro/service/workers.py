@@ -2,12 +2,15 @@
 
 A :class:`JobExecutor` owns the shared runtime state -- one
 :class:`~repro.runtime.cache.ResultCache` / :class:`~repro.runtime.cache.TaskCache`
-pair and one :class:`~repro.runtime.tasks.TaskRunner` -- so every job served
-by the process shares the warm caches and the dedup/stat counters, exactly
-as a long-lived front end should (the point of the service layer is to stop
-paying one-shot CLI costs per request).  Determinism carries over unchanged:
-jobs lower onto the same task builders and sweep plans the CLI uses, and the
-runtime guarantees serial == parallel bitwise.
+pair, one :class:`~repro.runtime.tasks.TaskRunner` and one
+:class:`~repro.runtime.tasks.TaskPool` that the task runner and every sweep
+runner share -- so every job served by the process shares the warm caches,
+the dedup/stat counters and one set of pool processes, forked at the first
+pooled job, exactly as a long-lived front end should (the point of the
+service layer is to stop paying one-shot CLI costs per request).
+Determinism carries over unchanged: jobs lower onto the same task builders
+and sweep plans the CLI uses, and the runtime guarantees serial == parallel
+bitwise.
 
 A :class:`WorkerPool` runs N daemon threads that claim work from the
 :class:`~repro.service.scheduler.JobScheduler` and execute it; the
@@ -31,7 +34,7 @@ from repro.obs import spans as obs_spans
 from repro.service.retry import is_transient, transient_reason
 from repro.runtime.cache import ResultCache, TaskCache, cache_layout
 from repro.runtime.engine import SweepRunner
-from repro.runtime.tasks import TaskRunner
+from repro.runtime.tasks import TaskRunner, default_worker_count, task_pool
 from repro.service.jobs import Job, JobStore
 from repro.service.scheduler import JobScheduler, job_kind
 from repro.store.core import ResultStore
@@ -88,8 +91,12 @@ class JobExecutor:
         self.result_store = ResultStore(layout.store) if layout else None
         self.parallel = parallel
         self.max_workers = max_workers
+        self.task_pool = task_pool(parallel, max_workers or default_worker_count())
         self.task_runner = TaskRunner(
-            parallel=parallel, max_workers=max_workers, cache=self.task_cache
+            parallel=parallel,
+            max_workers=max_workers,
+            cache=self.task_cache,
+            pool=self.task_pool,
         )
         self.stats = ExecutorStats()
         self._stats_lock = threading.Lock()
@@ -99,7 +106,13 @@ class JobExecutor:
             parallel=self.parallel,
             max_workers=self.max_workers,
             cache=self.result_cache,
+            pool=self.task_pool,
         )
+
+    def close(self, *, wait: bool = True) -> None:
+        """Shut the task pool's children down; the next pooled job forks again."""
+        if self.task_pool is not None:
+            self.task_pool.close(wait=wait)
 
     # -- job execution -------------------------------------------------------
 
@@ -491,9 +504,14 @@ class JobService:
         return self
 
     def stop(self, timeout: float = 5.0) -> bool:
-        """Stop the worker pool and close the journal; ``False`` when the
-        stop was unclean."""
+        """Stop the workers, the task pool and the journal; ``False`` when
+        the stop was unclean.
+
+        The task pool's children are joined after a clean stop; a hung
+        worker may still wait on them, so an unclean stop does not wait.
+        """
         clean = self.pool.stop(timeout)
+        self.executor.close(wait=clean)
         self.store.close()
         return clean
 
@@ -514,6 +532,7 @@ class JobService:
         deadline = time.monotonic() + timeout
         drained = self.store.wait_idle(timeout)
         clean = self.pool.stop(max(1.0, deadline - time.monotonic()))
+        self.executor.close(wait=clean)
         if not drained:
             counts = self.store.state_counts()
             _LOG.warning(

@@ -136,6 +136,7 @@ class TestJobRootSpan:
         first = JobService(state_path=journal, parallel=False)
         job = first.submit("sweep", SWEEP, trace_id="recovered-root-1")
         first.scheduler.claim()  # this process dies mid-attempt
+        first.stop()  # the crash: the journal still says running
         second = JobService(state_path=journal, parallel=False).start()
         try:
             finished = second.wait(job.id, 30.0)

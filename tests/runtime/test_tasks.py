@@ -2,17 +2,30 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import os
 import pickle
+import signal
+import subprocess
+import sys
+import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, TaskExecutionError
+from repro.obs import spans as obs_spans
+from repro.runtime import tasks as tasks_module
 from repro.runtime.cache import MISS, TaskCache
+from repro.runtime.engine import SweepRunner
+from repro.runtime.suites import task_runner_for
 from repro.runtime.tasks import (
     Task,
+    TaskPool,
     TaskRunner,
     callable_code_version,
     default_worker_count,
@@ -158,7 +171,7 @@ class TestTaskRunner:
 class TestExecuteTasks:
     def test_parallel_pool_produces_submission_order(self):
         tasks = [Task(fn=square, params={"x": x}) for x in range(8)]
-        assert execute_tasks(tasks, parallel=True, max_workers=3) == [
+        assert execute_tasks(tasks, TaskPool(3)) == [
             x * x for x in range(8)
         ]
 
@@ -172,13 +185,35 @@ def blas_threads_after_a_product() -> tuple[dict[str, int], int]:
     return openblas_threads(), len(os.listdir("/proc/self/task"))
 
 
+class TestOneBlasConfiguration:
+    """One task key names one payload: BLAS bits depend on the thread count."""
+
+    def test_order_300_systolic_task_has_one_payload(self):
+        # GEMM and QR of order 300 differ between one and two BLAS threads
+        # on some builds; every task now runs on one.
+        from repro.experiments.arrays_section4 import systolic_task
+
+        task = systolic_task(order=300, batches=1, qr_order=300, qr_rows=300)
+        other = systolic_task(order=8, batches=1)
+        alone = TaskRunner(parallel=True, max_workers=2).run([task])[0]
+        pooled = TaskRunner(parallel=True, max_workers=2).run([task, other])[0]
+        serial = TaskRunner().run([task])[0]
+        assert alone == pooled == serial
+
+    def test_in_process_batch_runs_one_blas_thread(self):
+        if not openblas_threads():
+            pytest.skip("no OpenBLAS loaded in this process")
+        TaskRunner().run([Task(fn=square, params={"x": 4})])
+        assert set(openblas_threads().values()) == {1}
+
+
 class TestPoolChildrenRunOneBlasThread:
     def test_every_child_runs_one_thread(self):
         before = openblas_threads()
         if not before:
             pytest.skip("no OpenBLAS loaded in this process")
         tasks = [Task(fn=blas_threads_after_a_product) for _ in range(4)]
-        results = execute_tasks(tasks, parallel=True, max_workers=2)
+        results = execute_tasks(tasks, TaskPool(2))
         assert results == [({name: 1 for name in before}, 1)] * 4
         # The parent keeps its own BLAS threads.
         assert openblas_threads() == before
@@ -199,7 +234,7 @@ class TestFailureLabels:
             Task(fn=boom, params={"x": 3}, name="doomed-task"),
         ]
         with pytest.raises(TaskExecutionError) as excinfo:
-            execute_tasks(tasks, parallel=False, max_workers=1)
+            execute_tasks(tasks, None)
         assert excinfo.value.label == "doomed-task"
         assert "doomed-task" in str(excinfo.value)
         assert "cannot handle x=3" in str(excinfo.value)
@@ -210,7 +245,7 @@ class TestFailureLabels:
             Task(fn=boom, params={"x": x}, name=f"doomed-{x}") for x in (7, 8)
         ]
         with pytest.raises(TaskExecutionError) as excinfo:
-            execute_tasks(tasks, parallel=True, max_workers=2)
+            execute_tasks(tasks, TaskPool(2))
         # The first failure in submission order wins, as in a serial run.
         assert excinfo.value.label == "doomed-7"
 
@@ -263,3 +298,199 @@ class TestInBatchDedup:
             "cache_hits": 0,
             "deduped": 2,
         }
+
+
+def pid_of(i: int) -> int:
+    """The PID of the process running task ``i`` (distinct keys, no dedup)."""
+    return os.getpid()
+
+
+def _pid_tasks(count: int, start: int = 0) -> list[Task]:
+    return [Task(fn=pid_of, params={"i": i}) for i in range(start, start + count)]
+
+
+def span_collection_on() -> bool:
+    return obs_spans.enabled()
+
+
+def _pool_starts() -> float:
+    return tasks_module._METRIC_POOL_STARTS.value
+
+
+def _children() -> set[int]:
+    """PIDs of this process's live children (every thread's)."""
+    pids: set[int] = set()
+    for path in Path("/proc/self/task").glob("*/children"):
+        pids.update(int(pid) for pid in path.read_text().split())
+    return pids
+
+
+def _gone(pid: int) -> bool:
+    """Whether ``pid`` has exited (a zombie awaiting its reaper counts)."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] == "Z"
+    except (FileNotFoundError, ProcessLookupError):  # reaped, or exiting as we read
+        return True
+
+
+def _wait_gone(pids: set[int], timeout: float = 10.0) -> set[int]:
+    """The PIDs of ``pids`` still alive after up to ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        alive = {pid for pid in pids if not _gone(pid)}
+        if not alive:
+            return alive
+        time.sleep(0.02)
+    return {pid for pid in pids if not _gone(pid)}
+
+
+needs_proc_children = pytest.mark.skipif(
+    not list(Path("/proc/self/task").glob("*/children")),
+    reason="needs /proc/<pid>/task/<tid>/children",
+)
+
+
+class TestTaskPool:
+    def test_serial_and_one_worker_runners_own_no_pool(self):
+        assert TaskRunner().pool is None
+        assert TaskRunner(parallel=True, max_workers=1).pool is None
+        assert SweepRunner(parallel=True, max_workers=1).pool is None
+
+    def test_a_pool_forks_at_its_first_batch_and_reuses_its_children(self):
+        before = _pool_starts()
+        runner = TaskRunner(parallel=True, max_workers=2)
+        assert _pool_starts() == before  # nothing forked yet
+        first = set(runner.run(_pid_tasks(6)))
+        second = set(runner.run(_pid_tasks(6, start=6)))
+        assert os.getpid() not in first | second
+        assert len(first | second) <= 2
+        assert _pool_starts() == before + 1
+        runner.pool.close()
+
+    def test_concurrent_batches_share_one_fork_and_keep_their_order(self):
+        pool = TaskPool(2)
+        before = _pool_starts()
+        results: dict[int, list[bool]] = {}
+        start = threading.Barrier(6)
+
+        def feed(thread: int) -> None:
+            start.wait(10.0)  # every thread asks the unforked pool at once
+            for batch in range(5):
+                xs = [thread * 100 + batch * 10 + i for i in range(4)]
+                got = execute_tasks([Task(fn=square, params={"x": x}) for x in xs], pool)
+                results.setdefault(thread, []).append(got == [x * x for x in xs])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=feed, args=(t,)) for t in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            pool.close()
+        assert results == {t: [True] * 5 for t in range(6)}
+        assert _pool_starts() == before + 1
+
+    def test_a_one_task_batch_runs_on_the_pool(self):
+        runner = TaskRunner(parallel=True, max_workers=2)
+        assert runner.run_one(Task(fn=pid_of, params={"i": 0})) != os.getpid()
+        runner.pool.close()
+
+    def test_a_suite_run_forks_once(self):
+        from repro.runtime.suites import ExperimentScenario, Scenario, ScenarioSuite, run_suite
+
+        suite = ScenarioSuite(
+            name="pool-once",
+            description="one sweep and one experiment",
+            scenarios=(Scenario("fft", "fft", (8, 64), 6),),
+            experiments=(ExperimentScenario("sys", "systolic", {"order": 4, "batches": 2}),),
+        )
+        runner = SweepRunner(parallel=True, max_workers=2)
+        before = _pool_starts()
+        run_suite(suite, runner, record=False)
+        assert _pool_starts() == before + 1
+        runner.pool.close()
+
+    def test_a_dead_child_breaks_the_batch_and_the_next_batch_forks_afresh(self):
+        pool = TaskPool(2)
+        assert execute_tasks([Task(fn=square, params={"x": 3})], pool) == [9]
+        before = _pool_starts()
+        with pytest.raises(BrokenProcessPool):
+            execute_tasks([Task(fn=os._exit, params={"status": 1})], pool)
+        assert execute_tasks([Task(fn=square, params={"x": 4})], pool) == [16]
+        assert _pool_starts() == before + 1
+        pool.close()
+
+    def test_a_long_lived_child_traces_only_what_its_task_ships(self):
+        pool = TaskPool(2)
+        obs_spans.enable()
+        try:
+            # Forked while this process traces: the children inherit a collector.
+            assert execute_tasks([Task(fn=span_collection_on)], pool) == [True]
+        finally:
+            obs_spans.disable()
+        assert execute_tasks([Task(fn=span_collection_on)], pool) == [False]
+        pool.close()
+
+    @needs_proc_children
+    def test_close_joins_the_children_and_the_next_batch_forks_again(self):
+        before_children = _children()
+        pool = TaskPool(2)
+        execute_tasks(_pid_tasks(4), pool)
+        forked = _children() - before_children
+        assert 0 < len(forked) <= 2
+        pool.close()
+        assert not forked & _children()
+        before = _pool_starts()
+        assert execute_tasks(_pid_tasks(1), pool)[0] not in forked
+        assert _pool_starts() == before + 1
+        pool.close()
+
+    @needs_proc_children
+    def test_a_dropped_runners_children_exit(self):
+        before_children = _children()
+        runner = SweepRunner(parallel=True, max_workers=2)
+        task_runner_for(runner).run(_pid_tasks(4))
+        forked = _children() - before_children
+        assert forked
+        del runner
+        gc.collect()
+        assert _wait_gone(forked) == set()
+
+    @needs_proc_children
+    def test_a_killed_owner_leaves_no_child_behind(self):
+        owner = subprocess.Popen(
+            [
+                sys.executable,
+                "-c",
+                "import os, time\n"
+                "from repro.runtime.tasks import Task, TaskRunner\n"
+                "runner = TaskRunner(parallel=True, max_workers=2)\n"
+                "runner.run_one(Task(fn=os.getpid))\n"
+                "print('ready', flush=True)\n"
+                "time.sleep(60)\n",
+            ],
+            stdout=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        children: set[int] = set()
+        try:
+            assert owner.stdout.readline().strip() == "ready"
+            for path in Path(f"/proc/{owner.pid}/task").glob("*/children"):
+                children.update(int(pid) for pid in path.read_text().split())
+            assert len(children) == 2
+            owner.kill()
+            owner.wait()
+            assert _wait_gone(children) == set()
+        finally:
+            owner.kill()
+            owner.wait()
+            owner.stdout.close()
+            for pid in children:  # orphans, should the test fail
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)

@@ -301,6 +301,7 @@ class TestRecoveryResilience:
         path.write_text(json.dumps(stale) + "\n")
 
         service = JobService(state_path=path, workers=1)
+        service.stop()
         job = service.store.get("stale0badjob")
         assert job.state == FAILED
         assert "unrecoverable after restart" in job.error
@@ -327,16 +328,19 @@ class TestRecoveryResilience:
         path = tmp_path / "jobs.jsonl"
         service = JobService(state_path=path, parallel=False)
         job_id = service.submit("experiment", {"experiment": "warp"}).id
+        service.stop()
         claims = 0
         for _ in range(5):
             service = JobService(state_path=path, parallel=False)
-            if service.job(job_id).terminal:
-                continue
-            claimed = service.scheduler.claim(timeout=5.0)
-            assert claimed is not None and claimed.id == job_id
-            claims += 1
+            if not service.job(job_id).terminal:
+                claimed = service.scheduler.claim(timeout=5.0)
+                assert claimed is not None and claimed.id == job_id
+                claims += 1
+            service.stop()  # the crash: the journal still says running
         assert claims == 3
-        job = JobService(state_path=path, parallel=False).job(job_id)
+        final = JobService(state_path=path, parallel=False)
+        final.stop()
+        job = final.job(job_id)
         assert job.state == FAILED and job.attempts == 3
         assert job.error == (
             "interrupted by a restart and the retry policy is exhausted "

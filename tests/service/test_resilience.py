@@ -175,6 +175,8 @@ class TestWorkerSupervision:
             assert service.pool.hung_workers
         finally:
             uninstall()
+            # The hung worker journals its job once it unblocks; close after.
+            service.store.wait_idle(10.0)
             service.stop(timeout=5.0)
 
     def test_clean_stop_returns_true(self, tmp_path):
@@ -206,6 +208,7 @@ class TestAdmissionControl:
             {"kernel": "matmul", "memory_sizes": [16], "analytic": True},
         )
         assert follower.deduped_into == first.id
+        service.stop()
 
     def test_http_429_carries_retry_after_header(self, live_service, tmp_path):
         import http.client

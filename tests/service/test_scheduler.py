@@ -165,6 +165,7 @@ class TestDedup:
         job = scheduler.submit("experiment", {"experiment": "warp"})
         claimed = scheduler.claim()
         assert claimed.state == RUNNING
+        store.close()  # the crash: the journal still says running
 
         recovered_store = JobStore(path)
         recovered_scheduler = JobScheduler(recovered_store)
@@ -174,6 +175,7 @@ class TestDedup:
         assert interrupted.id == job.id
         reclaimed = recovered_scheduler.claim()
         assert reclaimed.id == job.id
+        recovered_store.close()
 
 
 class TestClaim:

@@ -313,7 +313,9 @@ class WorkerPool:
         are logged, counted and reported to the caller instead of being
         silently abandoned.  The stop flag is left set on an unclean stop,
         so a hung worker that eventually unblocks exits instead of claiming
-        new work.
+        new work.  The hung workers stay registered: the next ``stop`` joins
+        them again and is clean only once none is alive, and ``start`` does
+        nothing until then.
         """
         self._stop.set()
         self.scheduler.close()
@@ -337,7 +339,7 @@ class WorkerPool:
             )
         with self._lock:
             self.hung_workers = hung
-            self._workers = {}
+            self._workers = {name: workers[name] for name in hung}
             self._inflight = {
                 name: job_id
                 for name, job_id in self._inflight.items()
@@ -508,11 +510,14 @@ class JobService:
         the stop was unclean.
 
         The task pool's children are joined after a clean stop; a hung
-        worker may still wait on them, so an unclean stop does not wait.
+        worker may still wait on them, so an unclean stop does not wait.  A
+        hung worker journals its job once it unblocks, so an unclean stop
+        leaves the journal open: a later clean ``stop`` closes it.
         """
         clean = self.pool.stop(timeout)
         self.executor.close(wait=clean)
-        self.store.close()
+        if clean:
+            self.store.close()
         return clean
 
     @property

@@ -21,22 +21,35 @@ index is built at the handle's first read from the manifest, reconciled
 once against the segment listing (lines whose segment is gone, and torn
 lines, are dropped by compacting the manifest; segments without a line are
 parsed, indexed and given one), then kept current from the handle's own
-appends and the manifest bytes added since its last read.  A read takes
-its segments from the index and parses only those whose run metadata and
-value sets can match, so a query costs what it matches, not the store's
-whole history.  The segments stay the truth: a missing, stale or torn
-manifest costs a rebuild, never a wrong answer.  Every manifest writer
-holds an exclusive ``flock`` on it, so appends from other processes never
-interleave and a compaction never drops a line appended while it ran.
+appends and the manifest bytes added since its last read (each read first
+reads back the last line it indexed: a replaced manifest can have the old
+inode number, size and mtime).  A read takes its segments from the index
+and parses only those whose run metadata and value sets can match, so a
+query costs what it matches, not the store's whole history.  The
+segments stay the truth: a missing, stale or torn manifest costs a
+rebuild, never a wrong answer.  Every manifest writer holds an exclusive
+``flock`` on it, so appends from other processes never interleave and a
+compaction never drops a line appended while it ran.
 
 Records are flat mappings of scalar columns.  Reserved columns the readers
 populate: ``experiment`` (the record kind), ``scenario``, ``kernel`` and
 ``key`` (the runtime's content-addressed task/execution key where one
 exists).  Run metadata (run ID, suite, trace ID, git revision, source
 schema, ingest wall time) is stored once per segment and merged into every
-record at query time.  Reads parse one segment at a time and keep only
-what the caller selected (:meth:`ResultStore.select`), so a filtered query
-holds its matches, not the whole history.
+record at query time.
+
+Each handle also keeps the segments its reads parsed, in a least recently
+used cache of at most :data:`SEGMENT_CACHE_BYTES` segment bytes (their size
+on disk).  A segment is immutable and content-addressed, so an entry is
+served while one ``os.stat`` of its file shows the inode, size and
+``mtime_ns`` of the file it was parsed from; a rewritten, corrupted or
+deleted segment is read again, as if never cached.  An entry is compact:
+each run of consecutive records with one column tuple is one flat tuple of
+values, the ``experiment``, ``kernel`` and ``scenario`` values are kept per
+record, and column tuples and string values are shared across the cache.
+:meth:`ResultStore.select` filters on those per-record values and builds a
+fresh merged dict for each match only, so a repeated query costs its
+matches, not a re-parse of the history it already read.
 
 :class:`Frame` is the columnar (numpy-backed) view transforms operate on:
 one object array per column, with a float64 ``numeric()`` accessor that
@@ -46,17 +59,20 @@ array expressions.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import fcntl
 import functools
 import hashlib
+import itertools
 import json
 import os
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -76,12 +92,18 @@ __all__ = [
     "git_revision",
     "manifest_drift",
     "read_segment",
+    "SEGMENT_CACHE_BYTES",
 ]
 
 STORE_SCHEMA = "repro-store-run/v1"
 
 #: The manifest's file name under the store root.
 MANIFEST_NAME = "manifest.jsonl"
+
+#: Segment bytes (their size on disk) each handle keeps parsed in memory,
+#: least recently used out first.  The compact form holds about as many
+#: bytes in memory.
+SEGMENT_CACHE_BYTES = 16 << 20
 
 #: Record columns whose per-segment value sets the manifest keeps, so a
 #: query filtering on them skips the segments that cannot match.
@@ -200,15 +222,19 @@ def _canonical_records(records: Iterable[Mapping[str, Any]]) -> list[dict[str, A
 class StoreStats:
     """Counters accumulated over the lifetime of a store handle.
 
-    ``segments_read`` counts the segments the handle's reads parsed: a query
-    parses only the segments its filters can match, and building the index
-    parses only the segments the manifest has no line for.
+    ``segments_read`` counts the segment files the handle's reads parsed: a
+    query parses only the segments its filters can match and the handle
+    does not hold in memory, and building the index parses only the
+    segments the manifest has no line for.  A segment gone since the index
+    listed it is not counted.  ``segments_cached`` counts the segments a
+    query took from memory instead.
     """
 
     ingests: int = 0
     deduped: int = 0
     records: int = 0
     segments_read: int = 0
+    segments_cached: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -216,6 +242,7 @@ class StoreStats:
             "deduped": self.deduped,
             "records": self.records,
             "segments_read": self.segments_read,
+            "segments_cached": self.segments_cached,
         }
 
 
@@ -247,14 +274,31 @@ class RunInfo:
         }
 
 
-def read_segment(path: Path) -> tuple[RunInfo, list[dict[str, Any]]]:
+def read_segment(path: str | Path) -> tuple[RunInfo, list[dict[str, Any]]]:
     """Parse and validate one run segment: its metadata and raw records.
 
     Raises ``OSError``, ``ValueError``, ``KeyError`` or ``TypeError`` for a
     segment a reader must skip: unreadable, not JSON, another schema,
     missing run fields, or records that are not a list of objects.
     """
-    segment = json.loads(path.read_text())
+    with open(path, "rb") as handle:
+        return _parse_segment(handle.read())
+
+
+def _read_file(path: str) -> tuple[tuple[int, int, int], bytes] | None:
+    """The bytes of one file and the identity (inode, size, ``mtime_ns``) of
+    the file they were read from; ``None`` when it cannot be opened."""
+    try:
+        with open(path, "rb") as handle:
+            stat = os.fstat(handle.fileno())
+            return (stat.st_ino, stat.st_size, stat.st_mtime_ns), handle.read()
+    except OSError:
+        return None
+
+
+def _parse_segment(data: bytes) -> tuple[RunInfo, list[dict[str, Any]]]:
+    """:func:`read_segment` of a segment's bytes."""
+    segment = json.loads(data.decode())
     if segment["schema"] != STORE_SCHEMA:
         raise ValueError(f"unsupported store schema {segment['schema']!r}")
     meta = segment["run"]
@@ -275,6 +319,99 @@ def read_segment(path: Path) -> tuple[RunInfo, list[dict[str, Any]]]:
     if not all(isinstance(record, dict) for record in records):
         raise ValueError("records must be JSON objects")
     return info, records
+
+
+# A run of consecutive records with one column tuple: the columns, the
+# record count and every record's values, one record after another.
+_Block = tuple[tuple[str, ...], int, tuple[Any, ...]]
+# The record columns select filters on; a segment keeps each one's values.
+_RECORD_FILTERS = ("experiment", "kernel", "scenario")
+
+
+class _Segment(NamedTuple):
+    """One parsed segment as a handle keeps it in memory."""
+
+    identity: tuple[int, int, int]  # inode, size, mtime_ns of the file parsed
+    run: tuple[Any, ...]  # the RunInfo fields, in order
+    blocks: tuple[_Block, ...]
+    # Per _RECORD_FILTERS column, every record's value (None when missing).
+    cells: tuple[tuple[Any, ...], ...]
+
+    @classmethod
+    def parse(cls, identity: tuple[int, int, int], data: bytes, shared: dict) -> "_Segment":
+        """Compact one segment's bytes, sharing column tuples, string values
+        and all-string filter columns through ``shared``; raises as
+        :func:`read_segment`."""
+        info, records = _parse_segment(data)
+
+        def share(values: Iterable[Any]) -> list[Any]:
+            return [shared.setdefault(v, v) if type(v) is str else v for v in values]
+
+        blocks = []
+        for columns, group in itertools.groupby(records, key=tuple):
+            group = list(group)
+            values = tuple(share(value for record in group for value in record.values()))
+            blocks.append((shared.setdefault(columns, columns), len(group), values))
+        cells = []
+        for column in _RECORD_FILTERS:
+            column_cells = tuple(share(record.get(column) for record in records))
+            # Only tuples of strings and None compare equal exactly when
+            # their values do (1 == 1.0 == True, 0.0 == -0.0).
+            if all(value is None or type(value) is str for value in column_cells):
+                column_cells = shared.setdefault(column_cells, column_cells)
+            cells.append(column_cells)
+        run = tuple(share(info.as_dict().values()))
+        return cls(identity, run, tuple(blocks), tuple(cells))
+
+    @property
+    def info(self) -> RunInfo:
+        return RunInfo(*self.run)
+
+    def rows(self, filters: Sequence[tuple[str, Any]] = ()) -> list[dict[str, Any]]:
+        """Fresh dicts of the records whose ``(column, value)`` filters all
+        hold, run metadata merged over each, in record order.
+
+        The columns are ``experiment``, ``kernel`` and ``scenario``;
+        ``scenario`` matches as a prefix, the others exactly, and a record
+        without the column fails its filter.
+        """
+        keep: Sequence[int] = range(len(self.cells[0]))
+        for column, wanted in filters:
+            cells = self.cells[_RECORD_FILTERS.index(column)]
+            if column == "scenario":
+                keep = [
+                    i for i in keep
+                    if isinstance(cells[i], str) and cells[i].startswith(wanted)
+                ]
+            else:
+                keep = [i for i in keep if cells[i] == wanted]
+        meta = dict(zip(RESERVED_RUN_COLUMNS, self.run))
+        rows: list[dict[str, Any]] = []
+        start = first = 0
+        for columns, count, values in self.blocks:
+            if first == len(keep):
+                break
+            end = start + count
+            last = bisect.bisect_left(keep, end, first)
+            if last > first:
+                # Each row is {**record, **meta} without ``record_count``:
+                # copy a presized template and fill in the record's values.
+                # Only a record holding a run column or ``record_count`` (a
+                # segment written by hand) needs the merge redone.
+                width = len(columns)
+                template = dict.fromkeys(columns)
+                template.update(meta)
+                clash = len(template) != width + len(meta) or "record_count" in template
+                for i in keep[first:last]:
+                    offset = (i - start) * width
+                    row = template.copy()
+                    row.update(zip(columns, values[offset : offset + width]))
+                    if clash:
+                        row.update(meta)
+                        row.pop("record_count", None)
+                    rows.append(row)
+            start, first = end, last
+        return rows
 
 
 def _manifest_line(
@@ -415,7 +552,10 @@ class ResultStore:
     once published, publication is an atomic rename, and the run key is a
     pure function of the content -- two appenders racing on the same
     payload both publish the identical segment.  The handle's index is
-    guarded by a lock, and the manifest by an exclusive ``flock``.
+    guarded by a lock, and the manifest by an exclusive ``flock``.  The
+    segments a handle parsed stay in its memory while their files are
+    unchanged (see the module docstring); a fresh handle, such as each
+    ``repro report`` process, starts with none.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -429,14 +569,26 @@ class ResultStore:
         self._groups: dict[_Signature, dict[str, _Entry]] | None = None
         self._records = 0
         self._bytes = 0
-        # Where the index's manifest reads stopped: the file and the offset.
+        # Where the index's manifest reads stopped: the file, the offset and
+        # the line that ends there.  A replacing file can reuse the inode
+        # number and have the same size and mtime, so the line, read back
+        # at every refresh, proves the file is the one read.
         self._inode = -1
         self._offset = 0
+        self._tail = b""
+        # The parsed segments, least recently used first, and their bytes.
+        # ``_shared`` holds the column tuples and strings they share; it is
+        # emptied whenever an entry leaves, so it holds only what the
+        # entries hold.
+        self._cache: OrderedDict[str, _Segment] = OrderedDict()
+        self._cached_bytes = 0
+        self._shared: dict[Any, Any] = {}
+        self._runs = os.path.join(self.root, "runs")
 
     # -- writing -------------------------------------------------------------
 
-    def _path(self, run_key: str) -> Path:
-        return self.root / "runs" / run_key[:2] / f"{run_key}.json"
+    def _path(self, run_key: str) -> str:
+        return f"{self._runs}/{run_key[:2]}/{run_key}.json"
 
     def append_run(
         self,
@@ -465,7 +617,7 @@ class ResultStore:
         )
         run_key = hashlib.sha256(key_blob.encode()).hexdigest()
         path = self._path(run_key)
-        if path.exists():
+        if os.path.exists(path):
             self.stats.deduped += 1
             _METRIC_INGESTS.labels(outcome="deduped").inc()
             return IngestReceipt(run_key, run_id, added=False, record_count=len(rows))
@@ -485,9 +637,10 @@ class ResultStore:
             "records": rows,
         }
         data = json.dumps(segment, sort_keys=True).encode()
-        _atomic_write(path, data)
+        _atomic_write(Path(path), data)
         line = _manifest_line(segment["run"], rows, len(data))
         with self._lock:
+            self._forget(run_key)  # a segment deleted and written again
             self._append_manifest(line, run_key)
             if self._groups is not None:
                 self._add(*_parse_manifest_line(line))
@@ -535,32 +688,26 @@ class ResultStore:
         since, and rebuild when the manifest was replaced, removed or holds
         a torn line.
         """
-        if self._groups is not None:
-            try:
-                stat = os.stat(self.manifest)
-            except FileNotFoundError:
-                stat = None
-            if stat is not None and stat.st_ino == self._inode:
-                if stat.st_size == self._offset:
-                    return
-                if stat.st_size > self._offset and self._read_appended():
-                    return
-        self._rebuild()
+        if self._groups is None or not self._read_appended():
+            self._rebuild()
 
     def _read_appended(self) -> bool:
         """Index the lines appended since the last read; ``False`` means rebuild."""
-        start = max(self._offset - 1, 0)
+        start = self._offset - len(self._tail)
         try:
-            with open(self.manifest, "rb") as handle:
-                if os.fstat(handle.fileno()).st_ino != self._inode:
-                    return False
-                handle.seek(start)
-                data = handle.read()
+            fd = os.open(self.manifest, os.O_RDONLY)
         except FileNotFoundError:
             return False
-        if self._offset and not data.startswith(b"\n"):
-            return False  # not at the line boundary the last read stopped at
-        data = data[self._offset - start :]
+        try:
+            stat = os.fstat(fd)
+            if stat.st_ino != self._inode or stat.st_size < self._offset:
+                return False
+            data = os.pread(fd, stat.st_size - start, start)
+        finally:
+            os.close(fd)
+        if not data.startswith(self._tail):
+            return False  # not the file, or the line, the last read stopped at
+        data = data[len(self._tail) :]
         # A line still being written waits for the next read.
         end = data.rfind(b"\n") + 1
         try:
@@ -569,7 +716,9 @@ class ResultStore:
             return False  # a torn line: the rebuild finds its segment
         for item in parsed:
             self._add(*item)
-        self._offset += end
+        if end:
+            self._offset += end
+            self._tail = data[data.rfind(b"\n", 0, end - 1) + 1 : end]
         return True
 
     def _rebuild(self) -> None:
@@ -607,48 +756,97 @@ class ResultStore:
                     self._add(*parsed)
             added = []
             for key in sorted(listed - indexed):
-                path = self._path(key)
-                segment = self._load_segment(path)
+                read = _read_file(self._path(key))
+                if read is None:
+                    continue  # deleted since it was listed
                 self.stats.segments_read += 1
-                if segment is None or segment[0].run_key != key:
-                    continue  # unreadable or misnamed: `repro doctor` reports it
-                info, records = segment
                 try:
-                    line = _manifest_line(info.as_dict(), records, path.stat().st_size)
-                except OSError:
-                    continue  # deleted since it was read
+                    info, records = _parse_segment(read[1])
+                except (ValueError, KeyError, TypeError):
+                    continue  # corrupt: `repro doctor` reports it
+                if info.run_key != key:
+                    continue  # misnamed: `repro doctor` reports it
+                line = _manifest_line(info.as_dict(), records, read[0][1])
                 added.append(line)
                 self._add(*_parse_manifest_line(line))
-            inode, offset = os.fstat(fd).st_ino, data.rfind(b"\n") + 1
+            inode, content = os.fstat(fd).st_ino, data[: data.rfind(b"\n") + 1]
             try:
                 if compact:
-                    content = b"".join(lines + added)
-                    inode, offset = _atomic_write(self.manifest, content), len(content)
+                    rewritten = b"".join(lines + added)
+                    inode, content = _atomic_write(self.manifest, rewritten), rewritten
                 elif added:
                     os.write(fd, b"".join(added))
-                    offset = len(data) + sum(map(len, added))
+                    content += b"".join(added)
             except OSError:
                 pass
-        self._inode, self._offset = inode, offset
+        self._inode, self._offset = inode, len(content)
+        self._tail = content[content.rfind(b"\n", 0, len(content) - 1) + 1 :]
+        # Drop the parsed segments the index no longer holds, or holds as
+        # another ingest (a store cleared and the same run recorded again).
+        ingested = {
+            key: entry[0] for group in self._groups.values() for key, entry in group.items()
+        }
+        for key, segment in list(self._cache.items()):
+            if ingested.get(key) != segment.run[7]:
+                self._forget(key)
 
     # -- reading -------------------------------------------------------------
 
-    def _load_segment(self, path: Path) -> tuple[RunInfo, list[dict[str, Any]]] | None:
+    def _segment(self, key: str) -> _Segment | None:
+        """One readable segment, from memory while its file is the one
+        parsed, else read, parsed and kept; ``None`` for a segment a read
+        skips (vanished, or corrupt: `repro doctor` reports it)."""
+        path = self._path(key)
         try:
-            return read_segment(path)
-        except (OSError, ValueError, KeyError, TypeError):
-            # Corrupt or vanished segment: skip it here; `repro doctor`
-            # reports it.
+            stat = os.stat(path)
+        except OSError:
+            stat = None
+        with self._lock:
+            cached = self._cache.get(key)
+            if cached is not None:
+                if stat is not None and cached.identity == (
+                    stat.st_ino, stat.st_size, stat.st_mtime_ns
+                ):
+                    self._cache.move_to_end(key)
+                    self.stats.segments_cached += 1
+                    return cached
+                self._forget(key)
+            shared = self._shared
+        read = _read_file(path)
+        if read is None:
             return None
+        identity, data = read
+        if identity[1] > SEGMENT_CACHE_BYTES:
+            shared = {}  # too large to keep: share nothing with the cache
+        try:
+            segment = _Segment.parse(identity, data, shared)
+        except (ValueError, KeyError, TypeError):
+            segment = None
+        with self._lock:
+            self.stats.segments_read += 1
+            if segment is not None and identity[1] <= SEGMENT_CACHE_BYTES:
+                self._forget(key)
+                self._cache[key] = segment
+                self._cached_bytes += identity[1]
+                while self._cached_bytes > SEGMENT_CACHE_BYTES:
+                    self._forget(next(iter(self._cache)))
+        return segment
+
+    def _forget(self, key: str) -> None:
+        """Drop one parsed segment, if held; the caller holds ``self._lock``."""
+        segment = self._cache.pop(key, None)
+        if segment is not None:
+            self._cached_bytes -= segment.identity[1]
+            self._shared = {}
 
     def _segments(
         self,
         can_match: Callable[[_Signature], bool] = lambda signature: True,
         run_id: str | None = None,
-    ) -> Iterator[tuple[RunInfo, list[dict[str, Any]]]]:
+    ) -> Iterator[_Segment]:
         """The readable segments whose signature ``can_match`` (and whose run
-        ID is ``run_id``, if given), parsed one at a time, oldest ingest
-        first, then by run key.
+        ID is ``run_id``, if given), one at a time, oldest ingest first, then
+        by run key.
 
         Each distinct signature is tested once, so a query that matches
         nothing costs no more on a long history.
@@ -662,35 +860,21 @@ class ResultStore:
                 for key, (ingested_at, _, entry_run_id) in group.items()
                 if run_id is None or entry_run_id == run_id
             )
-            self.stats.segments_read += len(matches)
         for _, key in matches:
-            segment = self._load_segment(self._path(key))
+            segment = self._segment(key)
             if segment is not None:
                 yield segment
 
     def runs(self) -> list[RunInfo]:
         """Every readable run's metadata, oldest ingest first."""
-        return [info for info, _ in self._segments()]
+        return [segment.info for segment in self._segments()]
 
     def run_records(self, run_key: str) -> list[dict[str, Any]]:
         """The merged records of one run, by its run key."""
-        segment = self._load_segment(self._path(run_key))
+        segment = self._segment(run_key)
         if segment is None:
             raise ConfigurationError(f"no readable run {run_key!r} in {self.root}")
-        return self._merge(*segment)
-
-    @staticmethod
-    def _merge(
-        info: RunInfo, records: Iterable[Mapping[str, Any]]
-    ) -> list[dict[str, Any]]:
-        """Each record with the run metadata merged over it."""
-        meta = info.as_dict()
-        merged = []
-        for record in records:
-            row = {**record, **meta}
-            del row["record_count"]
-            merged.append(row)
-        return merged
+        return segment.rows()
 
     def select(
         self,
@@ -707,9 +891,11 @@ class ResultStore:
         ``qr-small`` and ``qr-large``); the other filters are exact.
         ``suite`` and ``run_id`` are run metadata, which wins over a
         record's own column of that name when the two merge, so they are
-        tested against each run; the record filters are tested on each raw
-        record, so only matches pay for the merge.  Only the segments whose
-        run metadata and value sets can match are parsed.
+        tested against each run; the record filters are tested on each
+        record's values, so only matches pay for the merge.  Only the
+        segments whose run metadata and value sets can match are read, and
+        only those the handle does not hold are parsed.  Every call returns
+        fresh dicts.
         """
 
         def can_match(signature: _Signature) -> bool:
@@ -730,20 +916,14 @@ class ResultStore:
                 )
             )
 
-        def accepts(record: Mapping[str, Any]) -> bool:
-            if experiment is not None and record.get("experiment") != experiment:
-                return False
-            if kernel is not None and record.get("kernel") != kernel:
-                return False
-            if scenario is not None:
-                value = record.get("scenario")
-                return isinstance(value, str) and value.startswith(scenario)
-            return True
-
-        filtered = (experiment, kernel, scenario) != (None, None, None)
+        filters = [
+            (column, value)
+            for column, value in zip(_RECORD_FILTERS, (experiment, kernel, scenario))
+            if value is not None
+        ]
         rows = []
-        for info, records in self._segments(can_match, run_id):
-            rows += self._merge(info, filter(accepts, records) if filtered else records)
+        for segment in self._segments(can_match, run_id):
+            rows += segment.rows(filters)
         return rows
 
     def records(self) -> list[dict[str, Any]]:
@@ -780,6 +960,8 @@ class ResultStore:
                 removed += 1
             self.manifest.unlink(missing_ok=True)
             self._groups = None
+            self._cache.clear()
+            self._cached_bytes, self._shared = 0, {}
         return removed
 
 

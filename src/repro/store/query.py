@@ -48,7 +48,8 @@ def query(
 
     ``scenario`` matches exactly or as a prefix (so ``--scenario qr`` finds
     ``qr-small`` and ``qr-large``); the other filters are exact.  The store
-    parses only the segments the filters can match
+    reads only the segments the filters can match, and parses only those
+    its handle does not already hold
     (:meth:`~repro.store.core.ResultStore.select`).
     """
     return store.select(
@@ -152,11 +153,15 @@ def report_document(
     transform: str | None = None,
     filters: Mapping[str, Any] | None = None,
 ) -> dict[str, Any]:
-    """The JSON report envelope used by the CLI and ``GET /results``."""
+    """The JSON report envelope used by the CLI and ``GET /results``.
+
+    The document holds the given records themselves, not copies:
+    :meth:`~repro.store.core.ResultStore.select` returns fresh dicts.
+    """
     document: dict[str, Any] = {
         "schema": REPORT_SCHEMA,
         "count": len(records),
-        "records": [dict(record) for record in records],
+        "records": list(records),
     }
     if transform:
         document["transform"] = transform

@@ -273,6 +273,16 @@ class TestResultsEndpoint:
         assert client.results(experiment="warp")["count"] == 1
         assert client.cache_stats()["store"]["segments_read"] == before["segments_read"] + 1
 
+    def test_a_repeated_query_is_served_from_memory(self, live_service):
+        _, client = live_service()
+        client.submit_and_wait("experiment", {"experiment": "warp"})
+        first = client.results(experiment="warp")
+        before = client.cache_stats()["store"]
+        assert client.results(experiment="warp") == first and first["count"] == 1
+        after = client.cache_stats()["store"]
+        assert after["segments_read"] == before["segments_read"]
+        assert after["segments_cached"] == before["segments_cached"] + 1
+
     def test_filters_and_limit(self, live_service):
         _, client = live_service()
         client.submit_and_wait("experiment", {"experiment": "warp"})

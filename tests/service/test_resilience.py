@@ -173,11 +173,17 @@ class TestWorkerSupervision:
             clean = service.stop(timeout=0.2)
             assert clean is False
             assert service.pool.hung_workers
+            # The hung worker is not forgotten: stopping again while it is
+            # still stuck is unclean too, and leaves its journal open.
+            assert service.stop(timeout=0.1) is False
+            assert service.pool.hung_workers
         finally:
             uninstall()
-            # The hung worker journals its job once it unblocks; close after.
-            service.store.wait_idle(10.0)
-            service.stop(timeout=5.0)
+        # Once it unblocks it journals its job, and a stop is clean and
+        # closes the journal.
+        assert service.stop(timeout=10.0) is True
+        assert service.pool.hung_workers == []
+        assert service.store._journal is None
 
     def test_clean_stop_returns_true(self, tmp_path):
         service = _fresh_service(tmp_path, "clean", workers=1)

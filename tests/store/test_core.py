@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
 import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.faults.injector import FaultInjector, install, uninstall
@@ -265,6 +270,32 @@ class TestManifest:
         assert [run.run_key for run in store.runs()] == [b.run_key]
         assert not _segment(store, a.run_key).exists() and len(store) == 1
 
+    def test_a_manifest_replaced_at_the_same_inode_size_and_mtime_makes_a_live_handle_rebuild(
+        self, store
+    ):
+        # A replacing file can reuse a freed inode number, happen to have the
+        # old size and, on a file system with coarse timestamps, the old
+        # mtime; only its content tells it apart.
+        a = store.append_run(RECORDS, source="test", run_id="a-longer-run-id")
+        for _ in range(2):  # built, then brought up to date
+            assert [run.run_key for run in store.runs()] == [a.run_key]
+        old = store.manifest.read_bytes()
+        stat = store.manifest.stat()
+        other = ResultStore(store.root)
+        b = other.append_run(RECORDS, source="test", run_id="b")
+        _segment(store, a.run_key).unlink()
+        line = store.manifest.read_bytes().splitlines()[1]
+        assert b.run_key.encode() in line and len(line) < len(old)
+        with open(store.manifest, "r+b") as handle:  # same inode
+            handle.write(line[:-1] + b" " * (len(old) - len(line) - 1) + b"}\n")
+            handle.truncate()
+        os.utime(store.manifest, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        replaced = store.manifest.stat()
+        assert (replaced.st_ino, replaced.st_size, replaced.st_mtime_ns) == (
+            stat.st_ino, stat.st_size, stat.st_mtime_ns
+        )
+        assert [run.run_key for run in store.runs()] == [b.run_key]
+
     def test_an_append_racing_a_compaction_waits_for_it_and_is_seen(self, store, monkeypatch):
         store.append_run(RECORDS, source="test", run_id="kept")
         doomed = store.append_run(RECORDS, source="test", run_id="doomed")
@@ -339,6 +370,192 @@ class TestManifest:
         rows = query(store, kernel="fft")
         assert {row["run_key"] for row in rows} == holding_fft
         assert store.stats.segments_read == len(holding_fft)
+
+
+def _exact(rows) -> str:
+    """Rows as JSON text: equal only with the same values of the same types
+    (``1``, ``1.0`` and ``True`` compare equal as Python values), keys in
+    the same order."""
+    return json.dumps(rows)
+
+
+# Records from small pools, so runs share columns, values and run keys, with
+# values that compare equal across types; column order varies with the draw.
+_CELL = st.sampled_from([0, 1, 1.0, True, 0.0, -0.0, 2.5, "x", None])
+_COLUMNS = {
+    "experiment": st.sampled_from(["sweep", "fit"]),
+    "kernel": st.sampled_from(["fft", "matmul", 1, True]),
+    "scenario": st.sampled_from(["qr-small", "qr-large", "task:BlockedMatrixMultiply@M=23"]),
+    "x": _CELL,
+    "y": _CELL,
+}
+_RECORD = st.lists(
+    st.sampled_from(sorted(_COLUMNS)).flatmap(lambda c: st.tuples(st.just(c), _COLUMNS[c])),
+    max_size=4,
+).map(dict)
+_FILTERS = st.fixed_dictionaries(
+    {
+        "experiment": st.sampled_from([None, "sweep", "fit"]),
+        "kernel": st.sampled_from([None, "fft", "matmul", "no-such"]),
+        "scenario": st.sampled_from([None, "qr", "qr-small", "task:BlockedMatrixMultiply@M=2"]),
+        "suite": st.sampled_from([None, "s", "t"]),
+        "run_id": st.sampled_from([None, "a", "b"]),
+    }
+)
+_STEP = st.one_of(
+    st.tuples(
+        st.just("append"),
+        st.lists(_RECORD, min_size=1, max_size=5),
+        st.sampled_from(["a", "b", "c"]),
+        st.sampled_from([None, "s", "t"]),
+        st.booleans(),  # through another handle
+    ),
+    st.tuples(st.just("query"), _FILTERS),
+    st.tuples(st.just("delete"), st.integers(0, 7)),
+    st.tuples(st.just("garbage"), st.integers(0, 7), st.binary(max_size=40)),
+    st.tuples(st.just("non-object"), st.integers(0, 7)),
+    st.tuples(st.just("clear")),
+    st.tuples(st.just("replace"), st.lists(_RECORD, min_size=1, max_size=3)),
+)
+
+
+def _segment_files(root: Path) -> list[Path]:
+    return sorted(root.glob("runs/*/*.json"))
+
+
+class TestSegmentCache:
+    """Each handle's parsed segments, against what a fresh handle reads."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=st.lists(_STEP, min_size=1, max_size=14))
+    def test_a_live_handle_reads_what_a_fresh_handle_reads(self, steps):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            live = ResultStore(root)
+            for step in steps:
+                kind, args = step[0], step[1:]
+                files = _segment_files(root)
+                filters = {}
+                if kind == "append":
+                    records, run_id, suite, other = args
+                    handle = ResultStore(root) if other else live
+                    handle.append_run(records, source="test", run_id=run_id, suite=suite)
+                elif kind == "query":
+                    (filters,) = args
+                elif kind in ("delete", "garbage", "non-object") and files:
+                    path = files[args[0] % len(files)]
+                    if kind == "delete":
+                        path.unlink()
+                    elif kind == "garbage":
+                        # Shorter than any segment, so never the same size.
+                        path.write_bytes(args[1])
+                    else:
+                        try:
+                            segment = json.loads(path.read_bytes())
+                            segment["records"].append(7)
+                        except (ValueError, KeyError, TypeError, AttributeError):
+                            continue  # garbage already
+                        path.write_text(json.dumps(segment))
+                elif kind == "clear":
+                    live.clear()
+                elif kind == "replace":
+                    # Another handle replaces the manifest and records the
+                    # same run key again, with another ingest time.
+                    other = ResultStore(root)
+                    other.clear()
+                    other.append_run(args[0], source="test", run_id="a")
+                for query_filters in ({}, filters):
+                    cached = live.select(**query_filters)
+                    assert _exact(cached) == _exact(ResultStore(root).select(**query_filters))
+                assert live.runs() == ResultStore(root).runs()
+                assert live._cached_bytes == sum(
+                    segment.identity[1] for segment in live._cache.values()
+                )
+
+    def test_a_repeated_query_parses_no_segment(self, store):
+        for index, kernel in enumerate(("fft", "matmul", "fft")):
+            store.append_run(
+                [{"experiment": "sweep", "kernel": kernel, "x": index}],
+                source="test",
+                run_id=f"run-{index}",
+            )
+        first = query(store, kernel="fft")
+        assert store.stats.segments_read == 2 and store.stats.segments_cached == 0
+        again = query(store, kernel="fft")
+        assert again == first and len(again) == 2
+        assert store.stats.segments_read == 2 and store.stats.segments_cached == 2
+        # Every call returns fresh dicts: the cache holds no caller's row.
+        again[0]["x"] = "edited"
+        assert query(store, kernel="fft") == first
+        assert store.run_records(again[0]["run_key"]) == first[:1]
+        assert store.stats.segments_read == 2
+
+    def test_values_that_compare_equal_keep_their_types(self, store):
+        # Shared values must be the same value: 1, 1.0 and True compare
+        # equal, and so do 0.0 and -0.0.
+        runs = [
+            [{"a": 1, "b": True, "c": 1.0, "d": 0.0, "e": -0.0}],
+            [{"a": True, "b": 1.0, "c": 1, "d": -0.0, "e": 0.0}],
+        ]
+        for index, records in enumerate(runs):
+            store.append_run(records, source="test", run_id=f"r{index}")
+        columns = ("a", "b", "c", "d", "e")
+        for _ in range(2):  # parsed, then from memory
+            rows = [{c: row[c] for c in columns} for row in store.records()]
+            assert _exact(rows) == _exact([records[0] for records in runs])
+
+    def test_a_vanished_segment_is_not_counted_as_read(self, store):
+        receipt = store.append_run(RECORDS, source="test", run_id="a")
+        store.run_count()
+        _segment(store, receipt.run_key).unlink()
+        assert store.records() == []
+        assert store.stats.segments_read == 0
+
+    def test_past_the_budget_the_least_recently_used_segments_leave(self, store, monkeypatch):
+        keys = [
+            store.append_run([{"kernel": "fft", "x": index}], source="test", run_id=f"r{index}")
+            .run_key
+            for index in range(5)
+        ]
+        sizes = {key: _segment(store, key).stat().st_size for key in keys}
+        # Room for any three of them, never four.
+        budget = 3 * max(sizes.values()) + min(sizes.values()) // 2
+        monkeypatch.setattr(core, "SEGMENT_CACHE_BYTES", budget)
+        for key in keys:
+            store.run_records(key)
+            assert store._cached_bytes <= budget
+        assert list(store._cache) == keys[2:]
+        store.run_records(keys[2])  # now the most recently used
+        store.run_records(keys[0])  # parsed again, evicting keys[3]
+        assert list(store._cache) == [keys[4], keys[2], keys[0]]
+        assert store._cached_bytes == sum(sizes[key] for key in store._cache)
+        assert store.stats.segments_read == 6 and store.stats.segments_cached == 1
+        # A segment larger than the whole budget is read but never kept.
+        monkeypatch.setattr(core, "SEGMENT_CACHE_BYTES", min(sizes.values()) - 1)
+        store.run_records(keys[1])
+        assert store.run_records(keys[1])[0]["x"] == 1
+        assert keys[1] not in store._cache and store.stats.segments_read == 8
+
+    def test_an_index_rebuild_drops_segments_that_left_it(self, store):
+        gone = store.append_run(RECORDS, source="test", run_id="gone")
+        kept = store.append_run(RECORDS, source="test", run_id="kept")
+        assert len(store.records()) == 4 and set(store._cache) == {gone.run_key, kept.run_key}
+        # Another process deletes a segment and compacts its line away.
+        _segment(store, gone.run_key).unlink()
+        assert ResultStore(store.root).run_count() == 1
+        assert store.run_count() == 1
+        assert set(store._cache) == {kept.run_key}
+        read = store.stats.segments_read
+        assert [row["run_id"] for row in store.records()] == ["kept", "kept"]
+        assert store.stats.segments_read == read
+        # Cleared and the same run recorded again: same key, another ingest.
+        other = ResultStore(store.root)
+        other.clear()
+        again = other.append_run(RECORDS, source="test", run_id="kept")
+        assert again.run_key == kept.run_key
+        (info,) = ResultStore(store.root).runs()
+        assert store.run_count() == 1 and kept.run_key not in store._cache
+        assert {row["ingested_at"] for row in store.records()} == {info.ingested_at}
 
 
 class TestConcurrency:
@@ -431,6 +648,51 @@ class TestConcurrency:
         }
         fresh = ResultStore(root)
         assert fresh.run_count() == 90 and fresh.stats.segments_read == 0
+
+    def test_queries_racing_appends_keep_the_segment_cache_whole(self, tmp_path, monkeypatch):
+        """Query threads share one handle's cache with its appender, under a
+        budget small enough that they evict each other's segments."""
+        store = ResultStore(tmp_path / "store")
+        for i in range(6):
+            store.append_run([{"kernel": "fft", "x": i}], source="test", run_id=f"seed-{i}")
+        size = max(path.stat().st_size for path in store.root.glob("runs/*/*.json"))
+        monkeypatch.setattr(core, "SEGMENT_CACHE_BYTES", 4 * size)
+        served: list[int] = []  # segments each query read, one per run key
+        errors: list[BaseException] = []
+
+        def query_loop() -> None:
+            for _ in range(40):
+                rows = store.select(kernel="fft")
+                served.append(len({row["run_key"] for row in rows}))
+
+        def append_loop() -> None:
+            for i in range(20):
+                store.append_run([{"kernel": "fft", "x": i}], source="test", run_id=f"w-{i}")
+
+        def guarded(target) -> None:
+            try:
+                target()
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=guarded, args=(query_loop,)) for _ in range(3)]
+            threads.append(threading.Thread(target=guarded, args=(append_loop,)))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == [] and len(served) == 120
+        # A lost update would break the counters or the byte total.
+        assert sum(served) == store.stats.segments_read + store.stats.segments_cached
+        assert store._cached_bytes == sum(s.identity[1] for s in store._cache.values())
+        assert store._cached_bytes <= core.SEGMENT_CACHE_BYTES
+        assert _exact(store.select()) == _exact(ResultStore(store.root).select())
 
     def test_two_threads_racing_on_the_same_payload_store_one_run(self, tmp_path):
         root = tmp_path / "store"

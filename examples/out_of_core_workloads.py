@@ -18,8 +18,9 @@ Run with:  python examples/out_of_core_workloads.py
 
 from __future__ import annotations
 
-from repro.analysis import MemorySweep, ascii_chart, fit_power_law, measured_rebalance_curve
+from repro.analysis import ascii_chart, fit_power_law, measured_rebalance_curve
 from repro.kernels import BlockedFFT, BlockedMatrixMultiply, StreamingMatrixVectorProduct
+from repro.runtime import SweepRunner
 
 WORKLOADS = (
     (BlockedMatrixMultiply(), 48, (12, 27, 48, 108, 192, 300, 432), 48),
@@ -31,7 +32,7 @@ WORKLOADS = (
 def main() -> None:
     chart_series = {}
     for kernel, scale, memory_sizes, base_memory in WORKLOADS:
-        sweep = MemorySweep(kernel).run_default(memory_sizes, scale)
+        sweep = SweepRunner().run_default(kernel, memory_sizes, scale)
         print(f"== {kernel.name} ==")
         for memory, execution in zip(sweep.memory_sizes, sweep.executions):
             print(

@@ -18,11 +18,10 @@ from repro.analysis.roofline import (
     ridge_point,
     roofline_chart,
 )
-from repro.analysis.sweep import MemorySweep, MemorySweepResult, measured_rebalance_curve
+from repro.analysis.sweep import MemorySweepResult, measured_rebalance_curve
 
 __all__ = [
     "LogLawFit",
-    "MemorySweep",
     "MemorySweepResult",
     "PowerLawFit",
     "RooflinePoint",

@@ -62,18 +62,6 @@ def memory_for_ridge(pe: ProcessingElement, intensity: IntensityFunction) -> flo
     return intensity.invert(ridge_point(pe))
 
 
-def classify_point(
-    pe: ProcessingElement, label: str, intensity: float
-) -> RooflinePoint:
-    """Place one measured workload on the PE's roofline."""
-    return RooflinePoint(
-        label=label,
-        intensity=intensity,
-        attainable_ops_per_s=attainable_performance(pe, intensity),
-        compute_bound=intensity >= ridge_point(pe),
-    )
-
-
 def roofline_chart(
     pe: ProcessingElement,
     workloads: Mapping[str, float],

@@ -1,8 +1,8 @@
-"""Parameter sweeps: measure ``F(M)`` and rebalancing curves from kernels.
+"""Memory-sweep results: measured ``F(M)`` and rebalancing curves.
 
-A :class:`MemorySweep` runs one instrumented kernel on one fixed problem at a
-series of local-memory sizes and collects the measured intensities.  The
-result can be
+A :class:`MemorySweepResult` holds one instrumented kernel's executions on
+one problem at a series of local-memory sizes, as the sweep engine
+(:class:`~repro.runtime.engine.SweepRunner`) returns them.  The result can be
 
 * fitted (power law vs logarithmic law, :mod:`repro.analysis.fitting`),
 * classified into the paper's taxonomy (:mod:`repro.core.classification`),
@@ -27,10 +27,9 @@ from repro.core.classification import ClassificationResult, classify_samples
 from repro.core.intensity import TabulatedIntensity
 from repro.core.rebalance import RebalanceResult, rebalance_memory
 from repro.exceptions import ConfigurationError
-from repro.kernels.base import Kernel, KernelExecution
+from repro.kernels.base import KernelExecution
 
 __all__ = [
-    "MemorySweep",
     "MemorySweepResult",
     "measured_rebalance_curve",
     "normalize_memory_sizes",
@@ -59,15 +58,14 @@ def normalize_memory_sizes(memory_sizes: Sequence[int]) -> tuple[int, ...]:
 class MemorySweepResult:
     """Measured intensity of one kernel on one problem across memory sizes.
 
-    ``point_keys``: the keys the sweep engine resolved each point under
-    (empty from :class:`MemorySweep`, which keys nothing).
+    ``point_keys``: the keys the sweep engine resolved each point under.
     """
 
     kernel_name: str
     problem: Mapping[str, Any]
     memory_sizes: tuple[int, ...]
     executions: tuple[KernelExecution, ...]
-    point_keys: tuple[str, ...] = ()
+    point_keys: tuple[str, ...]
 
     @property
     def intensities(self) -> tuple[float, ...]:
@@ -113,62 +111,6 @@ class MemorySweepResult:
             }
             for m, e in zip(self.memory_sizes, self.executions)
         ]
-
-
-class MemorySweep:
-    """Run a kernel at several memory sizes on a fixed problem instance."""
-
-    def __init__(self, kernel: Kernel, *, verify: bool = False) -> None:
-        self.kernel = kernel
-        self.verify = verify
-
-    def run(
-        self, memory_sizes: Sequence[int], **problem: Any
-    ) -> MemorySweepResult:
-        """Execute the kernel once per memory size and collect the results."""
-        sizes = normalize_memory_sizes(memory_sizes)
-        executions = [self._execute_point(size, problem) for size in sizes]
-        return MemorySweepResult(
-            kernel_name=self.kernel.name,
-            problem=dict(problem),
-            memory_sizes=sizes,
-            executions=tuple(executions),
-        )
-
-    def run_default(
-        self, memory_sizes: Sequence[int], scale: int
-    ) -> MemorySweepResult:
-        """Run the sweep on the kernel's default problem at the given scale.
-
-        Each memory size uses ``kernel.problem_for_memory(size, scale)``; for
-        most kernels that is the same fixed problem at every size, but
-        kernels whose decomposition ties the owned partition to the memory
-        (the grid relaxation) scale the problem accordingly.
-        """
-        sizes = normalize_memory_sizes(memory_sizes)
-        executions = []
-        base_problem: dict[str, Any] = {}
-        for size in sizes:
-            base_problem = self.kernel.problem_for_memory(size, scale)
-            executions.append(self._execute_point(size, base_problem))
-        return MemorySweepResult(
-            kernel_name=self.kernel.name,
-            problem=dict(base_problem),
-            memory_sizes=sizes,
-            executions=tuple(executions),
-        )
-
-    def _execute_point(
-        self, memory_words: int, problem: Mapping[str, Any]
-    ) -> KernelExecution:
-        """Run one sweep point, enforcing ``verify`` if requested."""
-        execution = self.kernel.execute(memory_words, **problem)
-        if self.verify and not self.kernel.verify(execution):
-            raise ConfigurationError(
-                f"{self.kernel.name} produced an incorrect result "
-                f"at M={memory_words}"
-            )
-        return execution
 
 
 def measured_rebalance_curve(

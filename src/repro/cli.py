@@ -516,10 +516,11 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         _print(experiments_table.render_ascii())
 
     mode = "parallel" if runner.parallel else "serial"
+    workers = "1 worker" if runner.max_workers == 1 else f"{runner.max_workers} workers"
     print(
         f"{result.runtime['points']} points + "
         f"{result.runtime['experiment_tasks']} experiment tasks "
-        f"in {result.elapsed_seconds:.2f}s ({mode}, {runner.max_workers} workers)"
+        f"in {result.elapsed_seconds:.2f}s ({mode}, {workers})"
     )
     if runner.cache is not None:
         stats = runner.cache.stats

@@ -264,9 +264,11 @@ class TabulatedIntensity(IntensityFunction):
     """Intensity measured at discrete memory sizes, interpolated in log-log.
 
     This is the bridge between the analytical model and the simulator: a
-    :class:`~repro.analysis.sweep.MemorySweep` measures ``F(M)`` at a set of
-    memory sizes and wraps the samples in a :class:`TabulatedIntensity` so
-    the generic rebalancing machinery can be applied to measured data.
+    memory sweep (:class:`~repro.runtime.engine.SweepRunner`) measures
+    ``F(M)`` at a set of memory sizes, and its
+    :class:`~repro.analysis.sweep.MemorySweepResult` wraps the samples in a
+    :class:`TabulatedIntensity` so the generic rebalancing machinery can be
+    applied to measured data.
 
     Extrapolation beyond the largest sample continues the slope of the final
     segment; inverting to a target beyond that extrapolation range raises

@@ -17,7 +17,6 @@ automatically from an :class:`~repro.core.intensity.IntensityFunction` via
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -162,17 +161,3 @@ def law_from_intensity(intensity: IntensityFunction) -> MemoryLaw:
         f"{type(intensity).__name__}; rebalance numerically via "
         "IntensityFunction.rebalanced_memory instead"
     )
-
-
-def exponent_for_growth(memory_old: float, memory_new: float, alpha: float) -> float:
-    """Solve ``memory_new = alpha**k * memory_old`` for ``k``.
-
-    Utility used by the analysis layer when checking measured growth factors
-    against the paper's polynomial laws.
-    """
-    _validate_inputs(memory_old, alpha)
-    if memory_new <= 0:
-        raise ConfigurationError(f"memory_new must be positive, got {memory_new!r}")
-    if alpha == 1.0:
-        raise ConfigurationError("exponent is undefined for alpha == 1")
-    return math.log(memory_new / memory_old) / math.log(alpha)

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 from repro.core.intensity import IntensityFunction
-from repro.core.laws import MemoryLaw
 from repro.core.model import ProcessingElement
 from repro.exceptions import ConfigurationError, RebalanceInfeasibleError
 
@@ -196,34 +195,3 @@ def rebalance_curve(
         )
         for alpha in alphas
     ]
-
-
-def verify_law(
-    intensity: IntensityFunction,
-    law: MemoryLaw,
-    memory_old: float,
-    alphas: list[float] | tuple[float, ...],
-    *,
-    rel_tolerance: float = 0.05,
-) -> bool:
-    """Check that an intensity function and a closed-form law agree.
-
-    Returns ``True`` when, for every ``alpha``, the memory predicted by the
-    law matches the memory obtained by inverting the intensity function to
-    within ``rel_tolerance`` (relative).  Infeasible cases must agree on
-    infeasibility.
-    """
-    for alpha in alphas:
-        numeric = rebalance_memory(
-            intensity, memory_old, alpha, allow_infeasible=True
-        )
-        if not law.feasible or not numeric.feasible:
-            if law.feasible != numeric.feasible and alpha > 1:
-                return False
-            continue
-        predicted = law.required_memory(memory_old, alpha)
-        if predicted == 0:
-            return False
-        if abs(numeric.memory_new - predicted) > rel_tolerance * predicted:
-            return False
-    return True

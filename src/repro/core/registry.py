@@ -18,7 +18,7 @@ their theoretical predictions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "names",
     "all_specs",
     "paper_summary_rows",
-    "specs_by_class",
 ]
 
 CostModel = Callable[[int, int], ComputationCost]
@@ -461,12 +460,3 @@ def paper_summary_rows() -> list[dict[str, str]]:
             }
         )
     return rows
-
-
-def specs_by_class(
-    computation_class: ComputationClass,
-) -> Iterable[ComputationSpec]:
-    """Yield all registered computations of the given class."""
-    for spec in all_specs():
-        if spec.computation_class is computation_class:
-            yield spec

@@ -19,7 +19,6 @@ from repro.analysis.report import Table
 from repro.analysis.sweep import MemorySweepResult, measured_rebalance_curve
 from repro.core.registry import get as get_spec
 from repro.core.rebalance import RebalanceResult
-from repro.exceptions import ConfigurationError
 from repro.kernels.base import Kernel
 from repro.runtime.engine import SweepRunner
 
@@ -100,9 +99,7 @@ def run_intensity_experiment(
     scale: int,
     *,
     alphas: Sequence[float] = DEFAULT_ALPHAS,
-    verify: bool = False,
     base_memory: float | None = None,
-    runner: SweepRunner | None = None,
 ) -> IntensityExperiment:
     """Sweep ``kernel`` over ``memory_sizes`` and derive its rebalancing curve.
 
@@ -112,19 +109,10 @@ def run_intensity_experiment(
     point (useful for the FFT/sorting laws, whose ``M_old ** alpha`` form is
     asymptotic and distorted by additive constants at very small memories).
 
-    The sweep executes on a :class:`~repro.runtime.engine.SweepRunner`; pass
-    ``runner`` to fan the kernel executions across a process pool or to reuse
-    a result cache.  The default runner is serial and uncached, preserving
-    the historical behaviour.
+    The sweep runs serially and uncached on a
+    :class:`~repro.runtime.engine.SweepRunner`.
     """
-    if runner is None:
-        runner = SweepRunner(verify=verify)
-    elif verify and not runner.verify:
-        raise ConfigurationError(
-            "verify=True was requested but the supplied runner does not "
-            "verify; construct it with SweepRunner(verify=True)"
-        )
-    sweep = runner.run_default(kernel, memory_sizes, scale)
+    sweep = SweepRunner().run_default(kernel, memory_sizes, scale)
     memory_old = float(base_memory) if base_memory is not None else float(sweep.memory_sizes[0])
     results = measured_rebalance_curve(sweep, memory_old, alphas)
     return IntensityExperiment(

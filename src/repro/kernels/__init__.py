@@ -19,7 +19,7 @@ from repro.kernels.fft import BlockedFFT, decomposition_plan
 from repro.kernels.grid import GridRelaxation, reference_relaxation
 from repro.kernels.io_bound import StreamingMatrixVectorProduct, StreamingTriangularSolve
 from repro.kernels.matmul import BlockedMatrixMultiply, tile_side_for_memory
-from repro.kernels.sorting import CountingHeap, ExternalMergeSort
+from repro.kernels.sorting import ExternalMergeSort
 from repro.kernels.sparse import (
     CSRMatrix,
     StreamingSparseMatrixVector,
@@ -36,7 +36,6 @@ __all__ = [
     "BlockedLUTriangularization",
     "BlockedMatrixMultiply",
     "CSRMatrix",
-    "CountingHeap",
     "ExecutionContext",
     "ExternalMergeSort",
     "GridRelaxation",
@@ -58,18 +57,3 @@ __all__ = [
     "tile_side_for_memory",
     "unblocked_lu",
 ]
-
-
-def default_kernels() -> list[Kernel]:
-    """One instance of every kernel, in the order of the paper's Section 3."""
-    return [
-        BlockedMatrixMultiply(),
-        BlockedLUTriangularization(),
-        GridRelaxation(dimension=2),
-        GridRelaxation(dimension=3),
-        BlockedFFT(),
-        ExternalMergeSort(),
-        StreamingMatrixVectorProduct(),
-        StreamingTriangularSolve(),
-        StreamingSparseMatrixVector(),
-    ]

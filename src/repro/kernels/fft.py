@@ -16,8 +16,9 @@ points; every group is gathered into local memory, its butterflies are
 applied with the correct global twiddle factors, and it is scattered back.
 The result is verified against ``numpy.fft.fft``.  The groups of a pass are
 disjoint, so the kernel runs each stage over all of a pass's groups at once
-and charges the pass once; an equivalence suite holds it bitwise- and
-count-identical to the block-by-block scalar loop.
+and charges the pass once.  Its specification is the block-by-block scalar
+butterfly loop in ``tests/kernels/test_fft.py``, whose equivalence suite
+holds the kernel bitwise- and count-identical to it.
 
 :func:`decomposition_plan` exposes the pass/group structure itself so the
 Figure 2 experiment can reconstruct the paper's picture for ``N=16, M=4``.
@@ -208,49 +209,3 @@ class BlockedFFT(Kernel):
                 ctx.io.write(n * WORDS_PER_COMPLEX)
             ctx.phases.record(f"stages[{first}:{last}]", pass_ops, pass_io)
         return data
-
-
-def _blocked_fft_reference(ctx: ExecutionContext, x: np.ndarray) -> np.ndarray:
-    """The scalar specification of :meth:`BlockedFFT._run`: block by block,
-    one butterfly at a time.  Only the equivalence tests call it."""
-    data = _bit_reversed_copy(x)
-    n = data.shape[0]
-    plan = decomposition_plan(n, ctx.memory.capacity_words)
-    for fft_pass in plan:
-        pass_ops = 0.0
-        pass_io = 0.0
-        for group in fft_pass.groups:
-            group_size = len(group)
-            words = group_size * WORDS_PER_COMPLEX
-            with ctx.memory.buffer("fft_block", words):
-                ctx.io.read(words)
-                pass_io += words
-                block = data[list(group)]
-
-                for stage in range(fft_pass.first_stage, fft_pass.last_stage):
-                    local_bit = stage - fft_pass.first_stage
-                    half = 1 << local_bit
-                    span = 1 << (stage + 1)
-                    for j in range(group_size):
-                        if j & half:
-                            continue
-                        partner = j | half
-                        global_index = group[j]
-                        twiddle_exponent = global_index % (1 << stage)
-                        w = np.exp(-2j * np.pi * twiddle_exponent / span)
-                        t = w * block[partner]
-                        u = block[j]
-                        block[j] = u + t
-                        block[partner] = u - t
-                        ctx.ops.add(OPS_PER_BUTTERFLY)
-                        pass_ops += OPS_PER_BUTTERFLY
-
-                data[list(group)] = block
-                ctx.io.write(words)
-                pass_io += words
-        ctx.phases.record(
-            f"stages[{fft_pass.first_stage}:{fft_pass.last_stage}]",
-            pass_ops,
-            pass_io,
-        )
-    return data

@@ -14,9 +14,11 @@ The kernel counts *comparisons* as its operations (the paper's cost measure
 for sorting) and words moved as I/O, and its output is verified against
 ``numpy.sort``.  Run formation is vectorized -- its comparison count has a
 closed form over the merge sort's split tree -- and the merge keeps the
-heap, inlined; both are held bitwise- and count-identical to the scalar
-:func:`merge_sort_counting` / :class:`CountingHeap` path by an equivalence
-suite.  NaN keys are rejected: they have no place in the total order.
+heap, inlined.  Their specification is the scalar path -- each run sorted
+by a counting merge sort, the runs merged through a counting binary heap --
+which lives in ``tests/kernels/test_sorting.py``, whose equivalence suite
+holds the kernel bitwise- and count-identical to it.  NaN keys are
+rejected: they have no place in the total order.
 """
 
 from __future__ import annotations
@@ -29,97 +31,8 @@ import numpy as np
 from repro.core.model import ComputationCost
 from repro.exceptions import ConfigurationError
 from repro.kernels.base import ExecutionContext, Kernel
-from repro.kernels.counters import OperationCounter
 
-__all__ = ["ExternalMergeSort", "CountingHeap", "merge_sort_counting"]
-
-
-def merge_sort_counting(values: list[float], ops: OperationCounter) -> list[float]:
-    """Stable merge sort that charges every key comparison to ``ops``."""
-    n = len(values)
-    if n <= 1:
-        return list(values)
-    mid = n // 2
-    left = merge_sort_counting(values[:mid], ops)
-    right = merge_sort_counting(values[mid:], ops)
-    merged: list[float] = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        ops.add(1)
-        if left[i] <= right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            merged.append(right[j])
-            j += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return merged
-
-
-class CountingHeap:
-    """Binary min-heap over ``(key, payload)`` pairs that counts comparisons.
-
-    Used for the M-way merge of phase 2: the heap holds the head element of
-    each run currently being merged, so its size never exceeds the number of
-    runs (which is at most ``M``).
-    """
-
-    def __init__(self, ops: OperationCounter) -> None:
-        self._items: list[tuple[float, Any]] = []
-        self._ops = ops
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def push(self, key: float, payload: Any = None) -> None:
-        self._items.append((key, payload))
-        self._sift_up(len(self._items) - 1)
-
-    def pop(self) -> tuple[float, Any]:
-        if not self._items:
-            raise ConfigurationError("cannot pop from an empty heap")
-        top = self._items[0]
-        last = self._items.pop()
-        if self._items:
-            self._items[0] = last
-            self._sift_down(0)
-        return top
-
-    def _sift_up(self, index: int) -> None:
-        while index > 0:
-            parent = (index - 1) // 2
-            self._ops.add(1)
-            if self._items[index][0] < self._items[parent][0]:
-                self._items[index], self._items[parent] = (
-                    self._items[parent],
-                    self._items[index],
-                )
-                index = parent
-            else:
-                break
-
-    def _sift_down(self, index: int) -> None:
-        size = len(self._items)
-        while True:
-            left = 2 * index + 1
-            right = left + 1
-            smallest = index
-            if left < size:
-                self._ops.add(1)
-                if self._items[left][0] < self._items[smallest][0]:
-                    smallest = left
-            if right < size:
-                self._ops.add(1)
-                if self._items[right][0] < self._items[smallest][0]:
-                    smallest = right
-            if smallest == index:
-                break
-            self._items[index], self._items[smallest] = (
-                self._items[smallest],
-                self._items[index],
-            )
-            index = smallest
+__all__ = ["ExternalMergeSort"]
 
 
 class ExternalMergeSort(Kernel):
@@ -160,9 +73,10 @@ class ExternalMergeSort(Kernel):
         # ---- Phase 1: run formation -------------------------------------
         # The full runs form as one batch and the short last run as another.
         # Each run is charged what forming it alone costs: one run's
-        # residency, 2 words per key, and merge_sort_counting's comparisons
-        # (in closed form over the same split tree).  A stable sort returns
-        # the same run, equal keys such as -0.0 and 0.0 in the same order.
+        # residency, 2 words per key, and the comparisons of the counting
+        # merge sort in tests/kernels/test_sorting.py (in closed form over
+        # the same split tree).  A stable sort returns the same run, equal
+        # keys such as -0.0 and 0.0 in the same order.
         runs: list[list[float]] = []
         phase_ops_before = ctx.ops.total
         full = n - n % m
@@ -209,7 +123,7 @@ class ExternalMergeSort(Kernel):
 
 
 def _merge_sort_comparisons(rows: np.ndarray) -> int:
-    """Comparisons :func:`merge_sort_counting` makes on every row, summed.
+    """Comparisons the counting merge sort of ``test_sorting.py`` makes per row, summed.
 
     A stable ``<=`` merge of two sorted halves stops when one half runs out.
     If ``max(left) <= max(right)`` the left half runs out first, after all
@@ -247,12 +161,13 @@ def _merge_sort_comparisons(rows: np.ndarray) -> int:
 def _heap_merge(group: list[list[float]]) -> tuple[list[float], int]:
     """M-way merge of sorted runs through a binary min-heap of run heads.
 
-    This is :class:`CountingHeap` inlined over two parallel lists (keys and
-    owning runs): the same pushes and pops in the same order -- every run's
-    head, then per pop the next key of the popped run -- with the same sift
-    comparisons, counted in a local int.  A sifting item is held aside and
-    written once where it stops instead of being swapped level by level;
-    its key is the one the swapped item would have been compared by.
+    This is the counting heap of ``tests/kernels/test_sorting.py`` inlined
+    over two parallel lists (keys and owning runs): the same pushes and pops
+    in the same order -- every run's head, then per pop the next key of the
+    popped run -- with the same sift comparisons, counted in a local int.
+    A sifting item is held aside and written once where it stops instead of
+    being swapped level by level; its key is the one the swapped item would
+    have been compared by.
     Returns the merged run and the number of comparisons.
     """
     keys: list[float] = []
@@ -319,74 +234,3 @@ def _heap_merge(group: list[list[float]]) -> tuple[list[float], int]:
                 break
         else:
             return merged, comparisons
-
-
-def _external_merge_sort_reference(
-    ctx: ExecutionContext, keys: Sequence[float]
-) -> np.ndarray:
-    """The scalar specification of :meth:`ExternalMergeSort._run`: runs
-    formed one at a time by :func:`merge_sort_counting`, merged through a
-    :class:`CountingHeap`.  Only the equivalence tests call it."""
-    keys = [float(k) for k in np.asarray(keys, dtype=float)]
-    n = len(keys)
-    if n == 0:
-        return np.asarray([], dtype=float)
-    m = ctx.memory.capacity_words
-
-    # ---- Phase 1: run formation -------------------------------------
-    runs: list[list[float]] = []
-    phase_ops_before = ctx.ops.total
-    phase_io = 0.0
-    for start in range(0, n, m):
-        chunk = keys[start : start + m]
-        with ctx.memory.buffer("run", len(chunk)):
-            ctx.io.read(len(chunk))
-            sorted_chunk = merge_sort_counting(chunk, ctx.ops)
-            ctx.io.write(len(chunk))
-            phase_io += 2.0 * len(chunk)
-        runs.append(sorted_chunk)
-    ctx.phases.record("run-formation", ctx.ops.total - phase_ops_before, phase_io)
-
-    # ---- Phase 2: repeated M-way merge -------------------------------
-    fan_in = max(2, m // 2)
-    merge_round = 0
-    while len(runs) > 1:
-        merge_round += 1
-        phase_ops_before = ctx.ops.total
-        phase_io = 0.0
-        next_runs: list[list[float]] = []
-        for group_start in range(0, len(runs), fan_in):
-            group = runs[group_start : group_start + fan_in]
-            if len(group) == 1:
-                next_runs.append(group[0])
-                continue
-            heap_words = len(group)
-            buffer_words = len(group)
-            with ctx.memory.buffer("merge-heap", heap_words), \
-                    ctx.memory.buffer("run-heads", buffer_words):
-                heap = CountingHeap(ctx.ops)
-                positions = [0] * len(group)
-                for run_index, run in enumerate(group):
-                    ctx.io.read(1)
-                    phase_io += 1
-                    heap.push(run[0], run_index)
-                    positions[run_index] = 1
-                merged: list[float] = []
-                while len(heap):
-                    key, run_index = heap.pop()
-                    merged.append(key)
-                    ctx.io.write(1)
-                    phase_io += 1
-                    run = group[run_index]
-                    if positions[run_index] < len(run):
-                        ctx.io.read(1)
-                        phase_io += 1
-                        heap.push(run[positions[run_index]], run_index)
-                        positions[run_index] += 1
-                next_runs.append(merged)
-        runs = next_runs
-        ctx.phases.record(
-            f"merge-pass[{merge_round}]", ctx.ops.total - phase_ops_before, phase_io
-        )
-
-    return np.asarray(runs[0], dtype=float)

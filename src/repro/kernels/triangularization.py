@@ -10,7 +10,11 @@ transfers, so -- as for matrix multiplication -- the intensity is
 blocked LU factorization (Gaussian elimination) without pivoting: the tile
 side is ``Theta(sqrt(M))`` and every tile that participates in a panel
 factorization or trailing-matrix update is staged through the bounded local
-memory, with all operations and word transfers counted.
+memory, with all operations and word transfers counted.  The kernel charges
+each step in closed form; its specification is the tile-by-tile loop in
+``tests/kernels/test_triangularization.py``, which holds every buffer and
+charges every op and word as the tile is processed, and whose equivalence
+suite holds the kernel bitwise- and count-identical to it.
 
 The test problems are diagonally dominant so that the absence of pivoting is
 numerically harmless; a pivoted variant would change constant factors only,
@@ -170,103 +174,3 @@ class BlockedLUTriangularization(Kernel):
             ctx.io.write(written)
             ctx.phases.record(f"panel[{k0}:{k1}]", step_ops, float(read + written))
         return a
-
-
-def _blocked_lu_reference(ctx: ExecutionContext, a: np.ndarray) -> np.ndarray:
-    """The tile-by-tile specification of :meth:`BlockedLUTriangularization._run`:
-    every buffer held and every op and word charged as the tile is
-    processed.  Only the equivalence tests call it."""
-    a = np.array(a, dtype=float, copy=True)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ConfigurationError("triangularization requires a square matrix")
-    n = a.shape[0]
-    s = tile_side_for_memory(ctx.memory.capacity_words)
-
-    for k0 in range(0, n, s):
-        k1 = min(k0 + s, n)
-        w = k1 - k0
-        step_ops = 0.0
-        step_io = 0.0
-
-        # 1. Factor the diagonal block in local memory.
-        with ctx.memory.buffer("diag", w * w):
-            ctx.io.read(w * w)
-            step_io += w * w
-            diag = np.array(a[k0:k1, k0:k1], copy=True)
-            for k in range(w - 1):
-                pivot = diag[k, k]
-                if pivot == 0:
-                    raise ConfigurationError(
-                        "zero pivot encountered; matrix needs pivoting"
-                    )
-                diag[k + 1 :, k] /= pivot
-                diag[k + 1 :, k + 1 :] -= np.outer(diag[k + 1 :, k], diag[k, k + 1 :])
-                ops = (w - k - 1) + 2.0 * (w - k - 1) ** 2
-                ctx.ops.add(ops)
-                step_ops += ops
-            a[k0:k1, k0:k1] = diag
-            ctx.io.write(w * w)
-            step_io += w * w
-
-            lower = np.tril(diag, -1) + np.eye(w)
-            upper = np.triu(diag)
-
-            # 2. Column panel: L21 = A21 @ inv(U11), one row block at a time.
-            for i0 in range(k1, n, s):
-                i1 = min(i0 + s, n)
-                rows = i1 - i0
-                with ctx.memory.buffer("panel_block", rows * w):
-                    ctx.io.read(rows * w)
-                    step_io += rows * w
-                    block = np.array(a[i0:i1, k0:k1], copy=True)
-                    # Solve X @ U11 = block by back substitution on columns.
-                    for j in range(w):
-                        block[:, j] -= block[:, :j] @ upper[:j, j]
-                        block[:, j] /= upper[j, j]
-                        ops = 2.0 * rows * j + rows
-                        ctx.ops.add(ops)
-                        step_ops += ops
-                    a[i0:i1, k0:k1] = block
-                    ctx.io.write(rows * w)
-                    step_io += rows * w
-
-            # 3. Row panel: U12 = inv(L11) @ A12, one column block at a time.
-            for j0 in range(k1, n, s):
-                j1 = min(j0 + s, n)
-                cols = j1 - j0
-                with ctx.memory.buffer("panel_block", w * cols):
-                    ctx.io.read(w * cols)
-                    step_io += w * cols
-                    block = np.array(a[k0:k1, j0:j1], copy=True)
-                    for i in range(w):
-                        block[i, :] -= lower[i, :i] @ block[:i, :]
-                        ops = 2.0 * cols * i
-                        ctx.ops.add(ops)
-                        step_ops += ops
-                    a[k0:k1, j0:j1] = block
-                    ctx.io.write(w * cols)
-                    step_io += w * cols
-
-        # 4. Trailing-matrix update with matmul-style tiling.
-        for i0 in range(k1, n, s):
-            i1 = min(i0 + s, n)
-            rows = i1 - i0
-            for j0 in range(k1, n, s):
-                j1 = min(j0 + s, n)
-                cols = j1 - j0
-                with ctx.memory.buffer("c_tile", rows * cols), \
-                        ctx.memory.buffer("l_tile", rows * w), \
-                        ctx.memory.buffer("u_tile", w * cols):
-                    ctx.io.read(rows * cols)
-                    ctx.io.read(rows * w)
-                    ctx.io.read(w * cols)
-                    step_io += rows * cols + rows * w + w * cols
-                    a[i0:i1, j0:j1] -= a[i0:i1, k0:k1] @ a[k0:k1, j0:j1]
-                    ops = 2.0 * rows * cols * w
-                    ctx.ops.add(ops)
-                    step_ops += ops
-                    ctx.io.write(rows * cols)
-                    step_io += rows * cols
-
-        ctx.phases.record(f"panel[{k0}:{k1}]", step_ops, step_io)
-    return a

@@ -68,8 +68,8 @@ class SweepPlan:
     """One kernel swept over a memory grid, on a fixed or scaled problem.
 
     Exactly one of ``problem`` (a fixed problem instance, as for
-    :meth:`MemorySweep.run`) and ``scale`` (the kernel's default problem at
-    that scale, as for :meth:`MemorySweep.run_default`) must be provided.
+    :meth:`SweepRunner.run`) and ``scale`` (the kernel's default problem at
+    that scale, as for :meth:`SweepRunner.run_default`) must be provided.
     """
 
     kernel: Kernel
@@ -116,7 +116,9 @@ class SweepRunner:
         and identical to a serial run.
     max_workers:
         Pool size; defaults to the CPUs in the scheduling affinity mask
-        (:func:`~repro.runtime.tasks.default_worker_count`).
+        (:func:`~repro.runtime.tasks.default_worker_count`).  The attribute
+        is the size of the pool the runner uses, or 1 without one: a runner
+        without a pool runs every point in-process.
     cache:
         Optional :class:`ResultCache`.  Points whose key is present are
         replayed without executing anything; fresh executions are stored
@@ -124,7 +126,7 @@ class SweepRunner:
         numerical output, which cached entries do not carry).
     verify:
         Check every execution's output against the kernel's reference
-        implementation, as in :class:`MemorySweep`.
+        implementation.
     pool:
         A parallel runner's :class:`~repro.runtime.tasks.TaskPool`, shared
         with its owner's other runners; by default a parallel runner owns a
@@ -145,10 +147,10 @@ class SweepRunner:
                 f"max_workers must be >= 1, got {max_workers!r}"
             )
         self.parallel = parallel
-        self.max_workers = max_workers or default_worker_count()
         self.cache = cache
         self.verify = verify
-        self.pool = pool or task_pool(parallel, self.max_workers)
+        self.pool = pool or task_pool(parallel, max_workers or default_worker_count())
+        self.max_workers = self.pool.max_workers if self.pool is not None else 1
 
     # -- public API ----------------------------------------------------------
 
@@ -209,8 +211,8 @@ class SweepRunner:
             results.append(
                 MemorySweepResult(
                     kernel_name=plan.kernel.name,
-                    # run_default semantics: the sweep reports the problem of
-                    # the largest memory size, matching MemorySweep.run_default.
+                    # A scaled plan reports the problem of its largest
+                    # memory size.
                     problem=dict(points[batch][-1].params["problem"]),
                     memory_sizes=plan.memory_sizes,
                     executions=tuple(executions[batch]),

@@ -596,7 +596,9 @@ class TaskRunner:
         Fan cache-missing tasks out across a process pool.  Results come
         back in submission order either way.
     max_workers:
-        Pool size; defaults to the scheduling-affinity core count.
+        Pool size; defaults to the scheduling-affinity core count.  The
+        attribute is the size of the pool the runner uses, or 1 without one:
+        a runner without a pool runs every task in-process.
     cache:
         Optional :class:`~repro.runtime.cache.TaskCache`.  Tasks whose key is
         present are replayed without executing anything; fresh results are
@@ -623,9 +625,9 @@ class TaskRunner:
                 f"max_workers must be >= 1, got {max_workers!r}"
             )
         self.parallel = parallel
-        self.max_workers = max_workers or default_worker_count()
         self.cache = cache
-        self.pool = pool or task_pool(parallel, self.max_workers)
+        self.pool = pool or task_pool(parallel, max_workers or default_worker_count())
+        self.max_workers = self.pool.max_workers if self.pool is not None else 1
         self.stats = TaskRunStats()
         # One runner may be shared by several threads (the job service's
         # worker pool); counter updates are read-modify-write and need a lock.

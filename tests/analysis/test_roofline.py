@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 
 from repro.analysis.roofline import (
     attainable_performance,
-    classify_point,
     memory_for_ridge,
     ridge_point,
     roofline_chart,
 )
-from repro.core.intensity import LogarithmicIntensity, PowerLawIntensity
+from repro.core.intensity import ConstantIntensity, LogarithmicIntensity, PowerLawIntensity
 from repro.core.model import ProcessingElement
 from repro.core.rebalance import balanced_memory_for_pe
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, RebalanceInfeasibleError
 
 PE = ProcessingElement(compute_bandwidth=32e6, io_bandwidth=1e6, memory_words=1024, name="pe")
 
@@ -47,12 +46,20 @@ class TestRooflineQuantities:
                 balanced_memory_for_pe(PE, intensity)
             )
 
-    def test_classify_point(self):
-        below = classify_point(PE, "matvec", 2.0)
-        above = classify_point(PE, "matmul", 64.0)
-        assert not below.compute_bound
-        assert above.compute_bound
-        assert above.attainable_ops_per_s == pytest.approx(PE.compute_bandwidth)
+    def test_compute_bound_exactly_from_the_ridge_point(self):
+        """A workload reaches the compute roof exactly when F >= C / IO."""
+        for intensity in (0.5, 2.0, 31.0, 32.0, 33.0, 64.0, 1e3):
+            at_peak = attainable_performance(PE, intensity) == pytest.approx(
+                PE.compute_bandwidth
+            )
+            assert at_peak == (intensity >= ridge_point(PE)), intensity
+
+    def test_io_bounded_computation_never_climbs_to_the_ridge(self):
+        """A constant intensity below the ridge stays there at any memory size."""
+        with pytest.raises(RebalanceInfeasibleError):
+            memory_for_ridge(PE, ConstantIntensity(value=2.0))
+        above = ConstantIntensity(value=64.0)
+        assert above(memory_for_ridge(PE, above)) >= ridge_point(PE)
 
     @given(intensity=st.floats(min_value=0.01, max_value=1e4))
     @settings(max_examples=60)

@@ -16,7 +16,6 @@ from repro.core.laws import (
     ExponentialMemoryLaw,
     InfeasibleMemoryLaw,
     PolynomialMemoryLaw,
-    exponent_for_growth,
     law_from_intensity,
 )
 from repro.exceptions import ConfigurationError, RebalanceInfeasibleError
@@ -30,6 +29,12 @@ class TestPolynomialMemoryLaw:
     def test_alpha_d_law(self):
         law = PolynomialMemoryLaw(degree=4)
         assert law.growth_factor(10, 2.0) == pytest.approx(16.0)
+
+    def test_growth_factor_does_not_depend_on_the_base_memory(self):
+        """A degree-3 law grows every memory by alpha**3, unlike the FFT-class law."""
+        law = PolynomialMemoryLaw(degree=3)
+        for memory in (1, 77, 1e6):
+            assert law.growth_factor(memory, 2.5) == pytest.approx(2.5**3)
 
     def test_alpha_one_is_identity(self):
         assert PolynomialMemoryLaw(degree=2).required_memory(50, 1.0) == 50
@@ -81,6 +86,23 @@ class TestExponentialMemoryLaw:
         # Memories below two words are clamped so the law stays meaningful.
         assert ExponentialMemoryLaw().required_memory(1, 3.0) == pytest.approx(8.0)
 
+    def test_alpha_one_is_identity(self):
+        assert ExponentialMemoryLaw().required_memory(50, 1.0) == 50
+
+    def test_invalid_inputs(self):
+        with pytest.raises(ConfigurationError):
+            ExponentialMemoryLaw().required_memory(0.5, 2.0)
+        with pytest.raises(ConfigurationError):
+            ExponentialMemoryLaw().required_memory(16, 0.5)
+
+    def test_growth_factor_diverges_with_the_base_memory(self):
+        """Unlike a polynomial law's, the growth factor at a fixed alpha grows
+        with M_old: at alpha = 2 it passes alpha**10 by M_old = 4096."""
+        law = ExponentialMemoryLaw()
+        factors = [law.growth_factor(m, 2.0) for m in (16, 256, 4096)]
+        assert factors[0] < factors[1] < factors[2]
+        assert factors[-1] > 2.0**10
+
     def test_describe(self):
         assert "alpha" in ExponentialMemoryLaw().describe()
 
@@ -95,6 +117,13 @@ class TestInfeasibleMemoryLaw:
 
     def test_alpha_one_is_identity(self):
         assert InfeasibleMemoryLaw().required_memory(100, 1.0) == 100
+
+    def test_invalid_inputs_are_configuration_errors(self):
+        """A bad input is reported as such, not as an infeasible rebalance."""
+        with pytest.raises(ConfigurationError):
+            InfeasibleMemoryLaw().required_memory(0, 1.0)
+        with pytest.raises(ConfigurationError):
+            InfeasibleMemoryLaw().required_memory(100, 0.5)
 
     def test_describe_mentions_io_bound(self):
         assert "I/O" in InfeasibleMemoryLaw().describe()
@@ -130,30 +159,3 @@ class TestLawFromIntensity:
                 assert law.required_memory(128, alpha) == pytest.approx(
                     intensity.rebalanced_memory(128, alpha), rel=1e-9
                 )
-
-
-class TestExponentForGrowth:
-    def test_recovers_quadratic_exponent(self):
-        assert exponent_for_growth(100, 900, 3.0) == pytest.approx(2.0)
-
-    def test_recovers_linear_exponent(self):
-        assert exponent_for_growth(10, 40, 4.0) == pytest.approx(1.0)
-
-    def test_alpha_one_rejected(self):
-        with pytest.raises(ConfigurationError):
-            exponent_for_growth(10, 20, 1.0)
-
-    def test_consistency_with_polynomial_law(self):
-        law = PolynomialMemoryLaw(degree=3)
-        new = law.required_memory(77, 2.5)
-        assert exponent_for_growth(77, new, 2.5) == pytest.approx(3.0)
-
-    def test_exponential_law_has_growing_implied_exponent(self):
-        """For FFT-class laws, the implied polynomial exponent diverges with M_old."""
-        law = ExponentialMemoryLaw()
-        exponents = [
-            exponent_for_growth(m, law.required_memory(m, 2.0), 2.0)
-            for m in (16, 256, 4096)
-        ]
-        assert exponents[0] < exponents[1] < exponents[2]
-        assert exponents[-1] > 10

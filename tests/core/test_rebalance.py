@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from repro.core.intensity import (
     ConstantIntensity,
+    IntensityFunction,
     LogarithmicIntensity,
     PowerLawIntensity,
     TabulatedIntensity,
 )
-from repro.core.laws import PolynomialMemoryLaw
+from repro.core.laws import MemoryLaw, PolynomialMemoryLaw
 from repro.core.model import ProcessingElement
 from repro.core.rebalance import (
     balanced_memory_for_pe,
@@ -22,9 +23,39 @@ from repro.core.rebalance import (
     rebalance_curve,
     rebalance_memory,
     rebalance_pe,
-    verify_law,
 )
 from repro.exceptions import ConfigurationError, RebalanceInfeasibleError
+
+
+def verify_law(
+    intensity: IntensityFunction,
+    law: MemoryLaw,
+    memory_old: float,
+    alphas: list[float] | tuple[float, ...],
+    *,
+    rel_tolerance: float = 0.05,
+) -> bool:
+    """Check the library's closed-form law against numeric rebalancing.
+
+    Returns ``True`` when, for every ``alpha``, the memory predicted by the
+    law matches the memory obtained by inverting the intensity function to
+    within ``rel_tolerance`` (relative).  Infeasible cases must agree on
+    infeasibility.
+    """
+    for alpha in alphas:
+        numeric = rebalance_memory(
+            intensity, memory_old, alpha, allow_infeasible=True
+        )
+        if not law.feasible or not numeric.feasible:
+            if law.feasible != numeric.feasible and alpha > 1:
+                return False
+            continue
+        predicted = law.required_memory(memory_old, alpha)
+        if predicted == 0:
+            return False
+        if abs(numeric.memory_new - predicted) > rel_tolerance * predicted:
+            return False
+    return True
 
 
 class TestRebalanceMemory:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.classification import ComputationClass
+from repro.core.classification import ComputationClass, classify_intensity
 from repro.core.intensity import PowerLawIntensity
 from repro.core.laws import (
     ExponentialMemoryLaw,
@@ -78,19 +78,17 @@ class TestRegistryContents:
         with pytest.raises(KeyError):
             registry.get("quicksort-on-gpu")
 
-    def test_specs_by_class_covers_each_class(self):
-        names_by_class = {
-            computation_class: {
-                s.name for s in registry.specs_by_class(computation_class)
-            }
-            for computation_class in ComputationClass
-        }
-        assert "matmul" in names_by_class[ComputationClass.POLYNOMIAL]
-        assert "fft" in names_by_class[ComputationClass.EXPONENTIAL]
-        assert "matvec" in names_by_class[ComputationClass.IO_BOUNDED]
-        # The classes partition the registry.
-        all_names = set().union(*names_by_class.values())
-        assert all_names == set(registry.names())
+    def test_every_class_has_a_registered_computation(self):
+        """Each class of the paper's taxonomy has at least one entry."""
+        classes = {spec.computation_class for spec in registry.all_specs()}
+        assert classes == set(ComputationClass)
+
+    def test_class_agrees_with_intensity_classification(self):
+        """An entry's declared class is the one its intensity function implies."""
+        for spec in registry.all_specs():
+            implied = classify_intensity(spec.intensity).computation_class
+            assert implied is spec.computation_class, spec.name
+            assert spec.law.feasible is spec.computation_class.rebalancable, spec.name
 
     def test_law_and_intensity_are_consistent(self):
         """For every rebalancable entry, the law matches the intensity inversion."""
@@ -109,12 +107,11 @@ class TestRegistryContents:
             rows[0]
         )
 
-    def test_specs_by_class(self):
-        io_bounded = list(registry.specs_by_class(ComputationClass.IO_BOUNDED))
-        assert {"matvec", "triangular_solve"} <= {s.name for s in io_bounded}
-        assert all(
-            s.computation_class is ComputationClass.IO_BOUNDED for s in io_bounded
-        )
+    def test_summary_rows_report_each_entry_class(self):
+        rows = {row["computation"]: row for row in registry.paper_summary_rows()}
+        for spec in registry.all_specs():
+            assert rows[spec.title]["class"] == spec.computation_class.value
+            assert rows[spec.title]["section"] == spec.paper_section
 
 
 class TestCostModels:

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import ast
+from collections import Counter
+from pathlib import Path
 from typing import Any, Iterator, Mapping
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.model import ComputationCost
 from repro.exceptions import ConfigurationError
 from repro.kernels.base import ExecutionContext, Kernel, outputs_match
-from repro.kernels import default_kernels
-from repro.runtime.suites import KERNEL_FACTORIES
+from repro.runtime.engine import kernel_modules
+from repro.runtime.suites import KERNEL_FACTORIES, kernel_factories
 
 
 class _ToyDoublingKernel(Kernel):
@@ -117,8 +121,7 @@ class TestOutputsMatch:
 
 class TestDefaultKernels:
     def test_every_paper_computation_has_a_kernel(self):
-        kernels = default_kernels()
-        names = {k.registry_name for k in kernels}
+        names = {factory().registry_name for factory in kernel_factories().values()}
         assert {
             "matmul",
             "triangularization",
@@ -132,11 +135,12 @@ class TestDefaultKernels:
 
     def test_default_problems_execute_and_verify(self):
         """Every kernel's default problem runs and verifies at a modest memory."""
-        for kernel in default_kernels():
-            scale = {"fft": 5, "sorting": 200}.get(kernel.registry_name, 10)
+        for factory in kernel_factories().values():
+            kernel = factory()
+            scale = {"fft": 5, "sorting": 200, "grid4d": 4}.get(kernel.registry_name, 10)
             problem = kernel.default_problem(scale)
             memory = max(64, kernel.minimum_memory_words)
-            if kernel.registry_name in ("grid2d", "grid3d"):
+            if kernel.registry_name.startswith("grid"):
                 memory = 4096
             execution = kernel.execute(memory, **problem)
             assert kernel.verify(execution), kernel.name
@@ -170,3 +174,44 @@ class TestKernelsLeaveTheirProblemUnchanged:
         for memory in (small, large):
             kernel.execute(memory, **problem)
             assert list(_array_bytes(problem)) == before, (name, memory)
+
+
+def _loaded_names(node: ast.AST) -> Counter[str]:
+    """How often each name is read under ``node``, as a name or an attribute.
+
+    Definitions, ``__all__`` strings and imports (re-exports) read nothing.
+    """
+    return Counter(
+        child.id if isinstance(child, ast.Name) else child.attr
+        for child in ast.walk(node)
+        if isinstance(child, (ast.Name, ast.Attribute)) and isinstance(child.ctx, ast.Load)
+    )
+
+
+class TestKernelModulesHoldOnlyWhatRuns:
+    """A sweep point's key hashes the whole source of its kernel's modules
+    (``kernel_modules``), so code there that the program never runs would
+    still invalidate every cached point of the kernel when edited.  Scalar
+    specifications belong beside their equivalence tests instead."""
+
+    def test_every_top_level_definition_is_read_from_src(self):
+        package = Path(repro.__file__).parent
+        trees = {path: ast.parse(path.read_text()) for path in sorted(package.rglob("*.py"))}
+        reads: Counter[str] = Counter()
+        for tree in trees.values():
+            reads.update(_loaded_names(tree))
+        modules = {
+            module
+            for factory in kernel_factories().values()
+            for module in kernel_modules(type(factory()))
+        }
+        unread = []
+        for module in sorted(modules):
+            tree = trees[package.parent.joinpath(*module.split(".")).with_suffix(".py")]
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    # Reads inside the definition itself, such as recursion,
+                    # do not count.
+                    if reads[node.name] == _loaded_names(node)[node.name]:
+                        unread.append(f"{module}.{node.name}")
+        assert unread == []

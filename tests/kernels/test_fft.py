@@ -12,12 +12,59 @@ from hypothesis import strategies as st
 from repro.exceptions import ConfigurationError
 from repro.kernels.base import ExecutionContext
 from repro.kernels.fft import (
+    OPS_PER_BUTTERFLY,
     WORDS_PER_COMPLEX,
     BlockedFFT,
-    _blocked_fft_reference,
+    _bit_reversed_copy,
     block_points_for_memory,
     decomposition_plan,
 )
+
+
+def _blocked_fft_reference(ctx: ExecutionContext, x: np.ndarray) -> np.ndarray:
+    """The scalar specification of :meth:`BlockedFFT._run`: block by block,
+    one butterfly at a time."""
+    data = _bit_reversed_copy(x)
+    n = data.shape[0]
+    plan = decomposition_plan(n, ctx.memory.capacity_words)
+    for fft_pass in plan:
+        pass_ops = 0.0
+        pass_io = 0.0
+        for group in fft_pass.groups:
+            group_size = len(group)
+            words = group_size * WORDS_PER_COMPLEX
+            with ctx.memory.buffer("fft_block", words):
+                ctx.io.read(words)
+                pass_io += words
+                block = data[list(group)]
+
+                for stage in range(fft_pass.first_stage, fft_pass.last_stage):
+                    local_bit = stage - fft_pass.first_stage
+                    half = 1 << local_bit
+                    span = 1 << (stage + 1)
+                    for j in range(group_size):
+                        if j & half:
+                            continue
+                        partner = j | half
+                        global_index = group[j]
+                        twiddle_exponent = global_index % (1 << stage)
+                        w = np.exp(-2j * np.pi * twiddle_exponent / span)
+                        t = w * block[partner]
+                        u = block[j]
+                        block[j] = u + t
+                        block[partner] = u - t
+                        ctx.ops.add(OPS_PER_BUTTERFLY)
+                        pass_ops += OPS_PER_BUTTERFLY
+
+                data[list(group)] = block
+                ctx.io.write(words)
+                pass_io += words
+        ctx.phases.record(
+            f"stages[{fft_pass.first_stage}:{fft_pass.last_stage}]",
+            pass_ops,
+            pass_io,
+        )
+    return data
 
 
 class TestBlockPointsForMemory:

@@ -11,9 +11,54 @@ from repro.exceptions import ConfigurationError, MemoryCapacityError
 from repro.kernels.base import ExecutionContext
 from repro.kernels.matmul import (
     BlockedMatrixMultiply,
-    _blocked_matmul_reference,
+    _operands,
     tile_side_for_memory,
 )
+
+
+def _blocked_matmul_reference(
+    kernel: BlockedMatrixMultiply, ctx: ExecutionContext, a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """The chunk-by-chunk specification of :meth:`BlockedMatrixMultiply._run`:
+    every buffer held and every op and word charged as the chunk is
+    processed."""
+    a, b = _operands(a, b)
+    n_rows, n_inner = a.shape
+    n_cols = b.shape[1]
+    rows, cols, chunk_width = kernel._tile_geometry(ctx.memory.capacity_words)
+
+    # External memory holds the operands and the result; only tiles are
+    # ever resident in the PE.
+    c = np.zeros((n_rows, n_cols), dtype=float)
+
+    for i0 in range(0, n_rows, rows):
+        i1 = min(i0 + rows, n_rows)
+        for j0 in range(0, n_cols, cols):
+            j1 = min(j0 + cols, n_cols)
+            tile_rows, tile_cols = i1 - i0, j1 - j0
+            tile_ops = 0.0
+            tile_io = 0.0
+            with ctx.memory.buffer("c_tile", tile_rows * tile_cols):
+                c_tile = np.zeros((tile_rows, tile_cols))
+                for k0 in range(0, n_inner, chunk_width):
+                    k1 = min(k0 + chunk_width, n_inner)
+                    chunk = k1 - k0
+                    with ctx.memory.buffer("a_chunk", tile_rows * chunk), \
+                            ctx.memory.buffer("b_chunk", chunk * tile_cols):
+                        a_chunk = a[i0:i1, k0:k1]
+                        b_chunk = b[k0:k1, j0:j1]
+                        ctx.io.read(tile_rows * chunk)
+                        ctx.io.read(chunk * tile_cols)
+                        tile_io += tile_rows * chunk + chunk * tile_cols
+                        c_tile += a_chunk @ b_chunk
+                        ops = 2.0 * tile_rows * tile_cols * chunk
+                        ctx.ops.add(ops)
+                        tile_ops += ops
+                c[i0:i1, j0:j1] = c_tile
+                ctx.io.write(tile_rows * tile_cols)
+                tile_io += tile_rows * tile_cols
+            ctx.phases.record(f"tile[{i0}:{i1},{j0}:{j1}]", tile_ops, tile_io)
+    return c
 
 
 class TestTileSideForMemory:

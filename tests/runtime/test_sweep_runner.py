@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.sweep import MemorySweep
 from repro.exceptions import ConfigurationError
 from repro.kernels.fft import BlockedFFT
 from repro.kernels.grid import GridRelaxation
@@ -63,19 +62,22 @@ class TestSweepPlan:
 
 
 class TestSerialRuntime:
-    def test_matches_memory_sweep_bitwise(self):
-        legacy = MemorySweep(BlockedMatrixMultiply()).run_default(MEMORIES, SCALE)
-        runtime = SweepRunner().run_default(BlockedMatrixMultiply(), MEMORIES, SCALE)
-        assert runtime.intensities == legacy.intensities
-        assert runtime.io_words == legacy.io_words
-        assert runtime.compute_ops == legacy.compute_ops
-        assert runtime.memory_sizes == legacy.memory_sizes
+    """A serial runner against the reference: a plain ``kernel.execute`` loop."""
 
-    def test_fixed_problem_run_matches_memory_sweep(self, small_matrices):
+    def test_matches_an_execute_loop_bitwise(self):
+        kernel = BlockedMatrixMultiply()
+        loop = [kernel.execute(m, **kernel.problem_for_memory(m, SCALE)) for m in MEMORIES]
+        runtime = SweepRunner().run_default(BlockedMatrixMultiply(), MEMORIES, SCALE)
+        assert runtime.intensities == tuple(e.intensity for e in loop)
+        assert runtime.io_words == tuple(e.cost.io_words for e in loop)
+        assert runtime.compute_ops == tuple(e.cost.compute_ops for e in loop)
+        assert runtime.memory_sizes == MEMORIES
+
+    def test_fixed_problem_run_matches_an_execute_loop(self, small_matrices):
         a, b = small_matrices
-        legacy = MemorySweep(BlockedMatrixMultiply()).run(MEMORIES, a=a, b=b)
+        loop = [BlockedMatrixMultiply().execute(m, a=a, b=b) for m in MEMORIES]
         runtime = SweepRunner().run(BlockedMatrixMultiply(), MEMORIES, a=a, b=b)
-        assert runtime.intensities == legacy.intensities
+        assert runtime.intensities == tuple(e.intensity for e in loop)
 
     def test_run_sweep_convenience(self):
         result = SweepRunner().run_default(BlockedMatrixMultiply(), MEMORIES, SCALE)

@@ -355,6 +355,14 @@ class TestTaskPool:
         assert TaskRunner().pool is None
         assert TaskRunner(parallel=True, max_workers=1).pool is None
         assert SweepRunner(parallel=True, max_workers=1).pool is None
+        # Without a pool every task runs in-process, so a runner reports one
+        # worker whatever it was asked for; with one, the pool's size.
+        for runner_class in (TaskRunner, SweepRunner):
+            assert runner_class().max_workers == 1
+            assert runner_class(max_workers=4).max_workers == 1
+            assert runner_class(parallel=True, max_workers=3).max_workers == 3
+        shared = TaskPool(2)
+        assert SweepRunner(parallel=True, max_workers=5, pool=shared).max_workers == 2
 
     def test_a_pool_forks_at_its_first_batch_and_reuses_its_children(self):
         before = _pool_starts()

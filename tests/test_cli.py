@@ -420,8 +420,10 @@ class TestSuiteCommand:
         assert "suite 'quick'" in output
         assert "experiment tasks in" in output
         assert "experiment tasks" in output
+        assert "(serial, 1 worker)" in output  # a serial run uses no pool
         payload = json.loads(json_path.read_text())
         assert payload["schema"] == "repro-suite-result/v3"
+        assert payload["runtime"]["max_workers"] == 1
         assert len(payload["scenarios"]) == 8
         # 6 experiment kinds plus the three large-order systolic scenarios.
         assert len(payload["experiments"]) == 9

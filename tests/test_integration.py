@@ -12,7 +12,7 @@ import math
 import pytest
 
 from repro.analysis.fitting import estimate_growth_exponent
-from repro.analysis.sweep import MemorySweep, measured_rebalance_curve
+from repro.analysis.sweep import measured_rebalance_curve
 from repro.arrays.sizing import linear_array_sizing_sweep, mesh_sizing_sweep
 from repro.core.model import BoundKind, ProcessingElement
 from repro.core.rebalance import rebalance_pe
@@ -26,6 +26,7 @@ from repro.kernels import (
     StreamingMatrixVectorProduct,
 )
 from repro.machine.pe import SimulatedPE
+from repro.runtime.engine import SweepRunner
 
 
 class TestMeasuredLawsMatchPaper:
@@ -34,8 +35,8 @@ class TestMeasuredLawsMatchPaper:
     def test_matmul_measured_rebalancing_exponent_is_two(self, rng):
         a = rng.standard_normal((36, 36))
         b = rng.standard_normal((36, 36))
-        sweep = MemorySweep(BlockedMatrixMultiply()).run(
-            (12, 27, 48, 108, 192, 300, 432), a=a, b=b
+        sweep = SweepRunner().run(
+            BlockedMatrixMultiply(), (12, 27, 48, 108, 192, 300, 432), a=a, b=b
         )
         curve = measured_rebalance_curve(sweep, memory_old=27, alphas=(1.5, 2.0, 3.0))
         exponent = estimate_growth_exponent(
@@ -46,7 +47,7 @@ class TestMeasuredLawsMatchPaper:
     def test_triangularization_measured_exponent_is_two(self):
         kernel = BlockedLUTriangularization()
         problem = kernel.default_problem(36)
-        sweep = MemorySweep(kernel).run((12, 27, 48, 108, 192, 300), **problem)
+        sweep = SweepRunner().run(kernel, (12, 27, 48, 108, 192, 300), **problem)
         curve = measured_rebalance_curve(sweep, memory_old=27, alphas=(1.5, 2.0, 3.0))
         exponent = estimate_growth_exponent(
             [r.alpha for r in curve], [r.growth_factor for r in curve]
@@ -55,7 +56,7 @@ class TestMeasuredLawsMatchPaper:
 
     def test_grid2d_measured_exponent_is_about_two(self):
         kernel = GridRelaxation(dimension=2)
-        sweep = MemorySweep(kernel).run_default((100, 256, 576, 1296, 2704), scale=5)
+        sweep = SweepRunner().run_default(kernel, (100, 256, 576, 1296, 2704), scale=5)
         curve = measured_rebalance_curve(sweep, memory_old=256, alphas=(1.5, 2.0))
         exponent = estimate_growth_exponent(
             [r.alpha for r in curve], [r.growth_factor for r in curve]
@@ -65,7 +66,7 @@ class TestMeasuredLawsMatchPaper:
     def test_fft_measured_memory_grows_exponentially(self, rng):
         """log(M_new) is proportional to alpha, not to log(alpha)."""
         x = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
-        sweep = MemorySweep(BlockedFFT()).run((4, 8, 16, 32, 128, 8192), x=x)
+        sweep = SweepRunner().run(BlockedFFT(), (4, 8, 16, 32, 128, 8192), x=x)
         curve = measured_rebalance_curve(sweep, memory_old=32, alphas=(1.5, 2.0, 2.5))
         log_memories = [math.log2(r.memory_new) for r in curve]
         # Exponential law: log M_new / alpha is constant.
@@ -77,7 +78,7 @@ class TestMeasuredLawsMatchPaper:
 
     def test_sorting_measured_memory_grows_exponentially(self, rng):
         keys = rng.standard_normal(16384)
-        sweep = MemorySweep(ExternalMergeSort()).run((8, 32, 128, 512), keys=keys)
+        sweep = SweepRunner().run(ExternalMergeSort(), (8, 32, 128, 512), keys=keys)
         curve = measured_rebalance_curve(sweep, memory_old=32, alphas=(1.5, 2.0))
         exponents = [r.implied_exponent for r in curve]
         assert all(e > 3.0 for e in exponents)
@@ -85,8 +86,8 @@ class TestMeasuredLawsMatchPaper:
     def test_matvec_cannot_be_rebalanced(self, rng):
         a = rng.standard_normal((48, 48))
         x = rng.standard_normal(48)
-        sweep = MemorySweep(StreamingMatrixVectorProduct()).run(
-            (8, 32, 128, 512, 2048), a=a, x=x
+        sweep = SweepRunner().run(
+            StreamingMatrixVectorProduct(), (8, 32, 128, 512, 2048), a=a, x=x
         )
         curve = measured_rebalance_curve(sweep, memory_old=32, alphas=(2.0, 4.0))
         assert all(not r.feasible for r in curve)
@@ -139,8 +140,8 @@ class TestArraysAndKernelsTogether:
         """Array sizing driven by a *measured* intensity curve, not the formula."""
         a = rng.standard_normal((36, 36))
         b = rng.standard_normal((36, 36))
-        sweep = MemorySweep(BlockedMatrixMultiply()).run(
-            (12, 27, 48, 108, 192, 300, 432), a=a, b=b
+        sweep = SweepRunner().run(
+            BlockedMatrixMultiply(), (12, 27, 48, 108, 192, 300, 432), a=a, b=b
         )
         measured_intensity = sweep.tabulated_intensity()
         reference = ProcessingElement(

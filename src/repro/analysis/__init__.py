@@ -12,7 +12,6 @@ from repro.analysis.fitting import (
 from repro.analysis.plotting import ascii_chart, save_csv
 from repro.analysis.report import Table
 from repro.analysis.roofline import (
-    RooflinePoint,
     attainable_performance,
     memory_for_ridge,
     ridge_point,
@@ -24,7 +23,6 @@ __all__ = [
     "LogLawFit",
     "MemorySweepResult",
     "PowerLawFit",
-    "RooflinePoint",
     "Table",
     "ascii_chart",
     "attainable_performance",

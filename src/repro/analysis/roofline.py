@@ -19,7 +19,6 @@ as an ASCII chart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.analysis.plotting import ascii_chart
@@ -27,17 +26,7 @@ from repro.core.intensity import IntensityFunction
 from repro.core.model import ProcessingElement
 from repro.exceptions import ConfigurationError
 
-__all__ = ["RooflinePoint", "attainable_performance", "ridge_point", "roofline_chart", "memory_for_ridge"]
-
-
-@dataclass(frozen=True)
-class RooflinePoint:
-    """One workload placed on a PE's roofline."""
-
-    label: str
-    intensity: float
-    attainable_ops_per_s: float
-    compute_bound: bool
+__all__ = ["attainable_performance", "ridge_point", "roofline_chart", "memory_for_ridge"]
 
 
 def ridge_point(pe: ProcessingElement) -> float:

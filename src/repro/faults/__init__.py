@@ -36,7 +36,6 @@ from repro.faults.injector import (
     InjectedFaultError,
     InjectedWorkerCrash,
     active,
-    current_injector,
     install,
     install_from_env,
     maybe_inject,
@@ -52,7 +51,6 @@ __all__ = [
     "InjectedFaultError",
     "InjectedWorkerCrash",
     "active",
-    "current_injector",
     "install",
     "install_from_env",
     "maybe_inject",

@@ -48,7 +48,6 @@ __all__ = [
     "InjectedFaultError",
     "InjectedWorkerCrash",
     "active",
-    "current_injector",
     "install",
     "install_from_env",
     "maybe_inject",
@@ -128,16 +127,6 @@ class FaultRule:
             raise ConfigurationError(
                 f"fault delay must be >= 0, got {self.delay!r}"
             )
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "rate": self.rate,
-            "count": self.count,
-            "after": self.after,
-            "delay": self.delay,
-            "site": self.site,
-        }
 
 
 def parse_fault_spec(spec: str) -> list[FaultRule]:
@@ -222,27 +211,6 @@ class FaultInjector:
                 return rule
         return None
 
-    def fired(self, kind: str | None = None) -> int:
-        """Total fires, overall or for one kind."""
-        with self._lock:
-            return sum(
-                fires
-                for rule, fires in zip(self.rules, self._fires)
-                if kind is None or rule.kind == kind
-            )
-
-    def as_dict(self) -> dict[str, Any]:
-        with self._lock:
-            return {
-                "seed": self.seed,
-                "rules": [
-                    {**rule.as_dict(), "hits": hits, "fires": fires}
-                    for rule, hits, fires in zip(
-                        self.rules, self._hits, self._fires
-                    )
-                ],
-            }
-
 
 # ---------------------------------------------------------------------------
 # The process-global switch and the injection-point API.
@@ -266,10 +234,6 @@ def uninstall() -> None:
 
 def active() -> bool:
     return _INJECTOR is not None
-
-
-def current_injector() -> FaultInjector | None:
-    return _INJECTOR
 
 
 def install_from_env(environ: Mapping[str, str] | None = None) -> FaultInjector | None:

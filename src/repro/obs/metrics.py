@@ -17,8 +17,11 @@ Two renderers serve the same registry:
 
 The module-level :data:`REGISTRY` is the process's default registry; the
 instrumented layers (task runner, caches, scheduler, executor) register
-their families against it at import time.  Tests needing isolation build
-their own :class:`MetricsRegistry` instances.
+their families against it at import time.  An object that also keeps its
+own count of an event (a cache's hits, a scheduler's submissions) holds a
+:class:`Counts`, which names the family each event feeds, so one call
+counts the event in both.  Tests needing isolation build their own
+:class:`MetricsRegistry` instances.
 
 Registration is idempotent: asking for an existing name returns the
 existing family, provided type, label names and (for histograms) buckets
@@ -37,6 +40,7 @@ from repro.exceptions import ConfigurationError
 
 __all__ = [
     "Counter",
+    "Counts",
     "Gauge",
     "Histogram",
     "MetricFamily",
@@ -111,7 +115,7 @@ class Counter:
 
 
 class Gauge:
-    """A value that can go up and down (one child of a gauge family)."""
+    """A value that is set, not counted (one child of a gauge family)."""
 
     __slots__ = ("_lock", "_value")
 
@@ -122,13 +126,6 @@ class Gauge:
     def set(self, value: float) -> None:
         with self._lock:
             self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
 
     @property
     def value(self) -> float:
@@ -270,9 +267,6 @@ class MetricFamily:
     def inc(self, amount: float = 1.0) -> None:
         self._only_child().inc(amount)
 
-    def dec(self, amount: float = 1.0) -> None:
-        self._only_child().dec(amount)
-
     def set(self, value: float) -> None:
         self._only_child().set(value)
 
@@ -290,6 +284,46 @@ class MetricFamily:
     @property
     def sum(self) -> float:
         return self._only_child().sum
+
+
+class Counts:
+    """One object's event counts, each also added to the family it feeds.
+
+    ``events`` names every event the owner counts, in :meth:`as_dict`
+    order, each with the process-wide counter family it also feeds, or
+    ``None``.  One :meth:`add` counts an event in both; its labels pick the
+    family's child, which appears at the first add, as with a direct
+    ``labels()`` call.  A count reads as an attribute (``stats.hits``) and
+    is 0 before the first add.  Both counts stay because their scopes
+    differ: the object's covers one cache, runner, scheduler or store
+    handle, the family's the whole process.  Thread-safe: one lock guards
+    the counts.
+    """
+
+    __slots__ = ("_lock", "_counts", "_families")
+
+    def __init__(self, events: Mapping[str, MetricFamily | None]) -> None:
+        self._lock = threading.Lock()
+        self._counts = dict.fromkeys(events, 0)
+        self._families = dict(events)
+
+    def add(self, event: str, amount: int = 1, **labels: str) -> None:
+        """Count ``amount`` occurrences of ``event``, here and in its family."""
+        with self._lock:
+            self._counts[event] += amount
+        family = self._families[event]
+        if family is not None:
+            (family.labels(**labels) if labels else family).inc(amount)
+
+    def __getattr__(self, event: str) -> int:
+        # A leading underscore is an unset slot: reading ``_counts`` recurses.
+        if event.startswith("_") or event not in self._counts:
+            raise AttributeError(event)
+        return self._counts[event]
+
+    def as_dict(self) -> dict[str, int]:
+        with self._lock:
+            return dict(self._counts)
 
 
 class MetricsRegistry:

@@ -65,7 +65,7 @@ from contextvars import ContextVar
 from typing import Any, Iterator, Mapping, Sequence
 
 from repro.exceptions import ConfigurationError
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, Counts
 
 __all__ = [
     "SPANS_SCHEMA",
@@ -105,10 +105,13 @@ SPANS_SCHEMA = "repro-spans/v1"
 #: MiB while making drops rare enough to be a diagnostic signal.
 DEFAULT_CAPACITY = 16384
 
-_METRIC_DROPPED = REGISTRY.counter(
-    "repro_spans_dropped_total",
-    "Finished spans evicted from the bounded span buffer (oldest first).",
-)
+# A collector's one counted event, and the family it also feeds.
+_EVENTS = {
+    "dropped": REGISTRY.counter(
+        "repro_spans_dropped_total",
+        "Finished spans evicted from the bounded span buffer (oldest first).",
+    )
+}
 
 
 #: The HTTP request header a client uses to supply its own trace ID.
@@ -154,7 +157,7 @@ class SpanCollector:
         # per-trace lookup does not scan the whole buffer.  Lists, not
         # deques: a trace holds a few spans, and an empty deque is ~600 bytes.
         self._by_trace: dict[str, list[dict[str, Any]]] = {}
-        self.dropped = 0
+        self.counts = Counts(_EVENTS)
 
     def record(self, finished: dict[str, Any]) -> None:
         """Append one finished span, evicting the oldest when full."""
@@ -176,8 +179,7 @@ class SpanCollector:
                     del trace[0]
                     if not trace:
                         del self._by_trace[evicted_trace]
-                self.dropped += 1
-                _METRIC_DROPPED.inc()
+                self.counts.add("dropped")
             self._spans.append(finished)
             if trace_id is not None:
                 self._by_trace.setdefault(trace_id, []).append(finished)
@@ -196,12 +198,7 @@ class SpanCollector:
     def stats(self) -> dict[str, Any]:
         with self._lock:
             size = len(self._spans)
-        return {"capacity": self.capacity, "spans": size, "dropped": self.dropped}
-
-    def clear(self) -> None:
-        with self._lock:
-            self._spans.clear()
-            self._by_trace.clear()
+        return {"capacity": self.capacity, "spans": size, "dropped": self.counts.dropped}
 
 
 #: The process-global collector; ``None`` means collection is disabled and

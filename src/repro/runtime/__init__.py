@@ -29,7 +29,6 @@ This package replaces per-point serial experiment loops with these layers:
 from repro.runtime.cache import (
     MISS,
     CacheLayout,
-    CacheStats,
     ResultCache,
     TaskCache,
     cache_layout,
@@ -44,7 +43,6 @@ from repro.runtime.suites import (
     ScenarioSuite,
     SuiteResult,
     build_kernel,
-    experiment_kinds,
     get_suite,
     kernel_factories,
     run_experiments,
@@ -58,7 +56,6 @@ from repro.runtime.tasks import (
     Task,
     TaskPool,
     TaskRunner,
-    TaskRunStats,
     callable_code_version,
     default_worker_count,
     execute_tasks,
@@ -66,18 +63,14 @@ from repro.runtime.tasks import (
     task_key,
 )
 from repro.runtime.vectorized import (
-    analytic_summary_rows,
     analytic_sweep_payload,
     cost_grid,
-    intensity_grid,
-    rebalance_curves,
     rebalance_grid,
 )
 
 __all__ = [
     "MISS",
     "CacheLayout",
-    "CacheStats",
     "ExperimentScenario",
     "ExperimentScenarioResult",
     "PEConfig",
@@ -92,8 +85,6 @@ __all__ = [
     "TaskCache",
     "TaskPool",
     "TaskRunner",
-    "TaskRunStats",
-    "analytic_summary_rows",
     "analytic_sweep_payload",
     "build_kernel",
     "cache_layout",
@@ -102,11 +93,8 @@ __all__ = [
     "default_worker_count",
     "execute_tasks",
     "execution_key",
-    "experiment_kinds",
     "get_suite",
-    "intensity_grid",
     "kernel_factories",
-    "rebalance_curves",
     "rebalance_grid",
     "resolve_tasks",
     "run_experiments",

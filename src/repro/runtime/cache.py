@@ -10,8 +10,9 @@ kernel's modules named (:func:`repro.runtime.engine.execution_key`).
 
 The two caches are two codecs over one :class:`EntryStore`, which owns the
 shard layout (``<root>/<key[:2]>/<key><suffix>``), the atomic write, the
-rule that an undecodable entry is a miss and is deleted, the
-:class:`CacheStats` counters and the ``repro_cache_*`` metrics:
+rule that an undecodable entry is a miss and is deleted, and the
+counts of its hits, misses and stores, each also fed to its
+``repro_cache_*`` metric:
 
 * :class:`ResultCache` -- sweep points, as small JSON files of measured
   numbers only.  A hit reconstructs a
@@ -35,7 +36,6 @@ import os
 import pickle
 import tempfile
 from collections.abc import Mapping
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, NamedTuple
 
@@ -46,7 +46,7 @@ from repro.exceptions import ConfigurationError
 from repro.faults.injector import maybe_inject
 from repro.kernels.base import Kernel, KernelExecution
 from repro.kernels.counters import PhaseRecorder
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, Counts
 
 __all__ = [
     "MISS",
@@ -54,40 +54,40 @@ __all__ = [
     "EntryStore",
     "ResultCache",
     "TaskCache",
-    "CacheStats",
     "cache_layout",
 ]
 
 SCHEMA_VERSION = 1
 TASK_SCHEMA_VERSION = 1
 
-# Process-wide cache instrumentation, labelled by store ("results"/"tasks").
-# The per-instance ``CacheStats`` counters remain the API callers read; the
-# metric families aggregate across every instance for ``GET /metrics``.
-_METRIC_HITS = REGISTRY.counter(
-    "repro_cache_hits_total",
-    "Cache lookups served from a readable on-disk entry.",
-    labelnames=("cache",),
-)
-_METRIC_MISSES = REGISTRY.counter(
-    "repro_cache_misses_total",
-    "Cache lookups that found no (or an unreadable) entry.",
-    labelnames=("cache",),
-)
-_METRIC_STORES = REGISTRY.counter(
-    "repro_cache_stores_total",
-    "Entries written to the on-disk caches.",
-    labelnames=("cache",),
-)
+# Each cache's counted events (its ``stats``), and the process-wide family
+# each also feeds for ``GET /metrics``, labelled by the cache's ``label``.
+_EVENTS = {
+    "hits": REGISTRY.counter(
+        "repro_cache_hits_total",
+        "Cache lookups served from a readable on-disk entry.",
+        labelnames=("cache",),
+    ),
+    "misses": REGISTRY.counter(
+        "repro_cache_misses_total",
+        "Cache lookups that found no (or an unreadable) entry.",
+        labelnames=("cache",),
+    ),
+    "stores": REGISTRY.counter(
+        "repro_cache_stores_total",
+        "Entries written to the on-disk caches.",
+        labelnames=("cache",),
+    ),
+    "store_failures": REGISTRY.counter(
+        "repro_cache_store_failures_total",
+        "Cache entries that could not be written (disk error); the result "
+        "stays correct, the key is simply a miss next time.",
+        labelnames=("cache",),
+    ),
+}
 _METRIC_STORE_BYTES = REGISTRY.counter(
     "repro_cache_store_bytes_total",
     "Bytes written to the on-disk caches.",
-    labelnames=("cache",),
-)
-_METRIC_STORE_FAILURES = REGISTRY.counter(
-    "repro_cache_store_failures_total",
-    "Cache entries that could not be written (disk error); the result "
-    "stays correct, the key is simply a miss next time.",
     labelnames=("cache",),
 )
 
@@ -124,28 +124,6 @@ def _fingerprint(value: Any) -> Any:
     return ["repr", repr(value)]
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss/store counters accumulated over the lifetime of a cache."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    store_failures: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "store_failures": self.store_failures,
-        }
-
-
 class _Miss:
     """Sentinel type distinguishing a cache miss from a cached ``None``."""
 
@@ -174,7 +152,7 @@ class EntryStore:
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root).expanduser()
         self.root.mkdir(parents=True, exist_ok=True)
-        self.stats = CacheStats()
+        self.stats = Counts(_EVENTS)
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}{self.suffix}"
@@ -204,11 +182,9 @@ class EntryStore:
             # schema, a class that no longer exists); a missing file is a miss.
             if not isinstance(exc, FileNotFoundError):
                 path.unlink(missing_ok=True)
-            self.stats.misses += 1
-            _METRIC_MISSES.labels(cache=self.label).inc()
+            self.stats.add("misses", cache=self.label)
             return MISS
-        self.stats.hits += 1
-        _METRIC_HITS.labels(cache=self.label).inc()
+        self.stats.add("hits", cache=self.label)
         return value
 
     def store(self, key: str, value: Any, *, label: str | None = None) -> None:
@@ -220,11 +196,9 @@ class EntryStore:
             # Best-effort durability: the result in hand is correct, so a
             # full disk must not fail the run -- the key is simply a miss
             # (and a recomputation) next time.
-            self.stats.store_failures += 1
-            _METRIC_STORE_FAILURES.labels(cache=self.label).inc()
+            self.stats.add("store_failures", cache=self.label)
             return
-        self.stats.stores += 1
-        _METRIC_STORES.labels(cache=self.label).inc()
+        self.stats.add("stores", cache=self.label)
         _METRIC_STORE_BYTES.labels(cache=self.label).inc(len(data))
 
     def clear(self) -> int:

@@ -191,9 +191,7 @@ class SweepRunner:
                         problem = plan.problem_at(size)
                     points.append(point_task(plan.kernel, size, problem))
 
-        executions, _ = resolve_tasks(
-            points, None if self.verify else self.cache, self.pool
-        )
+        executions = resolve_tasks(points, None if self.verify else self.cache, self.pool)
         if self.verify:
             for point, execution in zip(points, executions):
                 kernel = point.params["kernel"]

@@ -61,7 +61,6 @@ __all__ = [
     "SuiteResult",
     "kernel_factories",
     "build_kernel",
-    "experiment_kinds",
     "suite_names",
     "get_suite",
     "run_experiments",
@@ -157,11 +156,6 @@ EXPERIMENT_KINDS = (
     "pebble",
     "warp",
 )
-
-
-def experiment_kinds() -> tuple[str, ...]:
-    """Every experiment kind an :class:`ExperimentScenario` can reference."""
-    return EXPERIMENT_KINDS
 
 
 @lru_cache(maxsize=1)
@@ -808,24 +802,6 @@ class SuiteResult:
     runtime: dict[str, object] = field(default_factory=dict)
     experiments: tuple[ExperimentScenarioResult, ...] = ()
     run_id: str = field(default_factory=lambda: uuid.uuid4().hex[:12])
-
-    def scenario(self, name: str) -> ScenarioResult:
-        for result in self.results:
-            if result.scenario.name == name:
-                return result
-        known = ", ".join(r.scenario.name for r in self.results)
-        raise ConfigurationError(
-            f"no scenario {name!r} in suite {self.suite.name!r}; ran: {known}"
-        )
-
-    def experiment(self, name: str) -> ExperimentScenarioResult:
-        for result in self.experiments:
-            if result.scenario.name == name:
-                return result
-        known = ", ".join(r.scenario.name for r in self.experiments)
-        raise ConfigurationError(
-            f"no experiment {name!r} in suite {self.suite.name!r}; ran: {known}"
-        )
 
     def as_dict(self) -> dict[str, object]:
         return {

@@ -48,14 +48,13 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.exceptions import ConfigurationError, TaskExecutionError
 from repro.obs import spans as obs_spans
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, Counts
 from repro.runtime.cache import MISS, EntryStore, TaskCache, _fingerprint
 
 __all__ = [
     "Task",
     "TaskPool",
     "TaskRunner",
-    "TaskRunStats",
     "task_key",
     "callable_code_version",
     "default_worker_count",
@@ -68,19 +67,26 @@ __all__ = [
 
 TASK_KEY_SCHEMA = 1
 
-# Process-wide task-runtime instrumentation for ``GET /metrics``.  Wall time
-# is measured around ``task.run()`` itself -- inside the worker process when
-# pooled -- so the histogram reports task cost, not pool-queueing delay.
-_METRIC_EXECUTED = REGISTRY.counter(
-    "repro_tasks_executed_total", "Tasks actually executed (cache misses)."
-)
-_METRIC_CACHE_HITS = REGISTRY.counter(
-    "repro_tasks_cache_hits_total", "Tasks replayed from the task cache."
-)
-_METRIC_DEDUPED = REGISTRY.counter(
-    "repro_tasks_deduped_total",
-    "Tasks resolved by an identical task earlier in the same batch.",
-)
+# How :func:`resolve_tasks` resolved each task (a :class:`TaskRunner`'s
+# ``stats``), and the process-wide family each also feeds for ``GET
+# /metrics``.  ``deduped`` counts tasks that were *not* executed because an
+# identical task (same key) appeared earlier in the same batch; the job
+# service reads it to prove that N identical submissions ran the work once.
+_EVENTS = {
+    "executed": REGISTRY.counter(
+        "repro_tasks_executed_total", "Tasks actually executed (cache misses)."
+    ),
+    "cache_hits": REGISTRY.counter(
+        "repro_tasks_cache_hits_total", "Tasks replayed from the task cache."
+    ),
+    "deduped": REGISTRY.counter(
+        "repro_tasks_deduped_total",
+        "Tasks resolved by an identical task earlier in the same batch.",
+    ),
+}
+# Wall time is measured around ``task.run()`` itself -- inside the worker
+# process when pooled -- so the histogram reports task cost, not
+# pool-queueing delay.
 _METRIC_TASK_SECONDS = REGISTRY.histogram(
     "repro_task_seconds", "Wall time of one executed task."
 )
@@ -514,52 +520,29 @@ def execute_tasks(tasks: Sequence[Task], pool: TaskPool | None) -> list[Any]:
     return [_collect(task, partial(_run_task, task, None)) for task in tasks]
 
 
-@dataclass
-class TaskRunStats:
-    """Counters of resolved tasks: one batch's, or a runner's lifetime total.
-
-    ``deduped`` counts tasks that were *not* executed because an identical
-    task (same content-addressed key) appeared earlier in the same batch;
-    the job-service scheduler reads these counters to prove that N identical
-    submissions ran the underlying work once.
-    """
-
-    executed: int = 0
-    cache_hits: int = 0
-    deduped: int = 0
-
-    @property
-    def resolved(self) -> int:
-        return self.executed + self.cache_hits + self.deduped
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "executed": self.executed,
-            "cache_hits": self.cache_hits,
-            "deduped": self.deduped,
-        }
-
-
 def resolve_tasks(
-    tasks: Sequence[Task], cache: EntryStore | None, pool: TaskPool | None
-) -> tuple[list[Any], TaskRunStats]:
-    """Resolve a batch in submission order: ``(results, batch counters)``.
+    tasks: Sequence[Task],
+    cache: EntryStore | None,
+    pool: TaskPool | None,
+    counts: Counts | None = None,
+) -> list[Any]:
+    """Resolve a batch in submission order.
 
     Each task's key is looked up in ``cache``; of the misses, the first task
     with a given key executes and later ones observe its result (safe
     because equal keys mean equal code and parameters, and tasks must be
     deterministic -- the assumption the cache replays results under); fresh
-    results are stored back.
+    results are stored back.  Once the batch ran, how its tasks resolved is
+    added to ``counts`` (a runner's ``stats``) and the ``repro_tasks_*``
+    families; without ``counts``, to the families only.
     """
     results: list[Any] = [None] * len(tasks)
-    stats = TaskRunStats()
     pending: list[tuple[int, Task]] = []
     for i, task in enumerate(tasks):
         if cache is not None:
             hit = cache.load(task.key())
             if hit is not MISS:
                 results[i] = hit
-                stats.cache_hits += 1
                 continue
         pending.append((i, task))
 
@@ -569,22 +552,21 @@ def resolve_tasks(
         key = task.key()
         if key in slots:
             slots[key].append(i)
-            stats.deduped += 1
             continue
         slots[key] = [i]
         unique.append(task)
 
     fresh = execute_tasks(unique, pool)
-    stats.executed = len(unique)
-    _METRIC_CACHE_HITS.inc(stats.cache_hits)
-    _METRIC_DEDUPED.inc(stats.deduped)
-    _METRIC_EXECUTED.inc(stats.executed)
+    counts = Counts(_EVENTS) if counts is None else counts
+    counts.add("cache_hits", len(tasks) - len(pending))
+    counts.add("deduped", len(pending) - len(unique))
+    counts.add("executed", len(unique))
     for task, value in zip(unique, fresh):
         for i in slots[task.key()]:
             results[i] = value
         if cache is not None:
             cache.store(task.key(), value, label=task.label)
-    return results, stats
+    return results
 
 
 class TaskRunner:
@@ -628,19 +610,16 @@ class TaskRunner:
         self.cache = cache
         self.pool = pool or task_pool(parallel, max_workers or default_worker_count())
         self.max_workers = self.pool.max_workers if self.pool is not None else 1
-        self.stats = TaskRunStats()
-        # One runner may be shared by several threads (the job service's
-        # worker pool); counter updates are read-modify-write and need a lock.
-        self._stats_lock = threading.Lock()
+        self.stats = Counts(_EVENTS)
 
     def run(self, tasks: Sequence[Task]) -> list[Any]:
         """Resolve every task, via the cache where possible, in order."""
         if not obs_spans.enabled():
-            return self._run_batch(tasks)
+            return resolve_tasks(tasks, self.cache, self.pool, self.stats)
         with obs_spans.span(
             "tasks.run", kind="runtime", attributes={"tasks": len(tasks)}
         ) as batch_span:
-            results = self._run_batch(tasks)
+            results = resolve_tasks(tasks, self.cache, self.pool, self.stats)
             # Runner-lifetime counters, not batch counters: enough to tell
             # "replayed from cache" from "recomputed" for a slow batch.
             batch_span.set(
@@ -649,15 +628,3 @@ class TaskRunner:
                 deduped_total=self.stats.deduped,
             )
             return results
-
-    def _run_batch(self, tasks: Sequence[Task]) -> list[Any]:
-        results, batch = resolve_tasks(tasks, self.cache, self.pool)
-        with self._stats_lock:
-            self.stats.executed += batch.executed
-            self.stats.cache_hits += batch.cache_hits
-            self.stats.deduped += batch.deduped
-        return results
-
-    def run_one(self, task: Task) -> Any:
-        """Convenience: resolve a single task."""
-        return self.run([task])[0]

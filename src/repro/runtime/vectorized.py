@@ -3,10 +3,8 @@
 The paper's analytic artifacts -- intensity curves ``F(M)``, cost tables
 ``(C_comp, C_io)(N, M)`` and rebalancing laws ``M_new(M_old, alpha)`` -- are
 all closed forms.  Evaluating them point by point through the scalar registry
-API costs one Python call per grid point; this module batch-evaluates each
-of them over numpy grids in a single array pass, which is what makes dense
-summary tables and rebalancing curve fans cheap enough to regenerate on
-every CI run.
+API costs one Python call per grid point; this module batch-evaluates cost
+tables and rebalancing laws over numpy grids in a single array pass.
 
 Numerical equivalence with the scalar path is guaranteed by construction:
 the registry's scalar cost models are thin wrappers around the same numpy
@@ -32,17 +30,14 @@ from repro.core.laws import (
     PolynomialMemoryLaw,
 )
 from repro.core.model import BatchCost
-from repro.core.registry import ComputationSpec, all_specs, get
+from repro.core.registry import ComputationSpec, get
 from repro.exceptions import ConfigurationError
 from repro.obs import spans as obs_spans
 from repro.runtime.suites import build_kernel
 
 __all__ = [
-    "intensity_grid",
     "cost_grid",
     "rebalance_grid",
-    "rebalance_curves",
-    "analytic_summary_rows",
     "analytic_sweep_payload",
 ]
 
@@ -53,17 +48,6 @@ def _spec_of(computation: str | ComputationSpec) -> ComputationSpec:
     if isinstance(computation, ComputationSpec):
         return computation
     return get(computation)
-
-
-def intensity_grid(
-    computations: Sequence[str | ComputationSpec],
-    memory_words: np.ndarray | Sequence[float],
-) -> dict[str, np.ndarray]:
-    """``F(M)`` for several computations over one memory grid, one pass each."""
-    grid = np.asarray(memory_words, dtype=float)
-    return {
-        _spec_of(c).name: _spec_of(c).batch_intensity(grid) for c in computations
-    }
 
 
 def cost_grid(
@@ -125,58 +109,6 @@ def rebalance_grid(
     for i, (mi, ai) in enumerate(zip(m.ravel(), a.ravel())):
         flat[i] = law.required_memory(float(mi), float(ai))
     return out
-
-
-def rebalance_curves(
-    computations: Sequence[str | ComputationSpec],
-    memory_old: float,
-    alphas: np.ndarray | Sequence[float],
-) -> dict[str, np.ndarray]:
-    """The fan of ``M_new(alpha)`` curves for several computations at once."""
-    a = np.asarray(alphas, dtype=float)
-    return {
-        _spec_of(c).name: rebalance_grid(_spec_of(c).law, memory_old, a)
-        for c in computations
-    }
-
-
-def analytic_summary_rows(
-    problem_size: int,
-    memory_words: np.ndarray | Sequence[float],
-    computations: Sequence[str | ComputationSpec] | None = None,
-) -> list[dict[str, object]]:
-    """The Section 3 summary with numbers, from one array pass per entry.
-
-    For every computation this evaluates the cost model and the analytic
-    intensity over the whole memory grid at once and reports the grid
-    endpoints, replacing the thousands of scalar calls a per-point table
-    would need.
-    """
-    grid = np.asarray(memory_words, dtype=float)
-    if grid.ndim != 1 or grid.size < 1:
-        raise ConfigurationError(
-            f"memory_words must be a non-empty 1-d grid, got shape {grid.shape}"
-        )
-    specs = [_spec_of(c) for c in (computations or all_specs())]
-    rows: list[dict[str, object]] = []
-    for spec in specs:
-        costs = spec.batch_costs(float(problem_size), grid)
-        intensities = spec.batch_intensity(grid)
-        rows.append(
-            {
-                "computation": spec.name,
-                "title": spec.title,
-                "section": spec.paper_section,
-                "class": spec.computation_class.value,
-                "law": spec.law_label,
-                "memory_words": grid.tolist(),
-                "model_intensity": intensities.tolist(),
-                "cost_intensity": costs.intensity.tolist(),
-                "compute_ops": costs.compute_ops.tolist(),
-                "io_words": costs.io_words.tolist(),
-            }
-        )
-    return rows
 
 
 def analytic_sweep_payload(

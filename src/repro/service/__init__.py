@@ -62,13 +62,11 @@ from repro.service.scheduler import (
     JOB_TABLE,
     JobKind,
     JobScheduler,
-    SchedulerStats,
     analytic_sweep_payload,
     job_key,
     normalize_job_params,
 )
 from repro.service.workers import (
-    ExecutorStats,
     JobExecutor,
     JobService,
     WorkerPool,
@@ -81,7 +79,6 @@ __all__ = [
     "JOB_TABLE",
     "QUEUED",
     "RUNNING",
-    "ExecutorStats",
     "Job",
     "JobExecutor",
     "JobKind",
@@ -90,7 +87,6 @@ __all__ = [
     "JobStore",
     "QueueSaturatedError",
     "RetryPolicy",
-    "SchedulerStats",
     "ServiceClient",
     "ServiceHTTPServer",
     "WorkerPool",

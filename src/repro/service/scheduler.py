@@ -20,14 +20,14 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.analysis.sweep import normalize_memory_sizes
 from repro.exceptions import ConfigurationError, QueueSaturatedError
 from repro.kernels.base import Kernel
 from repro.obs import spans as obs_spans
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, Counts
 from repro.obs.spans import new_trace_id, normalize_trace_id
 from repro.runtime.engine import kernel_modules
 from repro.runtime.suites import (
@@ -50,7 +50,6 @@ __all__ = [
     "JOB_TABLE",
     "JobKind",
     "JobScheduler",
-    "SchedulerStats",
     "job_kind",
     "job_key",
     "normalize_job_params",
@@ -65,32 +64,36 @@ __all__ = [
 _METRIC_QUEUE_DEPTH = REGISTRY.gauge(
     "repro_scheduler_queue_depth", "Jobs waiting in the scheduler queue."
 )
-_METRIC_SUBMITTED = REGISTRY.counter(
-    "repro_jobs_submitted_total", "Jobs accepted for execution.",
-    labelnames=("kind",),
-)
-_METRIC_DEDUP_ATTACHES = REGISTRY.counter(
-    "repro_scheduler_dedup_attaches_total",
-    "Submissions attached to an identical in-flight job instead of running.",
-)
-_METRIC_JOBS_COMPLETED = REGISTRY.counter(
-    "repro_jobs_completed_total", "Jobs finished successfully, by kind.",
-    labelnames=("kind",),
-)
-_METRIC_JOBS_FAILED = REGISTRY.counter(
-    "repro_jobs_failed_total", "Jobs finished with an error, by kind.",
-    labelnames=("kind",),
-)
-_METRIC_JOB_RETRIES = REGISTRY.counter(
-    "repro_job_retries_total",
-    "Jobs requeued for another attempt, by kind and reason.",
-    labelnames=("kind", "reason"),
-)
-_METRIC_JOBS_REJECTED = REGISTRY.counter(
-    "repro_jobs_rejected_total",
-    "Submissions refused by admission control, by reason.",
-    labelnames=("reason",),
-)
+# A scheduler's counted events over its lifetime (its ``stats``), and the
+# family each also feeds.
+_EVENTS = {
+    "submitted": REGISTRY.counter(
+        "repro_jobs_submitted_total", "Jobs accepted for execution.",
+        labelnames=("kind",),
+    ),
+    "deduped": REGISTRY.counter(
+        "repro_scheduler_dedup_attaches_total",
+        "Submissions attached to an identical in-flight job instead of running.",
+    ),
+    "completed": REGISTRY.counter(
+        "repro_jobs_completed_total", "Jobs finished successfully, by kind.",
+        labelnames=("kind",),
+    ),
+    "failed": REGISTRY.counter(
+        "repro_jobs_failed_total", "Jobs finished with an error, by kind.",
+        labelnames=("kind",),
+    ),
+    "retried": REGISTRY.counter(
+        "repro_job_retries_total",
+        "Jobs requeued for another attempt, by kind and reason.",
+        labelnames=("kind", "reason"),
+    ),
+    "rejected": REGISTRY.counter(
+        "repro_jobs_rejected_total",
+        "Submissions refused by admission control, by reason.",
+        labelnames=("reason",),
+    ),
+}
 
 #: Modules whose source participates in a suite job's content address: the
 #: suite definitions themselves hash via ``get_suite``'s module, these cover
@@ -364,21 +367,6 @@ def retry_policy(job: Job) -> RetryPolicy:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SchedulerStats:
-    """Counters accumulated over the lifetime of a :class:`JobScheduler`."""
-
-    submitted: int = 0
-    deduped: int = 0
-    completed: int = 0
-    failed: int = 0
-    retried: int = 0
-    rejected: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return asdict(self)
-
-
 class JobScheduler:
     """FIFO job queue with dedup, retry backoff and admission control.
 
@@ -416,7 +404,7 @@ class JobScheduler:
         self._followers: dict[str, list[str]] = {}  # primary id -> follower ids
         self._closed = False
         self._avg_run_seconds: float | None = None
-        self.stats = SchedulerStats()
+        self.stats = Counts(_EVENTS)
 
     @property
     def queue_depth(self) -> int:
@@ -463,15 +451,13 @@ class JobScheduler:
                 # Load shedding prefers attaching duplicates over admitting
                 # new keys: a follower is free, so it bypasses the depth
                 # check even when the queue is saturated.
-                self.stats.submitted += 1
-                _METRIC_SUBMITTED.labels(kind=kind).inc()
+                self.stats.add("submitted", kind=kind)
                 job = self.store.create(
                     kind, params, key=key, deduped_into=primary_id,
                     trace_id=trace_id,
                 )
                 self._followers.setdefault(primary_id, []).append(job.id)
-                self.stats.deduped += 1
-                _METRIC_DEDUP_ATTACHES.inc()
+                self.stats.add("deduped")
                 self._record_admission(
                     job, "scheduler.dedup-attach", submit_wall, submit_mono,
                     primary_id=primary_id,
@@ -481,15 +467,13 @@ class JobScheduler:
                 self.max_queue_depth is not None
                 and len(self._queue) >= self.max_queue_depth
             ):
-                self.stats.rejected += 1
-                _METRIC_JOBS_REJECTED.labels(reason="saturated").inc()
+                self.stats.add("rejected", reason="saturated")
                 raise QueueSaturatedError(
                     f"queue is saturated ({len(self._queue)} jobs waiting, "
                     f"limit {self.max_queue_depth}); retry later",
                     retry_after=self._retry_after_locked(),
                 )
-            self.stats.submitted += 1
-            _METRIC_SUBMITTED.labels(kind=kind).inc()
+            self.stats.add("submitted", kind=kind)
             job = self.store.create(
                 kind, params, key=key, trace_id=trace_id,
                 retry=entry.retry.as_dict(),
@@ -574,8 +558,7 @@ class JobScheduler:
                 self._inflight.setdefault(job.key, job.id)
             self._not_before[job.id] = time.monotonic() + delay
             self._queue.append(job.id)
-            self.stats.retried += 1
-            _METRIC_JOB_RETRIES.labels(kind=job.kind, reason=reason).inc()
+            self.stats.add("retried", kind=job.kind, reason=reason)
             _METRIC_QUEUE_DEPTH.set(len(self._queue))
             self._cond.notify()
         return True
@@ -649,16 +632,8 @@ class JobScheduler:
                     if self._avg_run_seconds is None
                     else 0.8 * self._avg_run_seconds + 0.2 * elapsed
                 )
-            if error is None:
-                self.stats.completed += 1 + len(follower_ids)
-                _METRIC_JOBS_COMPLETED.labels(kind=job.kind).inc(
-                    1 + len(follower_ids)
-                )
-            else:
-                self.stats.failed += 1 + len(follower_ids)
-                _METRIC_JOBS_FAILED.labels(kind=job.kind).inc(
-                    1 + len(follower_ids)
-                )
+            outcome = "completed" if error is None else "failed"
+            self.stats.add(outcome, 1 + len(follower_ids), kind=job.kind)
         for target in (job, *(self.store.get(fid) for fid in follower_ids)):
             if error is None:
                 self.store.mark_done(target, result)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
@@ -41,7 +40,7 @@ from repro.store.core import ResultStore
 from repro.store.query import report
 from repro.store.readers import ingest_payload
 
-__all__ = ["ExecutorStats", "JobExecutor", "WorkerPool", "JobService"]
+__all__ = ["JobExecutor", "WorkerPool", "JobService"]
 
 #: Per-kind job execution latency for ``GET /metrics``.  Observed around the
 #: executor's work only -- queueing delay is visible separately, as the gap
@@ -61,18 +60,6 @@ _METRIC_WORKER_STOP_HUNG = obs_metrics.REGISTRY.counter(
 )
 
 _LOG = logging.getLogger("repro.service")
-
-
-@dataclass
-class ExecutorStats:
-    """Counters accumulated over the lifetime of a :class:`JobExecutor`."""
-
-    jobs_executed: int = 0
-    results_recorded: int = 0
-    record_failures: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return asdict(self)
 
 
 class JobExecutor:
@@ -98,8 +85,10 @@ class JobExecutor:
             cache=self.task_cache,
             pool=self.task_pool,
         )
-        self.stats = ExecutorStats()
-        self._stats_lock = threading.Lock()
+        # Counted over the executor's lifetime; no metric family reads them.
+        self.stats = obs_metrics.Counts(
+            dict.fromkeys(("jobs_executed", "results_recorded", "record_failures"))
+        )
 
     def sweep_runner(self) -> SweepRunner:
         return SweepRunner(
@@ -119,8 +108,7 @@ class JobExecutor:
     def execute(self, job: Job) -> dict[str, Any]:
         """Run one claimed job through its table entry; returns the payload."""
         run = job_kind(job.kind, job.params).run
-        with self._stats_lock:
-            self.stats.jobs_executed += 1
+        self.stats.add("jobs_executed")
         start = time.perf_counter()
         # Each attempt hangs under the job's root, whose span id is the job
         # id (the scheduler records it once the job is terminal), so the
@@ -160,12 +148,10 @@ class JobExecutor:
                 trace_id=job.trace_id,
             )
         except Exception:  # noqa: BLE001 - history is best-effort
-            with self._stats_lock:
-                self.stats.record_failures += 1
+            self.stats.add("record_failures")
             return
         if receipt.added:
-            with self._stats_lock:
-                self.stats.results_recorded += 1
+            self.stats.add("results_recorded")
 
     def record_trace(self, job: Job) -> None:
         """Ingest one terminal job's span tree into the result store.
@@ -192,8 +178,7 @@ class JobExecutor:
                 trace_id=job.trace_id,
             )
         except Exception:  # noqa: BLE001 - history is best-effort
-            with self._stats_lock:
-                self.stats.record_failures += 1
+            self.stats.add("record_failures")
 
     def cache_stats(self) -> dict[str, Any]:
         """Live stats for both caches, including size on disk."""

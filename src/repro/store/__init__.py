@@ -26,7 +26,6 @@ from repro.store.core import (
     IngestReceipt,
     ResultStore,
     RunInfo,
-    StoreStats,
 )
 from repro.store.query import (
     group_counts,
@@ -53,7 +52,6 @@ __all__ = [
     "IngestReceipt",
     "ResultStore",
     "RunInfo",
-    "StoreStats",
     "detect_reader",
     "get_reader",
     "group_counts",

@@ -78,13 +78,12 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.faults.injector import torn_write_armed
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, Counts
 from repro.runtime.cache import _atomic_write
 
 __all__ = [
     "STORE_SCHEMA",
     "RESERVED_RUN_COLUMNS",
-    "StoreStats",
     "RunInfo",
     "IngestReceipt",
     "ResultStore",
@@ -122,15 +121,27 @@ RESERVED_RUN_COLUMNS = (
     "ingested_at",
 )
 
-_METRIC_RECORDS = REGISTRY.counter(
-    "repro_store_records_total",
-    "Records appended to the result store (deduplicated ingests excluded).",
-)
 _METRIC_INGESTS = REGISTRY.counter(
     "repro_store_ingests_total",
     "Run ingests offered to the result store, by outcome.",
     labelnames=("outcome",),
 )
+# A handle's counted events (its ``stats``), and the family each also feeds.
+# ``segments_read`` counts the segment files the handle's reads parsed: a
+# query parses only the segments its filters can match and the handle does
+# not hold in memory, and building the index parses only the segments the
+# manifest has no line for.  A segment gone since the index listed it is not
+# counted.  ``segments_cached`` counts the segments a query took from memory.
+_EVENTS = {
+    "ingests": _METRIC_INGESTS,
+    "deduped": _METRIC_INGESTS,
+    "records": REGISTRY.counter(
+        "repro_store_records_total",
+        "Records appended to the result store (deduplicated ingests excluded).",
+    ),
+    "segments_read": None,
+    "segments_cached": None,
+}
 _METRIC_BYTES = REGISTRY.counter(
     "repro_store_bytes_total",
     "Bytes of run segments written to the result store.",
@@ -216,34 +227,6 @@ def _canonical_records(records: Iterable[Mapping[str, Any]]) -> list[dict[str, A
             row[str(column)] = _canonical_value(column, value)
         canonical.append(row)
     return canonical
-
-
-@dataclass
-class StoreStats:
-    """Counters accumulated over the lifetime of a store handle.
-
-    ``segments_read`` counts the segment files the handle's reads parsed: a
-    query parses only the segments its filters can match and the handle
-    does not hold in memory, and building the index parses only the
-    segments the manifest has no line for.  A segment gone since the index
-    listed it is not counted.  ``segments_cached`` counts the segments a
-    query took from memory instead.
-    """
-
-    ingests: int = 0
-    deduped: int = 0
-    records: int = 0
-    segments_read: int = 0
-    segments_cached: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "ingests": self.ingests,
-            "deduped": self.deduped,
-            "records": self.records,
-            "segments_read": self.segments_read,
-            "segments_cached": self.segments_cached,
-        }
 
 
 @dataclass(frozen=True)
@@ -362,10 +345,6 @@ class _Segment(NamedTuple):
             cells.append(column_cells)
         run = tuple(share(info.as_dict().values()))
         return cls(identity, run, tuple(blocks), tuple(cells))
-
-    @property
-    def info(self) -> RunInfo:
-        return RunInfo(*self.run)
 
     def rows(self, filters: Sequence[tuple[str, Any]] = ()) -> list[dict[str, Any]]:
         """Fresh dicts of the records whose ``(column, value)`` filters all
@@ -562,7 +541,7 @@ class ResultStore:
         self.root = Path(root).expanduser()
         self.root.mkdir(parents=True, exist_ok=True)
         self.manifest = self.root / MANIFEST_NAME
-        self.stats = StoreStats()
+        self.stats = Counts(_EVENTS)
         self._lock = threading.Lock()
         # The index: signature -> {run key: entry}, from the first read on
         # (None before).
@@ -618,8 +597,7 @@ class ResultStore:
         run_key = hashlib.sha256(key_blob.encode()).hexdigest()
         path = self._path(run_key)
         if os.path.exists(path):
-            self.stats.deduped += 1
-            _METRIC_INGESTS.labels(outcome="deduped").inc()
+            self.stats.add("deduped", outcome="deduped")
             return IngestReceipt(run_key, run_id, added=False, record_count=len(rows))
         segment = {
             "schema": STORE_SCHEMA,
@@ -644,10 +622,8 @@ class ResultStore:
             self._append_manifest(line, run_key)
             if self._groups is not None:
                 self._add(*_parse_manifest_line(line))
-        self.stats.ingests += 1
-        self.stats.records += len(rows)
-        _METRIC_INGESTS.labels(outcome="added").inc()
-        _METRIC_RECORDS.inc(len(rows))
+        self.stats.add("ingests", outcome="added")
+        self.stats.add("records", len(rows))
         _METRIC_BYTES.inc(len(data))
         return IngestReceipt(run_key, run_id, added=True, record_count=len(rows))
 
@@ -759,7 +735,7 @@ class ResultStore:
                 read = _read_file(self._path(key))
                 if read is None:
                     continue  # deleted since it was listed
-                self.stats.segments_read += 1
+                self.stats.add("segments_read")
                 try:
                     info, records = _parse_segment(read[1])
                 except (ValueError, KeyError, TypeError):
@@ -808,7 +784,7 @@ class ResultStore:
                     stat.st_ino, stat.st_size, stat.st_mtime_ns
                 ):
                     self._cache.move_to_end(key)
-                    self.stats.segments_cached += 1
+                    self.stats.add("segments_cached")
                     return cached
                 self._forget(key)
             shared = self._shared
@@ -823,7 +799,7 @@ class ResultStore:
         except (ValueError, KeyError, TypeError):
             segment = None
         with self._lock:
-            self.stats.segments_read += 1
+            self.stats.add("segments_read")
             if segment is not None and identity[1] <= SEGMENT_CACHE_BYTES:
                 self._forget(key)
                 self._cache[key] = segment
@@ -840,9 +816,7 @@ class ResultStore:
             self._shared = {}
 
     def _segments(
-        self,
-        can_match: Callable[[_Signature], bool] = lambda signature: True,
-        run_id: str | None = None,
+        self, can_match: Callable[[_Signature], bool], run_id: str | None
     ) -> Iterator[_Segment]:
         """The readable segments whose signature ``can_match`` (and whose run
         ID is ``run_id``, if given), one at a time, oldest ingest first, then
@@ -864,17 +838,6 @@ class ResultStore:
             segment = self._segment(key)
             if segment is not None:
                 yield segment
-
-    def runs(self) -> list[RunInfo]:
-        """Every readable run's metadata, oldest ingest first."""
-        return [segment.info for segment in self._segments()]
-
-    def run_records(self, run_key: str) -> list[dict[str, Any]]:
-        """The merged records of one run, by its run key."""
-        segment = self._segment(run_key)
-        if segment is None:
-            raise ConfigurationError(f"no readable run {run_key!r} in {self.root}")
-        return segment.rows()
 
     def select(
         self,
@@ -925,10 +888,6 @@ class ResultStore:
         for segment in self._segments(can_match, run_id):
             rows += segment.rows(filters)
         return rows
-
-    def records(self) -> list[dict[str, Any]]:
-        """Every record of every run, run metadata merged in, oldest first."""
-        return self.select()
 
     def __len__(self) -> int:
         """Records in the store, as each run's metadata counts them."""

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import ast
+import copy
+import functools
 from collections import Counter
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 import pytest
@@ -188,30 +190,165 @@ def _loaded_names(node: ast.AST) -> Counter[str]:
     )
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+#: The infrastructure around the paper's science, by module prefix.
+_INFRASTRUCTURE = (
+    "repro.runtime", "repro.service", "repro.store", "repro.obs", "repro.faults", "repro.cli",
+)
+
+#: Definitions that nothing in ``src/`` reads by name and that stay, each
+#: for its reason.  Besides these, registry-decorated functions (the store's
+#: readers and transforms, found by name through their registry), the hooks
+#: ``http.server.BaseHTTPRequestHandler`` calls by name, dunders and
+#: abstract methods are exempt.
+_READ_FROM_OUTSIDE_SRC = {
+    # perfbench's layer probe wraps it to time the sweep-point key.
+    "repro.runtime.cache.ResultCache.key_for",
+    # perfbench's service load and CI's service-smoke call it.
+    "repro.service.client.ServiceClient.submit_and_wait",
+    # The inverse of ``install``, with which tests disarm fault injection.
+    "repro.faults.injector.uninstall",
+}
+_REGISTRY_DECORATORS = {"register_reader", "register_transform"}
+_HTTP_HANDLER_HOOKS = {"do_GET", "do_POST", "log_message"}
+
+
+@functools.cache
+def _src_trees() -> dict[str, ast.Module]:
+    """Every module of ``src/repro``, parsed, by dotted module name."""
+    src = Path(repro.__file__).parent.parent
+    trees = {}
+    for path in sorted(src.joinpath("repro").rglob("*.py")):
+        parts = path.relative_to(src).with_suffix("").parts
+        trees[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = ast.parse(
+            path.read_text()
+        )
+    return trees
+
+
+def _names(nodes: Iterable[ast.expr]) -> set[str]:
+    """The names a decorator or base-class list refers to, calls included."""
+    names = set()
+    for node in nodes:
+        node = node.func if isinstance(node, ast.Call) else node
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            names.add(node.id if isinstance(node, ast.Name) else node.attr)
+    return names
+
+
+def _exempt(node: ast.AST, owner: ast.ClassDef | None) -> bool:
+    """A definition that is called by name from outside the source."""
+    if node.name.startswith("__") and node.name.endswith("__"):
+        return True
+    if not isinstance(node, _FUNCTIONS):
+        return False
+    decorators = _names(node.decorator_list)
+    body = [
+        stmt for stmt in node.body
+        if not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant))  # docstrings
+    ]
+    abstract = "abstractmethod" in decorators or (
+        len(body) == 1
+        and isinstance(body[0], ast.Raise)
+        and "NotImplementedError" in _names([body[0].exc])
+    )
+    http_hook = (
+        owner is not None
+        and "BaseHTTPRequestHandler" in _names(owner.bases)
+        and node.name in _HTTP_HANDLER_HOOKS
+    )
+    return abstract or http_hook or bool(decorators & _REGISTRY_DECORATORS)
+
+
+def _unread_definitions(
+    trees: Mapping[str, ast.Module], modules: Iterable[str], *, methods: bool
+) -> list[str]:
+    """The top-level definitions of ``modules``, and with ``methods`` their
+    classes' methods, that nothing in ``trees`` reads.
+
+    Reads inside the definition itself, such as recursion, do not count.
+    """
+    reads: Counter[str] = Counter()
+    for tree in trees.values():
+        reads.update(_loaded_names(tree))
+    unread = []
+    for module in sorted(modules):
+        for node in trees[module].body:
+            if not isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+                continue
+            found = [(node.name, node, None)]
+            if methods and isinstance(node, ast.ClassDef):
+                found += [
+                    (f"{node.name}.{method.name}", method, node)
+                    for method in node.body
+                    if isinstance(method, _FUNCTIONS)
+                ]
+            for name, definition, owner in found:
+                qualified = f"{module}.{name}"
+                if qualified in _READ_FROM_OUTSIDE_SRC or _exempt(definition, owner):
+                    continue
+                if reads[definition.name] == _loaded_names(definition)[definition.name]:
+                    unread.append(qualified)
+    return unread
+
+
+def _infrastructure_modules(trees: Mapping[str, ast.Module]) -> list[str]:
+    return [
+        module
+        for module in trees
+        if any(module == layer or module.startswith(f"{layer}.") for layer in _INFRASTRUCTURE)
+    ]
+
+
 class TestKernelModulesHoldOnlyWhatRuns:
-    """A sweep point's key hashes the whole source of its kernel's modules
+    """``src/`` holds only what the program runs.
+
+    A sweep point's key hashes the whole source of its kernel's modules
     (``kernel_modules``), so code there that the program never runs would
-    still invalidate every cached point of the kernel when edited.  Scalar
-    specifications belong beside their equivalence tests instead."""
+    still invalidate every cached point of the kernel when edited; scalar
+    specifications belong beside their equivalence tests instead.  In the
+    infrastructure (runtime, service, store, obs, faults and the CLI) the
+    guard also covers every method: code that only tests call belongs in the
+    tests, or goes.
+    """
 
     def test_every_top_level_definition_is_read_from_src(self):
-        package = Path(repro.__file__).parent
-        trees = {path: ast.parse(path.read_text()) for path in sorted(package.rglob("*.py"))}
-        reads: Counter[str] = Counter()
-        for tree in trees.values():
-            reads.update(_loaded_names(tree))
         modules = {
             module
             for factory in kernel_factories().values()
             for module in kernel_modules(type(factory()))
         }
-        unread = []
-        for module in sorted(modules):
-            tree = trees[package.parent.joinpath(*module.split(".")).with_suffix(".py")]
-            for node in tree.body:
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    # Reads inside the definition itself, such as recursion,
-                    # do not count.
-                    if reads[node.name] == _loaded_names(node)[node.name]:
-                        unread.append(f"{module}.{node.name}")
-        assert unread == []
+        assert _unread_definitions(_src_trees(), modules, methods=False) == []
+
+    def test_every_infrastructure_definition_and_method_is_read_from_src(self):
+        trees = _src_trees()
+        modules = _infrastructure_modules(trees)
+        assert {"repro.cli", "repro.faults.injector", "repro.service.api"} <= set(modules)
+        assert _unread_definitions(trees, modules, methods=True) == []
+
+    def test_the_guard_fails_on_a_planted_unread_function_and_method(self):
+        trees = dict(_src_trees())
+        module = "repro.runtime.cache"
+        tree = copy.deepcopy(trees[module])
+        planted = ast.parse(
+            "def _planted_helper(depth):\n"
+            "    return _planted_helper(depth - 1) if depth else 0\n"
+            "class ResultCache:\n"
+            "    def _planted_method(self):\n"
+            "        return self._planted_method\n"
+        )
+        helper, holder = planted.body
+        tree.body.append(helper)
+        (cache_class,) = (
+            node for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == "ResultCache"
+        )
+        cache_class.body += holder.body
+        before = _unread_definitions(trees, _infrastructure_modules(trees), methods=True)
+        trees[module] = tree
+        after = _unread_definitions(trees, _infrastructure_modules(trees), methods=True)
+        assert set(after) - set(before) == {
+            f"{module}.ResultCache._planted_method",
+            f"{module}._planted_helper",
+        }

@@ -261,6 +261,17 @@ class TestMetricsEndpoint:
         assert delta("repro_tasks_executed_total") >= 1
         # Everything drained: the queue-depth gauge is back to zero.
         assert _sample(after, "repro_scheduler_queue_depth") == 0
+        # One add counts an event in this fresh service's own counts and in
+        # its family, so the two agree.
+        submitted = sum(
+            delta(f'repro_jobs_submitted_total{{kind="{kind}"}}') for kind in ("sweep", "experiment")
+        )
+        assert client.health()["scheduler"]["submitted"] == submitted == 3
+        caches = client.cache_stats()
+        for cache in ("results", "tasks"):
+            for event in ("hits", "misses"):
+                family = delta(f'repro_cache_{event}_total{{cache="{cache}"}}')
+                assert caches[cache][event] == family, (cache, event)
 
     def test_json_format(self, live_service):
         _, client = live_service()

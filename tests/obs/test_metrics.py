@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import threading
 
 import pytest
@@ -12,6 +13,7 @@ from repro.exceptions import ConfigurationError
 from repro.obs.metrics import (
     LATENCY_BUCKETS,
     REGISTRY,
+    Counts,
     Histogram,
     MetricsRegistry,
 )
@@ -53,27 +55,55 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self, registry):
+    def test_set_replaces_the_value(self, registry):
         gauge = registry.gauge("depth", "help")
+        assert gauge.value == 0
         gauge.set(10)
-        gauge.inc(5)
-        gauge.dec(12)
+        gauge.set(3)
         assert gauge.value == 3
 
-    def test_concurrent_inc_dec_balances(self, registry):
-        gauge = registry.gauge("depth", "help")
 
-        def churn():
-            for _ in range(1000):
-                gauge.inc()
-                gauge.dec()
+class TestCounts:
+    def test_reads_before_any_add_are_zero(self, registry):
+        counts = Counts({"hits": registry.counter("hits_total", "help"), "local": None})
+        assert counts.hits == counts.local == 0
+        assert counts.as_dict() == {"hits": 0, "local": 0}
+        with pytest.raises(AttributeError):
+            counts.unnamed  # noqa: B018 - an event nobody declared
 
-        threads = [threading.Thread(target=churn) for _ in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert gauge.value == 0
+    def test_one_add_counts_in_the_object_and_its_family(self, registry):
+        family = registry.counter("hits_total", "help", labelnames=("cache",))
+        counts = Counts({"hits": family, "local": None})
+        # A labelled family has no sample before its first add.
+        assert family.samples() == []
+        counts.add("hits", cache="a")
+        counts.add("hits", 3, cache="b")
+        counts.add("local", 2)
+        assert counts.as_dict() == {"hits": 4, "local": 2}
+        assert {labels["cache"]: child.value for labels, child in family.samples()} == {
+            "a": 1, "b": 3
+        }
+
+    def test_concurrent_adds_lose_no_update(self, registry):
+        family = registry.counter("adds_total", "help")
+        counts = Counts({"adds": family})
+        threads_n, adds = 8, 10_000
+        threads = [
+            threading.Thread(target=lambda: [counts.add("adds") for _ in range(adds)])
+            for _ in range(threads_n)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts.adds == threads_n * adds
+        assert family.value == counts.adds
 
 
 class TestHistogram:

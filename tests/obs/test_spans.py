@@ -236,13 +236,10 @@ class TestPerTraceLookup:
     @given(
         capacity=st.integers(1, 6),
         traces=st.lists(st.sampled_from(["t-a", "t-b", "t-c", None]), max_size=40),
-        clear_at=st.integers(0, 40),
     )
-    def test_matches_the_ring_filtered_by_trace(self, capacity, traces, clear_at):
+    def test_matches_the_ring_filtered_by_trace(self, capacity, traces):
         sink = SpanCollector(capacity)
         for index, trace_id in enumerate(traces):
-            if index == clear_at:
-                sink.clear()
             sink.record({"name": f"s{index}", "trace_id": trace_id, "parent_id": "p"})
             ring = sink.spans()
             for trace in ("t-a", "t-b", "t-c"):

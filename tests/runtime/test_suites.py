@@ -20,7 +20,6 @@ from repro.runtime.suites import (
     Scenario,
     ScenarioSuite,
     build_kernel,
-    experiment_kinds,
     get_suite,
     kernel_factories,
     run_suite,
@@ -146,7 +145,8 @@ class TestSuiteRegistry:
         assert any((e.params.get("qr_order") or 0) >= 128 for e in systolic)
 
     def test_experiment_kinds_listing(self):
-        assert set(experiment_kinds()) == set(EXPERIMENT_KINDS)
+        for kind in EXPERIMENT_KINDS:
+            assert ExperimentScenario(f"x-{kind}", kind).tasks()
 
     def test_unknown_experiment_kind_rejected(self):
         with pytest.raises(ConfigurationError, match="figure2"):
@@ -187,18 +187,15 @@ class TestRunSuite:
         assert parallel["experiments"] == serial["experiments"]
 
     def test_scenario_lookup_and_analysis(self, mini_suite):
-        result = run_suite(mini_suite)
-        matmul = result.scenario("mini-matmul")
+        matmul, matvec = run_suite(mini_suite).results
+        assert (matmul.scenario.name, matvec.scenario.name) == ("mini-matmul", "mini-matvec")
         fit = matmul.fit()
         assert fit["best_model"] == "power-law"
         assert fit["power_law_exponent"] == pytest.approx(0.5, abs=0.2)
         assert len(matmul.rebalance_rows()) == 2
         assert len(matmul.balance_rows()) == 3  # one PE x three memory sizes
-        matvec = result.scenario("mini-matvec")
         assert matvec.fit()["computation_class"] == "io-bounded"
         assert matvec.rebalance_rows() == []
-        with pytest.raises(ConfigurationError):
-            result.scenario("missing")
 
     def test_cached_rerun_replays_every_point(self, mini_suite, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -280,14 +277,12 @@ class TestRunSuiteExperiments:
     def test_experiments_run_and_summarize(self, mini_experiment_suite):
         result = run_suite(mini_experiment_suite)
         assert result.runtime["experiment_tasks"] == 5  # 1 figure2 + 4 pebble
-        figure2 = result.experiment("mini-figure2")
+        figure2, pebble = result.experiments
+        assert (figure2.scenario.name, pebble.scenario.name) == ("mini-figure2", "mini-pebble")
         assert figure2.summary()["correct"] is True
         assert "passes" in figure2.headline()
-        pebble = result.experiment("mini-pebble")
         assert pebble.summary()["all_above_lower_bound"] is True
         assert len(pebble.results) == 4
-        with pytest.raises(ConfigurationError):
-            result.experiment("missing")
 
     def test_parallel_equals_serial(self, mini_experiment_suite):
         serial = run_suite(mini_experiment_suite, SweepRunner())
@@ -401,10 +396,12 @@ class TestResultStoreIntegration:
         store = store_for(runner)
         assert store is not None
         assert store.root == tmp_path / "cache" / "store"
-        runs = store.runs()
-        assert [run.run_id for run in runs] == [result.run_id]
-        assert runs[0].suite == "mini-exp"
-        assert len(store) == runs[0].record_count > 0
+        records = store.select()
+        assert store.run_count() == 1
+        assert {(record["run_id"], record["suite"]) for record in records} == {
+            (result.run_id, "mini-exp")
+        }
+        assert len(store) == len(records) > 0
 
     def test_uncached_runner_has_no_store(self):
         from repro.runtime.suites import store_for

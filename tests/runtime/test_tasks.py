@@ -158,7 +158,7 @@ class TestTaskRunner:
         assert cache.stats.misses == 2
 
     def test_run_one(self):
-        assert TaskRunner().run_one(Task(fn=square, params={"x": 9})) == 81
+        assert TaskRunner().run([Task(fn=square, params={"x": 9})])[0] == 81
 
     def test_invalid_max_workers_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -292,7 +292,7 @@ class TestInBatchDedup:
         runner = TaskRunner()
         runner.run([Task(fn=square, params={"x": x % 2}) for x in range(4)])
         stats = runner.stats
-        assert stats.resolved == 4
+        assert sum(stats.as_dict().values()) == 4
         assert stats.as_dict() == {
             "executed": 2,
             "cache_hits": 0,
@@ -405,7 +405,7 @@ class TestTaskPool:
 
     def test_a_one_task_batch_runs_on_the_pool(self):
         runner = TaskRunner(parallel=True, max_workers=2)
-        assert runner.run_one(Task(fn=pid_of, params={"i": 0})) != os.getpid()
+        assert runner.run([Task(fn=pid_of, params={"i": 0})]) != [os.getpid()]
         runner.pool.close()
 
     def test_a_suite_run_forks_once(self):
@@ -478,7 +478,7 @@ class TestTaskPool:
                 "import os, time\n"
                 "from repro.runtime.tasks import Task, TaskRunner\n"
                 "runner = TaskRunner(parallel=True, max_workers=2)\n"
-                "runner.run_one(Task(fn=os.getpid))\n"
+                "runner.run([Task(fn=os.getpid)])\n"
                 "print('ready', flush=True)\n"
                 "time.sleep(60)\n",
             ],

@@ -14,13 +14,7 @@ from repro.core.laws import (
     PolynomialMemoryLaw,
 )
 from repro.exceptions import ConfigurationError
-from repro.runtime.vectorized import (
-    analytic_summary_rows,
-    cost_grid,
-    intensity_grid,
-    rebalance_curves,
-    rebalance_grid,
-)
+from repro.runtime.vectorized import cost_grid, rebalance_grid
 
 MEMORIES = np.array([8.0, 32.0, 128.0, 512.0, 2048.0])
 PROBLEM_SIZES = np.array([256.0, 1024.0, 4096.0])
@@ -93,9 +87,9 @@ class TestBatchIntensity:
             spec.batch_intensity(np.array([0.5, 8.0]))
 
     def test_intensity_grid_covers_all_requested(self):
-        grids = intensity_grid(("matmul", "fft", "matvec"), MEMORIES)
-        assert set(grids) == {"matmul", "fft", "matvec"}
-        assert all(v.shape == MEMORIES.shape for v in grids.values())
+        for name in ("matmul", "fft", "matvec"):
+            assert registry.get(name).batch_intensity(MEMORIES).shape == MEMORIES.shape
+
 
 
 class TestRebalanceGrid:
@@ -136,30 +130,9 @@ class TestRebalanceGrid:
             rebalance_grid(law, 64.0, np.array([0.9, 2.0]))
 
     def test_rebalance_curves_fan(self):
-        curves = rebalance_curves(("matmul", "fft", "matvec"), 64.0, (1.5, 2.0))
-        assert set(curves) == {"matmul", "fft", "matvec"}
+        curves = {
+            name: rebalance_grid(registry.get(name).law, 64.0, (1.5, 2.0))
+            for name in ("matmul", "fft", "matvec")
+        }
         assert curves["matmul"][1] == pytest.approx(256.0)
         assert all(math.isinf(v) for v in curves["matvec"])
-
-
-class TestAnalyticSummary:
-    def test_rows_cover_registry(self):
-        rows = analytic_summary_rows(4096, MEMORIES)
-        assert len(rows) == len(registry.all_specs())
-        row = rows[0]
-        assert {
-            "computation",
-            "section",
-            "class",
-            "law",
-            "memory_words",
-            "model_intensity",
-            "cost_intensity",
-        } <= set(row)
-        assert len(row["model_intensity"]) == len(MEMORIES)
-
-    def test_rejects_empty_or_2d_grid(self):
-        with pytest.raises(ConfigurationError):
-            analytic_summary_rows(4096, [])
-        with pytest.raises(ConfigurationError):
-            analytic_summary_rows(4096, np.ones((2, 2)))

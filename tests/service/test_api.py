@@ -347,8 +347,8 @@ class TestAcceptance:
         store = service.executor.result_store
         assert service.executor.stats.results_recorded == 1
         assert store.stats.deduped == 0
-        (run,) = [info for info in store.runs() if info.run_id == payload["run_id"]]
-        assert run.trace_id == "suite-http-1"
+        recorded = store.select(run_id=payload["run_id"])
+        assert recorded and {record["trace_id"] for record in recorded} == {"suite-http-1"}
 
     def test_eight_identical_sweeps_execute_once(self, live_service):
         """Acceptance: N identical submissions run the underlying tasks once."""

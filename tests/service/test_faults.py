@@ -11,7 +11,6 @@ from repro.faults import (
     InjectedFaultError,
     InjectedWorkerCrash,
     active,
-    current_injector,
     install,
     install_from_env,
     maybe_inject,
@@ -97,7 +96,6 @@ class TestInjectorDeterminism:
         injector = FaultInjector.from_spec("task-crash:count=2")
         fired = [injector.decide("task-crash") is not None for _ in range(5)]
         assert fired == [True, True, False, False, False]
-        assert injector.fired("task-crash") == 2
 
     def test_after_skips_warmup_hits(self):
         injector = FaultInjector.from_spec("task-crash:after=3,count=1")
@@ -112,28 +110,22 @@ class TestInjectorDeterminism:
     def test_kind_isolation(self):
         injector = FaultInjector.from_spec("task-crash:count=1")
         assert injector.decide("slow-task") is None
-        assert injector.fired() == 0
-
-    def test_as_dict_reports_hits_and_fires(self):
-        injector = FaultInjector.from_spec("task-crash:count=1")
-        injector.decide("task-crash")
-        injector.decide("task-crash")
-        (rule,) = injector.as_dict()["rules"]
-        assert rule["hits"] == 2 and rule["fires"] == 1
+        # The other kind's hit left the rule's one fire unspent.
+        assert injector.decide("task-crash") is not None
 
 
 class TestGlobalSwitch:
     def test_off_by_default(self):
         assert not active()
-        assert current_injector() is None
         maybe_inject("task-crash")  # no injector: must be a no-op
         assert not torn_write_armed()
 
     def test_install_uninstall(self):
-        injector = install(FaultInjector.from_spec("task-crash:count=1"))
-        assert active() and current_injector() is injector
+        injector = FaultInjector.from_spec("task-crash:count=1")
+        assert install(injector) is injector and active()
         uninstall()
         assert not active()
+        maybe_inject("task-crash")  # disarmed: a no-op
 
     def test_task_crash_raises_worker_crash(self):
         install(FaultInjector.from_spec("task-crash:count=1"))
@@ -156,19 +148,16 @@ class TestGlobalSwitch:
         maybe_inject("slow-task", site="test")  # must not raise
 
     def test_torn_write_armed(self):
-        injector = install(
-            FaultInjector.from_spec("journal-torn-write:count=1")
-        )
+        install(FaultInjector.from_spec("journal-torn-write:count=1"))
         assert torn_write_armed(site="journal:a") is True
         assert torn_write_armed(site="journal:b") is False
-        assert injector.fired("journal-torn-write") == 1
 
     def test_install_from_env(self):
         injector = install_from_env(
             {"REPRO_FAULTS": "task-crash:count=3", "REPRO_FAULTS_SEED": "7"}
         )
         assert injector is not None and injector.seed == 7
-        assert current_injector() is injector
+        assert active() and [rule.count for rule in injector.rules] == [3]
 
     def test_install_from_env_empty_is_noop(self):
         assert install_from_env({}) is None

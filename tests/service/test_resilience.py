@@ -74,6 +74,12 @@ def _recorded_paths(client: ServiceClient) -> list[str]:
     return paths
 
 
+def _faults_injected(client: ServiceClient) -> dict[str, float]:
+    """``repro_faults_injected_total`` by kind, as ``GET /metrics`` reports it."""
+    family = client.metrics()["metrics"]["repro_faults_injected_total"]
+    return {sample["labels"]["kind"]: sample["value"] for sample in family["samples"]}
+
+
 def _hold(path: str) -> float:
     """The seconds a result request asked the service to hold it."""
     return float(path.partition("?wait=")[2] or 0)
@@ -220,9 +226,23 @@ class TestAdmissionControl:
         import http.client
 
         service, client = live_service(start=False, max_queue_depth=1, workers=1)
+        series = 'repro_jobs_rejected_total{reason="saturated"} '
+
+        def rejected() -> float:
+            """The series as ``GET /metrics`` renders it; absent reads 0."""
+            connection = http.client.HTTPConnection(client.host, client.port, timeout=5.0)
+            try:
+                connection.request("GET", "/metrics")
+                text = connection.getresponse().read().decode()
+            finally:
+                connection.close()
+            lines = [line for line in text.splitlines() if line.startswith(series)]
+            return float(lines[0][len(series):]) if lines else 0.0
+
         client.submit(
             "sweep", {"kernel": "matmul", "memory_sizes": [16], "analytic": True}
         )
+        before = rejected()
         connection = http.client.HTTPConnection(
             client.host, client.port, timeout=5.0
         )
@@ -252,6 +272,7 @@ class TestAdmissionControl:
         retry_after = response.getheader("Retry-After")
         assert retry_after is not None and int(retry_after) >= 1
         assert body["retry_after"] >= 1.0
+        assert rejected() == before + 1
 
     def test_client_honors_retry_after_to_completion(self, live_service):
         # The acceptance path: a shed submission resubmits after the
@@ -416,14 +437,15 @@ class TestChaosAcceptance:
     def test_chaos_run_matches_fault_free_run(self, tmp_path):
         # Baseline, no faults.
         uninstall()
-        service, server, _, baseline = self._run(tmp_path, "baseline")
+        service, server, client, baseline = self._run(tmp_path, "baseline")
+        before = _faults_injected(client)
         server.shutdown()
         server.server_close()
         assert service.stop() is True
 
         # Chaos: a worker crash mid-job and one torn journal write, under
         # 8 concurrent submissions.
-        injector = install(
+        install(
             FaultInjector.from_spec(
                 "task-crash:count=1;journal-torn-write:count=1,after=3",
                 seed=1986,
@@ -431,8 +453,9 @@ class TestChaosAcceptance:
         )
         service, server, client, chaotic = self._run(tmp_path, "chaos")
         try:
-            assert injector.fired("task-crash") == 1
-            assert injector.fired("journal-torn-write") == 1
+            fired = _faults_injected(client)
+            for kind in ("task-crash", "journal-torn-write"):
+                assert fired[kind] - before.get(kind, 0) == 1, kind
             # Every job reached done, and the results are identical to the
             # fault-free run's.
             assert chaotic == baseline

@@ -57,7 +57,7 @@ class TestServiceTaskPool:
 
         def run(executor, params):
             task = Task(fn=exit_on_first_call, params={"marker": marker})
-            return {"value": executor.task_runner.run_one(task)}
+            return {"value": executor.task_runner.run([task])[0]}
 
         monkeypatch.setitem(JOB_TABLE, "sweep", replace(JOB_TABLE["sweep"], run=run))
         service = JobService(parallel=True, max_workers=2, workers=1)

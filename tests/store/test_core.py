@@ -46,7 +46,7 @@ class TestAppendRun:
         )
         assert receipt.added is True
         assert receipt.record_count == 2
-        records = store.records()
+        records = store.select()
         assert len(records) == len(store) == 2
         first = records[0]
         assert first["kernel"] == "matmul" and first["intensity"] == 2.5
@@ -79,17 +79,16 @@ class TestAppendRun:
     def test_runs_report_metadata_oldest_first(self, store):
         a = store.append_run(RECORDS, source="test", run_id="a")
         b = store.append_run(RECORDS, source="test", run_id="b")
-        runs = store.runs()
-        assert [run.run_key for run in runs] == [a.run_key, b.run_key]
-        assert runs[0].record_count == 2
-        assert runs[0].ingested_at <= runs[1].ingested_at
+        records = store.select()
+        assert [record["run_key"] for record in records] == [a.run_key] * 2 + [b.run_key] * 2
+        assert records[0]["ingested_at"] <= records[-1]["ingested_at"]
 
     def test_run_records_by_key(self, store):
-        receipt = store.append_run(RECORDS, source="test")
-        records = store.run_records(receipt.run_key)
-        assert len(records) == 2 and records[0]["run_key"] == receipt.run_key
-        with pytest.raises(ConfigurationError, match="no readable run"):
-            store.run_records("0" * 64)
+        receipt = store.append_run(RECORDS, source="test", run_id="one")
+        store.append_run(RECORDS, source="test", run_id="other")
+        records = store.select(run_id="one")
+        assert [record["run_key"] for record in records] == [receipt.run_key] * 2
+        assert store.select(run_id="missing") == []
 
     @pytest.mark.parametrize("column", RESERVED_RUN_COLUMNS)
     def test_reserved_columns_rejected(self, store, column):
@@ -107,7 +106,7 @@ class TestAppendRun:
             [{"n": np.int64(3), "x": np.float64(1.5), "b": np.bool_(True)}],
             source="test",
         )
-        record = store.records()[0]
+        record = store.select()[0]
         assert record["n"] == 3 and record["x"] == 1.5 and record["b"] is True
         # The segment is plain JSON.
         segment = json.loads(next(store.root.glob("runs/*/*.json")).read_text())
@@ -120,7 +119,7 @@ class TestAppendRun:
         assert store.disk_usage_bytes() == segments + store.manifest.stat().st_size
         assert store.clear() == 2
         assert not store.manifest.exists()
-        assert store.run_count() == 0 and store.records() == []
+        assert store.run_count() == 0 and store.select() == []
         assert store.disk_usage_bytes() == 0
 
     def test_corrupt_segment_is_skipped_on_read(self, store):
@@ -128,7 +127,7 @@ class TestAppendRun:
         bad = store.append_run(RECORDS, source="test", run_id="bad")
         path = store.root / "runs" / bad.run_key[:2] / f"{bad.run_key}.json"
         path.write_text("{ not json")
-        records = store.records()
+        records = store.select()
         assert len(records) == 2
         assert all(record["run_id"] == "good" for record in records)
 
@@ -145,8 +144,8 @@ class TestAppendRun:
         segment["run"]["record_count"] = 2
         path.write_text(json.dumps(segment))
         assert [record["run_id"] for record in query(store, kernel="fft")] == ["good"]
-        assert [record["run_id"] for record in store.records()] == ["good"]
-        assert [run.run_key for run in store.runs()] == [good.run_key]
+        assert [record["run_id"] for record in store.select()] == ["good"]
+        assert _run_keys(store) == [good.run_key]
 
     def test_appends_stamp_one_revision_per_process(self, store, monkeypatch):
         calls = []
@@ -163,7 +162,13 @@ class TestAppendRun:
         finally:
             core._process_git_revision.cache_clear()
         assert len(calls) == 1
-        assert [run.git_rev for run in store.runs()] == ["f" * 40] * 2
+        assert store.run_count() == 2
+        assert {record["git_rev"] for record in store.select()} == {"f" * 40}
+
+
+def _run_keys(handle: ResultStore) -> list[str]:
+    """The run key of each run the handle's records come from, oldest first."""
+    return list(dict.fromkeys(record["run_key"] for record in handle.select()))
 
 
 def _segment(store: ResultStore, run_key: str):
@@ -210,7 +215,7 @@ class TestManifest:
         assert drift["torn_lines"] == 1 and drift["segments_without_lines"] == 1
         assert _manifest_keys_of_whole_lines(store) == [whole.run_key]
         reopened = ResultStore(store.root)
-        assert {run.run_key for run in reopened.runs()} == {torn.run_key, whole.run_key}
+        assert set(_run_keys(reopened)) == {torn.run_key, whole.run_key}
         assert len(reopened) == 3
         # The rebuild parsed the one segment without a whole line, and
         # compacted the torn line away.
@@ -244,7 +249,7 @@ class TestManifest:
             receipt = store.append_run(RECORDS, source="test", run_id=f"op-{index}")
             _segment(store, receipt.run_key).unlink()
             handle = ResultStore(store.root)
-            assert [run.run_key for run in handle.runs()] == [kept.run_key]
+            assert _run_keys(handle) == [kept.run_key]
             sizes.append(store.manifest.stat().st_size)
         assert _manifest_keys(store) == [kept.run_key]
         assert len(set(sizes)) == 1
@@ -258,7 +263,7 @@ class TestManifest:
         b = second.append_run(RECORDS, source="test", run_id="b")
         for handle in (first, second):
             assert handle.run_count() == 2 and len(handle) == 4
-            assert [run.run_key for run in handle.runs()] == [a.run_key, b.run_key]
+            assert _run_keys(handle) == [a.run_key, b.run_key]
 
     def test_a_replaced_manifest_makes_a_live_handle_rebuild(self, store):
         a = store.append_run(RECORDS, source="test", run_id="a")
@@ -267,7 +272,7 @@ class TestManifest:
         other = ResultStore(store.root)
         other.clear()
         b = other.append_run(RECORDS[:1], source="test", run_id="b")
-        assert [run.run_key for run in store.runs()] == [b.run_key]
+        assert _run_keys(store) == [b.run_key]
         assert not _segment(store, a.run_key).exists() and len(store) == 1
 
     def test_a_manifest_replaced_at_the_same_inode_size_and_mtime_makes_a_live_handle_rebuild(
@@ -278,7 +283,7 @@ class TestManifest:
         # mtime; only its content tells it apart.
         a = store.append_run(RECORDS, source="test", run_id="a-longer-run-id")
         for _ in range(2):  # built, then brought up to date
-            assert [run.run_key for run in store.runs()] == [a.run_key]
+            assert _run_keys(store) == [a.run_key]
         old = store.manifest.read_bytes()
         stat = store.manifest.stat()
         other = ResultStore(store.root)
@@ -294,7 +299,7 @@ class TestManifest:
         assert (replaced.st_ino, replaced.st_size, replaced.st_mtime_ns) == (
             stat.st_ino, stat.st_size, stat.st_mtime_ns
         )
-        assert [run.run_key for run in store.runs()] == [b.run_key]
+        assert _run_keys(store) == [b.run_key]
 
     def test_an_append_racing_a_compaction_waits_for_it_and_is_seen(self, store, monkeypatch):
         store.append_run(RECORDS, source="test", run_id="kept")
@@ -324,7 +329,7 @@ class TestManifest:
         assert compacting.run_count() == 1
         racers[0].join(10)
         assert not racers[0].is_alive()
-        assert [run.run_id for run in compacting.runs()] == ["kept", "racer"]
+        assert [record["run_id"] for record in compacting.select()] == ["kept"] * 2 + ["racer"]
 
     def test_long_scenarios_share_a_signature_and_still_filter_exactly(self, store):
         for run_id, scenario in (
@@ -467,7 +472,7 @@ class TestSegmentCache:
                 for query_filters in ({}, filters):
                     cached = live.select(**query_filters)
                     assert _exact(cached) == _exact(ResultStore(root).select(**query_filters))
-                assert live.runs() == ResultStore(root).runs()
+                assert live.run_count() == ResultStore(root).run_count()
                 assert live._cached_bytes == sum(
                     segment.identity[1] for segment in live._cache.values()
                 )
@@ -487,7 +492,7 @@ class TestSegmentCache:
         # Every call returns fresh dicts: the cache holds no caller's row.
         again[0]["x"] = "edited"
         assert query(store, kernel="fft") == first
-        assert store.run_records(again[0]["run_key"]) == first[:1]
+        assert store.select(run_id=again[0]["run_id"]) == first[:1]
         assert store.stats.segments_read == 2
 
     def test_values_that_compare_equal_keep_their_types(self, store):
@@ -501,14 +506,14 @@ class TestSegmentCache:
             store.append_run(records, source="test", run_id=f"r{index}")
         columns = ("a", "b", "c", "d", "e")
         for _ in range(2):  # parsed, then from memory
-            rows = [{c: row[c] for c in columns} for row in store.records()]
+            rows = [{c: row[c] for c in columns} for row in store.select()]
             assert _exact(rows) == _exact([records[0] for records in runs])
 
     def test_a_vanished_segment_is_not_counted_as_read(self, store):
         receipt = store.append_run(RECORDS, source="test", run_id="a")
         store.run_count()
         _segment(store, receipt.run_key).unlink()
-        assert store.records() == []
+        assert store.select() == []
         assert store.stats.segments_read == 0
 
     def test_past_the_budget_the_least_recently_used_segments_leave(self, store, monkeypatch):
@@ -521,41 +526,41 @@ class TestSegmentCache:
         # Room for any three of them, never four.
         budget = 3 * max(sizes.values()) + min(sizes.values()) // 2
         monkeypatch.setattr(core, "SEGMENT_CACHE_BYTES", budget)
-        for key in keys:
-            store.run_records(key)
+        for index in range(5):
+            store.select(run_id=f"r{index}")
             assert store._cached_bytes <= budget
         assert list(store._cache) == keys[2:]
-        store.run_records(keys[2])  # now the most recently used
-        store.run_records(keys[0])  # parsed again, evicting keys[3]
+        store.select(run_id="r2")  # now the most recently used
+        store.select(run_id="r0")  # parsed again, evicting keys[3]
         assert list(store._cache) == [keys[4], keys[2], keys[0]]
         assert store._cached_bytes == sum(sizes[key] for key in store._cache)
         assert store.stats.segments_read == 6 and store.stats.segments_cached == 1
         # A segment larger than the whole budget is read but never kept.
         monkeypatch.setattr(core, "SEGMENT_CACHE_BYTES", min(sizes.values()) - 1)
-        store.run_records(keys[1])
-        assert store.run_records(keys[1])[0]["x"] == 1
+        store.select(run_id="r1")
+        assert store.select(run_id="r1")[0]["x"] == 1
         assert keys[1] not in store._cache and store.stats.segments_read == 8
 
     def test_an_index_rebuild_drops_segments_that_left_it(self, store):
         gone = store.append_run(RECORDS, source="test", run_id="gone")
         kept = store.append_run(RECORDS, source="test", run_id="kept")
-        assert len(store.records()) == 4 and set(store._cache) == {gone.run_key, kept.run_key}
+        assert len(store.select()) == 4 and set(store._cache) == {gone.run_key, kept.run_key}
         # Another process deletes a segment and compacts its line away.
         _segment(store, gone.run_key).unlink()
         assert ResultStore(store.root).run_count() == 1
         assert store.run_count() == 1
         assert set(store._cache) == {kept.run_key}
         read = store.stats.segments_read
-        assert [row["run_id"] for row in store.records()] == ["kept", "kept"]
+        assert [row["run_id"] for row in store.select()] == ["kept", "kept"]
         assert store.stats.segments_read == read
         # Cleared and the same run recorded again: same key, another ingest.
         other = ResultStore(store.root)
         other.clear()
         again = other.append_run(RECORDS, source="test", run_id="kept")
         assert again.run_key == kept.run_key
-        (info,) = ResultStore(store.root).runs()
+        (ingested_at,) = {row["ingested_at"] for row in ResultStore(store.root).select()}
         assert store.run_count() == 1 and kept.run_key not in store._cache
-        assert {row["ingested_at"] for row in store.records()} == {info.ingested_at}
+        assert {row["ingested_at"] for row in store.select()} == {ingested_at}
 
 
 class TestConcurrency:
@@ -586,7 +591,7 @@ class TestConcurrency:
             segment = json.loads(path.read_text())
             assert segment["schema"] == STORE_SCHEMA
             assert len(segment["records"]) == segment["run"]["record_count"]
-        assert len(store.records()) == 2 * runs_per_thread
+        assert len(store.select()) == 2 * runs_per_thread
 
     def test_compactions_racing_appends_lose_no_manifest_line(self, tmp_path):
         """Appenders race handles whose first read compacts the manifest."""
@@ -638,7 +643,7 @@ class TestConcurrency:
             sys.setswitchinterval(interval)
         assert errors == [] and len(appended) == 90
         for handle in compacted:
-            assert appended <= {run.run_key for run in handle.runs()}
+            assert appended <= set(_run_keys(handle))
         drift = manifest_drift(root)
         assert drift == {
             "manifest_lines": 90,

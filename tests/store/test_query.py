@@ -20,7 +20,7 @@ from repro.store import (
     report,
     report_document,
 )
-from repro.store.core import STORE_SCHEMA, RunInfo
+from repro.store.core import STORE_SCHEMA
 from repro.store.query import REPORT_SCHEMA
 
 
@@ -269,8 +269,6 @@ class TestQueryMatchesMergeThenFilter:
             root = Path(tmp)
             _write_store(root, runs)
             store = ResultStore(root)
-            assert store.records() == _reference_records(root)
-            assert store.runs() == [
-                RunInfo(**segment["run"]) for segment in _reference_segments(root)
-            ]
+            assert store.select() == _reference_records(root)
+            assert store.run_count() == len(_reference_segments(root))
             assert len(store) == sum(len(records) for *_, records in runs)

@@ -70,9 +70,9 @@ class TestSuiteRoundTrip:
         result, runner = suite_run
         store = store_for(runner)
         assert store is not None
-        runs = store.runs()
-        assert any(run.run_id == result.run_id for run in runs)
-        kinds = {record["experiment"] for record in store.records()}
+        records = store.select()
+        assert any(record["run_id"] == result.run_id for record in records)
+        kinds = {record["experiment"] for record in records}
         assert {"sweep", "fit", "rebalance", "balance", "figure2", "pebble",
                 "runtime"} <= kinds
 
@@ -88,9 +88,9 @@ class TestSuiteRoundTrip:
         receipt = ingest_payload(fresh, json.loads(path.read_text()))
         assert receipt.added is True
         live = store_for(runner)
-        assert receipt.run_key in {run.run_key for run in live.runs()}
-        recorded = live.run_records(receipt.run_key)
-        ingested = fresh.run_records(receipt.run_key)
+        recorded = live.select(run_id=receipt.run_id)
+        ingested = fresh.select(run_id=receipt.run_id)
+        assert {record["run_key"] for record in recorded} == {receipt.run_key}
         # Ingest wall time and the caller's trace differ; every record value
         # and content key must not.
         drop = ("ingested_at", "trace_id")
@@ -113,7 +113,7 @@ class TestSuiteRoundTrip:
         result, _ = suite_run
         store = ResultStore(tmp_path / "store")
         ingest_payload(store, result.as_dict())
-        sweeps = [r for r in store.records() if r["experiment"] == "sweep"]
+        sweeps = [r for r in store.select() if r["experiment"] == "sweep"]
         assert len(sweeps) == 3
         assert all(isinstance(r["key"], str) and len(r["key"]) == 64 for r in sweeps)
         assert sweeps[0]["key"] == result.results[0].point_keys()[0]
@@ -122,9 +122,9 @@ class TestSuiteRoundTrip:
         result, _ = suite_run
         store = ResultStore(tmp_path / "store")
         ingest_payload(store, result.as_dict())
-        figure2 = [r for r in store.records() if r["experiment"] == "figure2"]
+        figure2 = [r for r in store.select() if r["experiment"] == "figure2"]
         assert len(figure2) == 1 and isinstance(figure2[0]["key"], str)
-        pebble = [r for r in store.records() if r["experiment"] == "pebble"]
+        pebble = [r for r in store.select() if r["experiment"] == "pebble"]
         # One headline plus one record per measured point.
         assert len(pebble) == 1 + 3
         assert all("scenario" in r for r in pebble)
@@ -185,7 +185,7 @@ class TestBenchReaders:
     def test_bench_systolic_rows_keyed_by_case_identity(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         ingest_payload(store, BENCH_PAYLOAD)
-        records = store.records()
+        records = store.select()
         assert len(records) == 4
         assert {r["kernel"] for r in records} == {"matmul", "matvec", "qr"}
         fast_only = next(r for r in records if r["order"] == 256)
@@ -201,7 +201,7 @@ class TestBenchReaders:
         ingest_payload(store, rerun)
         assert store.run_count() == 2
         keys = {}
-        for record in store.records():
+        for record in store.select():
             keys.setdefault(record["scenario"], set()).add(record["key"])
         assert all(len(values) == 1 for values in keys.values()), keys
 
@@ -215,7 +215,7 @@ class TestBenchReaders:
                 "dedup": {"jobs": 8, "executions": 1},
             },
         )
-        records = store.records()
+        records = store.select()
         assert {r["scenario"] for r in records} == {
             "latency/cold", "latency/warm", "dedup",
         }
@@ -233,7 +233,7 @@ class TestExperimentReader:
             "summary": {"correct": True, "orders": [4, 8], "nested": {"x": 1}},
         }
         ingest_payload(store, payload)
-        record = store.records()[0]
+        record = store.select()[0]
         assert record["experiment"] == "systolic"
         assert record["scenario"] == "cli-systolic"
         assert record["key"] == "k" * 64

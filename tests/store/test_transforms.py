@@ -81,7 +81,7 @@ def two_bench_runs(tmp_path):
 
 class TestBenchTransforms:
     def test_regressions_cover_fast_only_rows(self, two_bench_runs):
-        rows = apply_transform("regressions", two_bench_runs.records())
+        rows = apply_transform("regressions", two_bench_runs.select())
         by_scenario = {row["scenario"]: row for row in rows}
         assert len(rows) == 3
         slowed = by_scenario["matmul/order=256/batches=1"]
@@ -100,7 +100,7 @@ class TestBenchTransforms:
 
     def test_regression_threshold_is_a_parameter(self, two_bench_runs):
         rows = apply_transform(
-            "regressions", two_bench_runs.records(), threshold=3.0
+            "regressions", two_bench_runs.select(), threshold=3.0
         )
         assert not any(row["regression"] for row in rows)
 
@@ -110,17 +110,17 @@ class TestBenchTransforms:
             store,
             _bench_payload({"matmul32": 0.05, "matmul256": 0.4, "qr64": 0.1}),
         )
-        assert apply_transform("regressions", store.records()) == []
+        assert apply_transform("regressions", store.select()) == []
 
     def test_speedup_trend_chains_runs_per_case(self, two_bench_runs):
-        rows = apply_transform("speedup-trend", two_bench_runs.records())
+        rows = apply_transform("speedup-trend", two_bench_runs.select())
         qr = [row for row in rows if row["kernel"] == "qr"]
         assert [row["run_id"] for row in qr] == ["run-1", "run-2"]
         assert qr[0]["fast_ratio"] is None  # first run has no predecessor
         assert qr[1]["fast_ratio"] == pytest.approx(0.5)
 
     def test_engine_speedups_groups_per_run_and_kernel(self, two_bench_runs):
-        rows = apply_transform("engine-speedups", two_bench_runs.records())
+        rows = apply_transform("engine-speedups", two_bench_runs.select())
         matmul = [row for row in rows if row["kernel"] == "matmul"]
         assert len(matmul) == 2  # one row per run
         assert matmul[0]["cases"] == 2
@@ -145,7 +145,7 @@ class TestAnalysisTransforms:
             source="test",
             run_id="r1",
         )
-        rows = apply_transform("classification-counts", store.records())
+        rows = apply_transform("classification-counts", store.select())
         by_class = {row["computation_class"]: row for row in rows}
         assert by_class["rebalanceable"]["count"] == 2
         assert by_class["rebalanceable"]["kernels"] == "matmul fft"
@@ -163,7 +163,7 @@ class TestAnalysisTransforms:
             ],
             source="test",
         )
-        rows = apply_transform("roofline", store.records())
+        rows = apply_transform("roofline", store.select())
         assert len(rows) == 2
         # Defaults: 8e6 ops/s over 1e6 words/s puts the ridge at F = 8.
         compute_bound = next(r for r in rows if r["kernel"] == "matmul")
@@ -175,7 +175,7 @@ class TestAnalysisTransforms:
         assert memory_bound["attainable_ops_per_s"] == pytest.approx(2e6)
         # Bandwidths are parameters.
         wider = apply_transform(
-            "roofline", store.records(), io_bandwidth=4e6
+            "roofline", store.select(), io_bandwidth=4e6
         )
         assert next(r for r in wider if r["kernel"] == "matvec")["compute_bound"] is (
             True
@@ -191,7 +191,7 @@ class TestAnalysisTransforms:
             ],
             source="test",
         )
-        rows = apply_transform("cache-hit-rates", store.records())
+        rows = apply_transform("cache-hit-rates", store.select())
         by_cache = {row["cache"]: row for row in rows}
         assert by_cache["results"]["hit_rate"] == pytest.approx(0.75)
         assert by_cache["tasks"]["hit_rate"] == pytest.approx(0.0)
@@ -208,7 +208,7 @@ class TestAnalysisTransforms:
             ],
             source="test",
         )
-        rows = apply_transform("balance-margins", store.records())
+        rows = apply_transform("balance-margins", store.select())
         assert rows[0]["compute_over_io"] == pytest.approx(2.0)
         assert rows[1]["bound"] == "rebalance"
         assert rows[1]["imbalance"] == pytest.approx(4.0)
@@ -240,7 +240,7 @@ class TestSpanHotspots:
     def test_rollup_names_the_hot_phase_per_trace(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         self._ingest_trace(store, "trace-1", hot_seconds=0.7)
-        rows = apply_transform("span-hotspots", store.records())
+        rows = apply_transform("span-hotspots", store.select())
         assert rows, "spans must produce hotspot rows"
         top = rows[0]
         assert top["name"] == "hot.loop"
@@ -253,7 +253,7 @@ class TestSpanHotspots:
         store = ResultStore(tmp_path / "store")
         self._ingest_trace(store, "trace-1", hot_seconds=0.7)
         self._ingest_trace(store, "trace-2", hot_seconds=0.3)
-        rows = apply_transform("span-hotspots", store.records())
+        rows = apply_transform("span-hotspots", store.select())
         hot = [row for row in rows if row["name"] == "hot.loop"]
         assert [row["run_id"] for row in hot] == ["trace-1", "trace-2"]
         assert hot[0]["exclusive_seconds"] == pytest.approx(0.7)
@@ -265,4 +265,4 @@ class TestSpanHotspots:
             [{"experiment": "sweep", "kernel": "matmul", "intensity": 4.0}],
             source="test",
         )
-        assert apply_transform("span-hotspots", store.records()) == []
+        assert apply_transform("span-hotspots", store.select()) == []

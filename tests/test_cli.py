@@ -292,6 +292,24 @@ class TestSweepCommand:
         assert main(argv) == 0
         assert "3 hits" in capsys.readouterr().out
 
+    def test_verified_sweep_counts_what_the_plain_sweep_counts(self, capsys, tmp_path):
+        payloads = []
+        for extra in ([], ["--verify"]):
+            out = tmp_path / f"sweep{len(payloads)}.json"
+            argv = ["sweep", "fft", "--serial", "--no-cache", "--json", str(out), *extra]
+            assert main(argv) == 0
+            payloads.append(json.loads(out.read_text()))
+        plain, verified = payloads
+        assert verified["rows"] == plain["rows"] and len(plain["rows"]) == 6
+
+    def test_a_failed_verification_names_the_kernel_and_memory(self, capsys, monkeypatch):
+        from repro.kernels.fft import BlockedFFT
+
+        monkeypatch.setattr(BlockedFFT, "verify", lambda self, execution: False)
+        assert main(["sweep", "fft", "--serial", "--no-cache", "--verify"]) != 0
+        error = capsys.readouterr().err
+        assert "BlockedFFT produced an incorrect result at M=4" in error
+
     def test_analytic_sweep_resolves_divergent_registry_name(self, capsys):
         """sparse_matvec is registered as 'spmv'; the CLI must map it."""
         assert main(["sweep", "sparse_matvec", "--analytic"]) == 0

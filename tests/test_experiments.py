@@ -238,7 +238,7 @@ class TestExperimentTaskRuntime:
         assert self._fingerprints(cold) == self._fingerprints(warm)
 
     def test_figure2_task_matches_direct_driver(self):
-        via_task = TaskRunner().run_one(figure2_task(n_points=32, block_points=4))
+        (via_task,) = TaskRunner().run([figure2_task(n_points=32, block_points=4)])
         direct = run_figure2_experiment(n_points=32, block_points=4)
         assert via_task.pass_count == direct.pass_count
         assert via_task.max_output_error == direct.max_output_error

@@ -42,20 +42,6 @@ __all__ = [
     "DEFAULT_REFERENCE_PE",
 ]
 
-#: Modules whose source participates in the cache keys of Section 4 tasks:
-#: the sizing derivation and the cycle-level array simulations are the
-#: algorithms the experiments measure.
-ARRAY_TASK_MODULES = (
-    "repro.arrays.aggregate",
-    "repro.arrays.sizing",
-    "repro.arrays.systolic",
-    "repro.arrays.triangular_qr",
-    "repro.arrays.wavefront",
-    "repro.core.intensity",
-    "repro.core.model",
-    "repro.core.rebalance",
-)
-
 #: A reference single PE balanced for matmul at M = 1024 words:
 #: intensity sqrt(1024) = 32, so C/IO = 32.
 DEFAULT_REFERENCE_PE = ProcessingElement(
@@ -299,7 +285,6 @@ def linear_array_task(
         fn=run_linear_array_experiment,
         params=params,
         name=f"arrays-linear[p={max(lengths)}]",
-        modules=ARRAY_TASK_MODULES,
     )
 
 
@@ -319,7 +304,6 @@ def mesh_array_task(
         fn=run_mesh_array_experiment,
         params=params,
         name=f"arrays-mesh[p={max(sides)}]",
-        modules=ARRAY_TASK_MODULES,
     )
 
 
@@ -354,5 +338,4 @@ def systolic_task(
         fn=run_systolic_experiment,
         params=params,
         name=f"systolic[order={order},batches={batches}{sizes},{engine}]",
-        modules=ARRAY_TASK_MODULES,
     )

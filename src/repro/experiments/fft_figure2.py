@@ -109,14 +109,9 @@ def run_figure2_experiment(
 
 
 def figure2_task(n_points: int = 16, block_points: int = 4) -> Task:
-    """Experiment E6 as a cacheable runtime task.
-
-    The cache key covers this module and the blocked-FFT kernel, so editing
-    either the experiment or the decomposition planner invalidates replays.
-    """
+    """Experiment E6 as a cacheable runtime task."""
     return Task(
         fn=run_figure2_experiment,
         params={"n_points": int(n_points), "block_points": int(block_points)},
         name=f"figure2[N={n_points},M={block_points}]",
-        modules=("repro.kernels.fft",),
     )

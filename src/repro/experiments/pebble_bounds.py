@@ -44,14 +44,6 @@ __all__ = [
     "run_pebble_experiment",
 ]
 
-#: Modules whose source participates in the cache key of pebble tasks: the
-#: game engine, the DAG builders and the lower bounds are the algorithm.
-PEBBLE_TASK_MODULES = (
-    "repro.pebble.dag",
-    "repro.pebble.game",
-    "repro.pebble.partition",
-)
-
 
 def blocked_matmul_order(order: int, fast_memory_words: int) -> list[Hashable]:
     """The paper's blocked schedule for the matmul DAG of :func:`matmul_dag`.
@@ -195,7 +187,6 @@ def pebble_point_tasks(
                     "blocked": True,
                 },
                 name=f"pebble-matmul[{matmul_order}]-S{memory}",
-                modules=PEBBLE_TASK_MODULES,
             )
         )
     for memory in fft_memories:
@@ -208,7 +199,6 @@ def pebble_point_tasks(
                     "fast_memory_words": int(memory),
                 },
                 name=f"pebble-fft[{fft_points}]-S{memory}",
-                modules=PEBBLE_TASK_MODULES,
             )
         )
     return tasks

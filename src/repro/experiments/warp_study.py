@@ -34,16 +34,6 @@ from repro.warp.machine import (
 
 __all__ = ["WarpExperiment", "run_warp_experiment", "warp_task"]
 
-#: Modules whose source participates in the cache key of the Warp task.
-WARP_TASK_MODULES = (
-    "repro.arrays.aggregate",
-    "repro.arrays.sizing",
-    "repro.core.intensity",
-    "repro.core.model",
-    "repro.core.rebalance",
-    "repro.warp.machine",
-)
-
 
 @dataclass(frozen=True)
 class WarpExperiment:
@@ -145,5 +135,4 @@ def warp_task(
             "alphas": tuple(float(a) for a in alphas),
         },
         name=f"warp[p<={max(array_lengths)}]",
-        modules=WARP_TASK_MODULES,
     )

@@ -7,11 +7,12 @@ This package replaces per-point serial experiment loops with these layers:
   ``(N, M, alpha)`` in single array passes (an analytic sweep is
   :func:`analytic_sweep_payload`);
 * :mod:`repro.runtime.tasks` -- the generic task abstraction: any top-level
-  callable plus parameters, content-addressed by module source (the one key
-  scheme), and the one resolve loop that looks keys up in a cache, runs each
-  distinct miss once (in-process or on its owner's long-lived
-  :class:`TaskPool`, in deterministic order, always on one BLAS thread) and
-  stores the fresh results;
+  callable plus parameters, content-addressed by the callable, the package's
+  code version and the parameters (the one key scheme), and the one resolve
+  loop that looks keys up in a cache, runs each distinct miss once
+  (in-process or on its owner's long-lived :class:`TaskPool`, in
+  deterministic order, always on one BLAS thread) and stores the fresh
+  results;
 * :mod:`repro.runtime.engine` -- the memory-sweep client of the task layer:
   every (kernel, memory size, problem) point is a task, resolved against a
   :class:`ResultCache`;
@@ -56,7 +57,7 @@ from repro.runtime.tasks import (
     Task,
     TaskPool,
     TaskRunner,
-    callable_code_version,
+    code_version,
     default_worker_count,
     execute_tasks,
     resolve_tasks,
@@ -88,7 +89,7 @@ __all__ = [
     "analytic_sweep_payload",
     "build_kernel",
     "cache_layout",
-    "callable_code_version",
+    "code_version",
     "cost_grid",
     "default_worker_count",
     "execute_tasks",

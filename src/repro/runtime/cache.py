@@ -2,11 +2,11 @@
 
 Every cached computation is a :class:`~repro.runtime.tasks.Task`, keyed by
 its :func:`~repro.runtime.tasks.task_key`: a SHA-256 digest of the
-callable, the source of its module plus named supporting modules (so
-editing the code invalidates its entries), and a structural fingerprint of
-the parameters (:func:`_fingerprint`, array contents included).  A sweep
-point is the task ``run_point(kernel, memory_words, problem)`` with the
-kernel's modules named (:func:`repro.runtime.engine.execution_key`).
+callable, the package's code version (a digest of every ``repro`` source
+file, so any source edit makes every entry miss once), and a structural
+fingerprint of the parameters (:func:`_fingerprint`, array contents
+included).  A sweep point is the task ``run_point(kernel, memory_words,
+problem)`` (:func:`repro.runtime.engine.execution_key`).
 
 The two caches are two codecs over one :class:`EntryStore`, which owns the
 shard layout (``<root>/<key[:2]>/<key><suffix>``), the atomic write, the

@@ -2,10 +2,10 @@
 
 A :class:`SweepRunner` flattens any number of sweeps (one kernel x one
 problem x a memory grid) into one batch of *points*.  A point is the task
-``run_point(kernel, memory_words, problem)`` with the kernel's modules named
-(:func:`point_task`), so its content address is that task's key
-(:func:`execution_key`), and the batch goes through the runtime's one
-resolve loop, :func:`~repro.runtime.tasks.resolve_tasks`, against a
+``run_point(kernel, memory_words, problem)`` (:func:`point_task`), so its
+content address is that task's key (:func:`execution_key`), and the batch
+goes through the runtime's one resolve loop,
+:func:`~repro.runtime.tasks.resolve_tasks`, against a
 :class:`~repro.runtime.cache.ResultCache`.  Results come back in
 deterministic order, so serial and parallel runs are bitwise identical, and
 every sweep result carries the keys its points were resolved under.
@@ -14,7 +14,6 @@ every sweep result carries the keys its points were resolved under.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Mapping, Sequence
 
 from repro.analysis.sweep import MemorySweepResult, normalize_memory_sizes
@@ -24,17 +23,7 @@ from repro.obs import spans as obs_spans
 from repro.runtime.cache import ResultCache
 from repro.runtime.tasks import Task, TaskPool, default_worker_count, resolve_tasks, task_pool
 
-__all__ = ["SweepPlan", "SweepRunner", "execution_key", "kernel_modules", "point_task"]
-
-
-@lru_cache(maxsize=None)
-def kernel_modules(kernel_class: type) -> tuple[str, ...]:
-    """Modules defining a kernel class: its own, its ``Kernel`` bases' and the counters."""
-    modules = {"repro.kernels.counters"}
-    for klass in kernel_class.__mro__:
-        if klass is not object and issubclass(klass, Kernel):
-            modules.add(klass.__module__)
-    return tuple(sorted(modules))
+__all__ = ["SweepPlan", "SweepRunner", "execution_key", "point_task"]
 
 
 def run_point(
@@ -52,7 +41,6 @@ def point_task(
         fn=run_point,
         params={"kernel": kernel, "memory_words": memory_words, "problem": problem},
         name=f"{kernel.name}@M={memory_words}",
-        modules=kernel_modules(type(kernel)),
     )
 
 

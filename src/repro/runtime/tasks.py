@@ -4,8 +4,8 @@ A :class:`Task` is any top-level callable plus its keyword parameters,
 content-addressed by :func:`task_key`, a SHA-256 digest of
 
 * the callable's fully qualified name,
-* the *source code* of its module (plus any explicitly named supporting
-  modules, so editing the algorithm invalidates previously cached results),
+* the package's code version (:func:`code_version`, a digest of every source
+  file of ``repro``, so any source edit invalidates every cached result once),
 * and a structural fingerprint of the parameters.
 
 This is the runtime's one key scheme.  :func:`resolve_tasks` is its one
@@ -31,19 +31,17 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import importlib
-import inspect
 import json
 import multiprocessing
 import os
 import signal
-import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.exceptions import ConfigurationError, TaskExecutionError
@@ -56,7 +54,7 @@ __all__ = [
     "TaskPool",
     "TaskRunner",
     "task_key",
-    "callable_code_version",
+    "code_version",
     "default_worker_count",
     "execute_tasks",
     "loaded_openblas",
@@ -270,55 +268,40 @@ def _start_child(read_end: int, write_end: int) -> None:
     _exit_with_owner(read_end, write_end)
 
 
-@lru_cache(maxsize=None)
-def _module_source_digest(module_name: str) -> str:
-    """Digest of one module's source (the name itself when unavailable)."""
-    module = sys.modules.get(module_name)
-    if module is None:
-        try:
-            module = importlib.import_module(module_name)
-        except ImportError:
-            module = None
-    try:
-        source = inspect.getsource(module)
-    except (OSError, TypeError):  # source unavailable (REPL, frozen, missing)
-        source = module_name
-    return hashlib.sha256(source.encode()).hexdigest()
+def source_digest(package: Path) -> str:
+    """SHA-256 over every ``*.py`` file under ``package``, in path order.
 
-
-def callable_code_version(
-    fn: Callable[..., Any], modules: Sequence[str] = ()
-) -> str:
-    """A digest of a callable's implementation, for cache invalidation.
-
-    Hashes the source of the module defining ``fn`` plus any explicitly named
-    supporting modules.  Hashing whole modules rather than function bodies
-    means edits to helpers the callable uses also invalidate cached results;
-    the cost is occasional over-invalidation, which is the safe direction.
+    Each file contributes its path relative to ``package`` and its bytes, so
+    the digest does not depend on where the checkout lives.
     """
-    return _code_version(fn.__module__, tuple(modules))
+    hasher = hashlib.sha256()
+    for relative, path in sorted(
+        (path.relative_to(package).as_posix(), path) for path in package.rglob("*.py")
+    ):
+        source = path.read_bytes()
+        hasher.update(f"{relative}\0{len(source)}\0".encode())
+        hasher.update(source)
+    return hasher.hexdigest()
 
 
 @lru_cache(maxsize=None)
-def _code_version(module: str, modules: tuple[str, ...]) -> str:
-    """Digest of one module set (memoized: every key of a set shares it)."""
-    hasher = hashlib.sha256()
-    for name in sorted({module, *modules}):
-        hasher.update(name.encode())
-        hasher.update(_module_source_digest(name).encode())
-    return hasher.hexdigest()[:16]
+def code_version() -> str:
+    """The code version every key hashes: the ``repro`` package's source digest.
+
+    Read once per process, at the first key.  A task may run any module of
+    the package, directly or through a function-level import, so no task
+    declares its modules: any source edit makes every cached entry miss
+    once, which is the safe direction.
+    """
+    return source_digest(Path(__file__).parent.parent)
 
 
-def task_key(
-    fn: Callable[..., Any],
-    params: Mapping[str, Any],
-    modules: Sequence[str] = (),
-) -> str:
+def task_key(fn: Callable[..., Any], params: Mapping[str, Any]) -> str:
     """Content address of one ``fn(**params)`` call."""
     payload = {
         "schema": TASK_KEY_SCHEMA,
         "callable": f"{fn.__module__}.{fn.__qualname__}",
-        "code_version": callable_code_version(fn, modules),
+        "code_version": code_version(),
         "params": _fingerprint(dict(params)),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -332,15 +315,12 @@ class Task:
     ``fn`` must be an importable top-level function (process pools pickle it
     by reference) and must be deterministic in its parameters -- the cache
     replays previous results under the assumption that equal keys mean equal
-    values.  ``modules`` names additional modules whose source participates
-    in the cache key, for callables whose real algorithm lives elsewhere
-    (e.g. an experiment driver delegating to ``repro.pebble.game``).
+    values.
     """
 
     fn: Callable[..., Any]
     params: Mapping[str, Any] = field(default_factory=dict)
     name: str | None = None
-    modules: tuple[str, ...] = ()
     _key: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -353,7 +333,6 @@ class Task:
                 f"reference), got {qualname!r}"
             )
         object.__setattr__(self, "params", dict(self.params))
-        object.__setattr__(self, "modules", tuple(self.modules))
 
     @property
     def label(self) -> str:
@@ -366,9 +345,7 @@ class Task:
         batch and reporting its keys hash the parameters once.
         """
         if self._key is None:
-            object.__setattr__(
-                self, "_key", task_key(self.fn, self.params, self.modules)
-            )
+            object.__setattr__(self, "_key", task_key(self.fn, self.params))
         return self._key
 
     def run(self) -> Any:

@@ -6,13 +6,13 @@
   ``repro doctor`` all read it, so adding a job kind is one table entry.
 
 * **Dedup by content address.**  Every job gets a key derived from the
-  runtime's content-addressed task keys (callable identity + module source +
-  parameter fingerprint -- see :func:`repro.runtime.tasks.task_key`).  While
-  a job with a given key is queued or running, identical submissions attach
-  to it as *followers*: the underlying work executes once and every
-  submission observes the same result.  Because code versions participate in
-  the keys, editing a kernel or experiment driver naturally stops dedup
-  against stale in-flight work.
+  runtime's content-addressed task keys (callable identity + the package's
+  code version + parameter fingerprint -- see
+  :func:`repro.runtime.tasks.task_key`).  While a job with a given key is
+  queued or running, identical submissions attach to it as *followers*: the
+  underlying work executes once and every submission observes the same
+  result.  Because the code version participates in the keys, a service
+  started on edited source never dedups against work keyed by the old code.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.kernels.base import Kernel
 from repro.obs import spans as obs_spans
 from repro.obs.metrics import REGISTRY, Counts
 from repro.obs.spans import new_trace_id, normalize_trace_id
-from repro.runtime.engine import kernel_modules
 from repro.runtime.suites import (
     ExperimentScenario,
     build_kernel,
@@ -95,21 +94,6 @@ _EVENTS = {
     ),
 }
 
-#: Modules whose source participates in a suite job's content address: the
-#: suite definitions themselves hash via ``get_suite``'s module, these cover
-#: the engines and drivers the suite lowers onto.
-_SUITE_KEY_MODULES = (
-    "repro.runtime.engine",
-    "repro.runtime.tasks",
-    "repro.experiments.arrays_section4",
-    "repro.experiments.fft_figure2",
-    "repro.experiments.pebble_bounds",
-    "repro.experiments.warp_study",
-)
-
-_ANALYTIC_KEY_MODULES = ("repro.core.registry", "repro.runtime.vectorized")
-
-
 # ---------------------------------------------------------------------------
 # Each kind's normalize, key and run functions.
 # ---------------------------------------------------------------------------
@@ -124,7 +108,7 @@ def _normalize_suite(params: Mapping[str, Any]) -> dict[str, Any]:
 
 
 def _suite_key(params: Mapping[str, Any]) -> str:
-    return task_key(get_suite, {"name": params["suite"]}, modules=_SUITE_KEY_MODULES)
+    return task_key(get_suite, {"name": params["suite"]})
 
 
 def _run_suite(executor: JobExecutor, params: Mapping[str, Any]) -> dict[str, Any]:
@@ -225,10 +209,9 @@ def _normalize_measured_sweep(params: Mapping[str, Any]) -> dict[str, Any]:
 
 
 def _measured_sweep_key(params: Mapping[str, Any]) -> str:
-    # The kernel's modules cover the seeded problem generator too, so the key
+    # The code version covers the seeded problem generator too, so the key
     # never needs the generated problem arrays.
-    kernel = build_kernel(params["kernel"])
-    return task_key(_run_measured_sweep, params, modules=kernel_modules(type(kernel)))
+    return task_key(_run_measured_sweep, params)
 
 
 def _run_measured_sweep(executor: JobExecutor, params: Mapping[str, Any]) -> dict[str, Any]:
@@ -251,8 +234,7 @@ def _normalize_analytic_sweep(params: Mapping[str, Any]) -> dict[str, Any]:
 
 
 def _analytic_sweep_key(params: Mapping[str, Any]) -> str:
-    # The job's own callable, so the key changes with the code that runs it.
-    return task_key(analytic_sweep_payload, params, modules=_ANALYTIC_KEY_MODULES)
+    return task_key(analytic_sweep_payload, params)
 
 
 def _run_analytic_sweep(_: JobExecutor, params: Mapping[str, Any]) -> dict[str, Any]:

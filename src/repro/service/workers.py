@@ -216,9 +216,9 @@ class WorkerPool:
     the chaos suite's ``task-crash`` fault, or any real bug that escapes
     the per-job guard -- the supervisor requeues its in-flight jobs through
     the scheduler's retry path (attempt count incremented, backoff applied)
-    and respawns a replacement worker, counted by
-    ``repro_worker_restarts_total``.  A crashed worker therefore costs one
-    retry delay, never a stranded job.
+    and respawns a replacement worker, counted once in :attr:`stats`, which
+    also feeds ``repro_worker_restarts_total``.  A crashed worker therefore
+    costs one retry delay, never a stranded job.
 
     :meth:`stop` reports honesty instead of silence: a worker still alive
     after its join timeout is logged, counted by
@@ -248,7 +248,7 @@ class WorkerPool:
         self._supervisor: threading.Thread | None = None
         self._next_index = 0
         self._stop = threading.Event()
-        self.restarts = 0
+        self.stats = obs_metrics.Counts({"restarts": _METRIC_WORKER_RESTARTS})
         self.hung_workers: list[str] = []
 
     @property
@@ -263,7 +263,7 @@ class WorkerPool:
                 "alive": sum(
                     1 for t in self._workers.values() if t.is_alive()
                 ),
-                "restarts": self.restarts,
+                "restarts": self.stats.restarts,
                 "hung_workers": list(self.hung_workers),
             }
 
@@ -410,9 +410,8 @@ class WorkerPool:
                 for _ in dead:
                     self._spawn_locked()
                     respawned += 1
-                self.restarts += respawned
         if respawned:
-            _METRIC_WORKER_RESTARTS.inc(respawned)
+            self.stats.add("restarts", respawned)
             _LOG.warning(
                 "supervisor: %d dead worker(s) respawned, %d job(s) requeued",
                 respawned, len(orphans),

@@ -27,7 +27,6 @@ from repro.runtime.tasks import (
     Task,
     TaskPool,
     TaskRunner,
-    callable_code_version,
     default_worker_count,
     execute_tasks,
     openblas_threads,
@@ -82,16 +81,6 @@ class TestTaskKey:
 
     def test_sensitive_to_callable(self):
         assert task_key(square, {"x": 5}) != task_key(offset_square, {"x": 5})
-
-    def test_sensitive_to_extra_modules(self):
-        bare = task_key(square, {"x": 5})
-        with_module = task_key(square, {"x": 5}, modules=("repro.pebble.game",))
-        assert bare != with_module
-
-    def test_code_version_covers_named_modules(self):
-        bare = callable_code_version(square)
-        extended = callable_code_version(square, ("repro.pebble.game",))
-        assert bare != extended
 
 
 class TestTaskCache:

@@ -112,7 +112,7 @@ class TestWorkerSupervision:
                 if event.get("reason")
             ]
             assert "worker-crash" in reasons
-            assert service.pool.restarts >= 1
+            assert service.pool.stats.restarts >= 1
             assert service.scheduler.stats.retried >= 1
         finally:
             service.stop()
@@ -461,7 +461,7 @@ class TestChaosAcceptance:
             assert chaotic == baseline
             # The retry machinery visibly did the work.
             assert service.scheduler.stats.retried >= 1
-            assert service.pool.restarts >= 1
+            assert service.pool.stats.restarts >= 1
             metrics = client.metrics()["metrics"]
             retry_samples = metrics["repro_job_retries_total"]["samples"]
             assert sum(sample["value"] for sample in retry_samples) >= 1

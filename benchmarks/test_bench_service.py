@@ -5,8 +5,9 @@ round-trip (real sockets, real JSON), and writes the machine-readable
 ``BENCH_service.json`` artifact at the repo root:
 
 * **Warm-cache latency.**  A long-lived service amortises import and
-  pool-spinup cost and keeps the result caches warm, so resubmitting a job
-  replays from the cache instead of re-executing the kernels.
+  pool-spinup cost and keeps finished payloads under their job keys, so
+  resubmitting a job is answered at admission instead of re-executing the
+  kernels.
 * **Dedup factor.**  Eight identical concurrent submissions collapse onto
   one execution of the underlying tasks; every submission observes the
   result.
@@ -27,6 +28,8 @@ from repro.service import JobService, ServiceClient, serve
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_service.json"
 
 SWEEP_SPEC = {"kernel": "fft", "memory_sizes": [4, 8, 64], "scale": 10}
+#: Two of ``SWEEP_SPEC``'s points: the same point keys under another job key.
+SWEEP_SUB_GRID = {**SWEEP_SPEC, "memory_sizes": [4, 64]}
 EXPERIMENT_SPEC = {
     "experiment": "pebble",
     "params": {
@@ -50,10 +53,12 @@ def live_service(tmp_path):
     service.stop()
 
 
-def _timed_submit(client: ServiceClient, kind: str, params: dict) -> float:
+def _timed_submit(
+    client: ServiceClient, kind: str, params: dict
+) -> tuple[float, dict]:
     started = time.perf_counter()
-    client.submit_and_wait(kind, params, timeout=300.0)
-    return time.perf_counter() - started
+    job = client.submit_and_wait(kind, params, timeout=300.0)
+    return time.perf_counter() - started, job["result"]
 
 
 def test_bench_submit_latency_cold_vs_warm(live_service):
@@ -61,15 +66,33 @@ def test_bench_submit_latency_cold_vs_warm(live_service):
     service, client = live_service
     service.start()
 
-    cold_sweep = _timed_submit(client, "sweep", SWEEP_SPEC)
-    warm_sweep = _timed_submit(client, "sweep", SWEEP_SPEC)
-    cold_experiment = _timed_submit(client, "experiment", EXPERIMENT_SPEC)
-    warm_experiment = _timed_submit(client, "experiment", EXPERIMENT_SPEC)
-
-    # The warm pass replayed every sweep point and experiment task.
-    assert service.executor.result_cache.stats.hits == len(
-        SWEEP_SPEC["memory_sizes"]
+    cold_sweep, cold_sweep_result = _timed_submit(client, "sweep", SWEEP_SPEC)
+    warm_sweep, warm_sweep_result = _timed_submit(client, "sweep", SWEEP_SPEC)
+    cold_experiment, cold_experiment_result = _timed_submit(
+        client, "experiment", EXPERIMENT_SPEC
     )
+    warm_experiment, warm_experiment_result = _timed_submit(
+        client, "experiment", EXPERIMENT_SPEC
+    )
+
+    # The warm pass was answered at admission: each job executed once, and
+    # each repeat carries the cold run's payload.
+    assert service.scheduler.stats.answered == 2
+    assert service.executor.stats.jobs_executed == 2
+    assert warm_sweep_result == cold_sweep_result
+    assert warm_experiment_result == cold_experiment_result
+    # A sweep over a sub-grid shares the cold sweep's point keys but not its
+    # job key: it runs, and replays every one of its points.
+    client.submit_and_wait("sweep", SWEEP_SUB_GRID, timeout=300.0)
+    assert service.executor.result_cache.stats.hits == len(
+        SWEEP_SUB_GRID["memory_sizes"]
+    )
+    # An experiment over a subset of the cold one's tasks replays them too.
+    subset = {
+        **EXPERIMENT_SPEC,
+        "params": {**EXPERIMENT_SPEC["params"], "fft_memories": [4]},
+    }
+    client.submit_and_wait("experiment", subset, timeout=300.0)
     assert service.executor.task_runner.stats.cache_hits > 0
 
     payload = {

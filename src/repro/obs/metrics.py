@@ -293,27 +293,38 @@ class Counts:
     order, each with the process-wide counter family it also feeds, or
     ``None``.  One :meth:`add` counts an event in both; its labels pick the
     family's child, which appears at the first add, as with a direct
-    ``labels()`` call.  A count reads as an attribute (``stats.hits``) and
-    is 0 before the first add.  Both counts stay because their scopes
-    differ: the object's covers one cache, runner, scheduler or store
-    handle, the family's the whole process.  Thread-safe: one lock guards
-    the counts.
+    ``labels()`` call.  The child is kept per event and label set, so only
+    the first add of each pays for ``labels()`` and its checks.  A count
+    reads as an attribute (``stats.hits``) and is 0 before the first add.
+    Both counts stay because their scopes differ: the object's covers one
+    cache, runner, scheduler or store handle, the family's the whole
+    process.  Thread-safe: one lock guards the counts and the kept children.
     """
 
-    __slots__ = ("_lock", "_counts", "_families")
+    __slots__ = ("_lock", "_counts", "_families", "_children")
 
     def __init__(self, events: Mapping[str, MetricFamily | None]) -> None:
         self._lock = threading.Lock()
         self._counts = dict.fromkeys(events, 0)
         self._families = dict(events)
+        self._children: dict[Any, Any] = {}
 
     def add(self, event: str, amount: int = 1, **labels: str) -> None:
         """Count ``amount`` occurrences of ``event``, here and in its family."""
+        # Label names are part of the memo key, so a wrong label set still
+        # reaches ``labels()`` and raises.
+        memo = (event, *labels.items()) if labels else event
         with self._lock:
             self._counts[event] += amount
-        family = self._families[event]
-        if family is not None:
-            (family.labels(**labels) if labels else family).inc(amount)
+            child = self._children.get(memo)
+        if child is None:
+            family = self._families[event]
+            if family is None:
+                return
+            child = family.labels(**labels)
+            with self._lock:
+                self._children[memo] = child
+        child.inc(amount)
 
     def __getattr__(self, event: str) -> int:
         # A leading underscore is an unset slot: reading ``_counts`` recurses.

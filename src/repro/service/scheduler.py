@@ -13,6 +13,14 @@
   underlying work executes once and every submission observes the same
   result.  Because the code version participates in the keys, a service
   started on edited source never dedups against work keyed by the old code.
+
+* **Answers at admission.**  A finished job of a kind whose entry says
+  ``record`` leaves its payload in the executor's task cache under its job
+  key.  A later submission with that key is *answered*: it is created
+  already done with the stored payload, and no queue slot, worker or store
+  ingest is spent on it.  The key is the content address of the payload,
+  so an answer is the original run's result, its ``run_id`` and timings
+  included.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from repro.kernels.base import Kernel
 from repro.obs import spans as obs_spans
 from repro.obs.metrics import REGISTRY, Counts
 from repro.obs.spans import new_trace_id, normalize_trace_id
+from repro.runtime.cache import MISS, TaskCache
 from repro.runtime.suites import (
     ExperimentScenario,
     build_kernel,
@@ -73,6 +82,10 @@ _EVENTS = {
     "deduped": REGISTRY.counter(
         "repro_scheduler_dedup_attaches_total",
         "Submissions attached to an identical in-flight job instead of running.",
+    ),
+    "answered": REGISTRY.counter(
+        "repro_scheduler_answered_total",
+        "Submissions answered at admission with a finished job's stored payload.",
     ),
     "completed": REGISTRY.counter(
         "repro_jobs_completed_total", "Jobs finished successfully, by kind.",
@@ -258,8 +271,10 @@ class JobKind:
     job's content address; ``run`` executes them on a
     :class:`~repro.service.workers.JobExecutor` and returns the payload.
     ``retry`` is the default policy a job is admitted under; ``record`` says
-    whether payloads are ingested into the result store.  ``analytic``, when
-    set, is the entry for this kind's submissions with ``"analytic": true``.
+    whether a finished payload is kept: ingested into the result store and
+    stored under the job key, where it answers later submissions.
+    ``analytic``, when set, is the entry for this kind's submissions with
+    ``"analytic": true``.
     """
 
     normalize: Callable[[Mapping[str, Any]], dict[str, Any]]
@@ -289,7 +304,9 @@ JOB_TABLE: dict[str, JobKind] = {
             key=_analytic_sweep_key,
             run=_run_analytic_sweep,
             retry=_SWEEP_RETRY,
-            record=False,  # no store reader accepts the analytic payload
+            # No store reader accepts the analytic payload, and computing it
+            # takes less time than storing it under the job key would.
+            record=False,
         ),
     ),
     "experiment": JobKind(
@@ -363,12 +380,18 @@ class JobScheduler:
     underway).  Retried jobs re-enter the queue with a per-job ``not
     before`` stamp from their :class:`~repro.service.retry.RetryPolicy`
     backoff; :meth:`claim` skips held-back jobs until their delay elapses.
+
+    ``answers`` is the cache finished payloads are kept in under their job
+    keys (the executor's task cache), or ``None`` for a service without
+    one.  A submission whose key it holds is answered at admission, before
+    dedup and admission control, since it consumes nothing.
     """
 
     def __init__(
         self,
         store: JobStore,
         *,
+        answers: TaskCache | None = None,
         max_queue_depth: int | None = None,
         workers_hint: int = 2,
     ) -> None:
@@ -377,6 +400,7 @@ class JobScheduler:
                 f"max_queue_depth must be >= 1, got {max_queue_depth!r}"
             )
         self.store = store
+        self.answers = answers
         self.max_queue_depth = max_queue_depth
         self.workers_hint = max(1, workers_hint)
         self._cond = threading.Condition()
@@ -414,7 +438,8 @@ class JobScheduler:
         *,
         trace_id: str | None = None,
     ) -> Job:
-        """Create a job; attach it to an identical in-flight one if present.
+        """Create a job: answered from a stored payload, attached to an
+        identical in-flight job, or queued.
 
         Every submission carries a trace ID from here on: the caller's
         (validated) if one was supplied, a freshly minted one otherwise.
@@ -427,6 +452,21 @@ class JobScheduler:
         entry = job_kind(kind, params)
         params = entry.normalize(params)
         key = entry.key(params)  # may be slow; computed outside the lock
+        if entry.record and self.answers is not None:
+            payload = self.answers.load(key)
+            if payload is not MISS:
+                # An answer takes no queue slot and no worker, so it needs
+                # neither the lock nor the depth check.
+                self.stats.add("submitted", kind=kind)
+                job = self.store.create(kind, params, key=key, trace_id=trace_id)
+                self.store.mark_done(job, payload)
+                self.stats.add("answered")
+                self.stats.add("completed", kind=kind)
+                self._record_admission(
+                    job, "scheduler.answer", submit_wall, submit_mono
+                )
+                self._record_root(job)
+                return job
         with self._cond:
             primary_id = self._inflight.get(key)
             if primary_id is not None:
@@ -482,9 +522,9 @@ class JobScheduler:
 
         Every submission owns a root on its own trace, named by its job id
         -- followers included, since dedup shares the *work* but not the
-        request identity.  :meth:`_complete` records that root once the job
-        is terminal; this already-measured child shows admission cost next
-        to queue wait.
+        request identity.  :meth:`_record_root` records that root once the
+        job is terminal; this already-measured child shows admission cost
+        next to queue wait.
         """
         obs_spans.record_span(
             event,
@@ -621,27 +661,35 @@ class JobScheduler:
                 self.store.mark_done(target, result)
             else:
                 self.store.mark_failed(target, error)
-            # The submission's root (primary and followers each own one),
-            # named by the job id its children hang under: the client-visible
-            # latency, submit to terminal state, for a recovered job too.
-            attributes = {
-                "job_id": target.id,
-                "job_kind": target.kind,
-                "state": target.state,
-                "attempts": target.attempts,
-            }
-            if error is not None:
-                attributes["error"] = error
-            obs_spans.record_span(
-                "service.submit",
-                "api",
-                trace_id=target.trace_id,
-                parent_id=None,
-                span_id=target.id,
-                start_wall=target.created_at,
-                duration=target.elapsed_seconds,
-                attributes=attributes,
-            )
+            self._record_root(target)
+
+    @staticmethod
+    def _record_root(job: Job) -> None:
+        """Record a terminal job's root span.
+
+        Every submission owns one (primary, follower and answered job
+        alike), named by the job id its children hang under: the
+        client-visible latency, submit to terminal state, for a recovered
+        job too.
+        """
+        attributes = {
+            "job_id": job.id,
+            "job_kind": job.kind,
+            "state": job.state,
+            "attempts": job.attempts,
+        }
+        if job.error is not None:
+            attributes["error"] = job.error
+        obs_spans.record_span(
+            "service.submit",
+            "api",
+            trace_id=job.trace_id,
+            parent_id=None,
+            span_id=job.id,
+            start_wall=job.created_at,
+            duration=job.elapsed_seconds,
+            attributes=attributes,
+        )
 
     def close(self) -> None:
         """Wake every waiting worker so it can observe shutdown."""

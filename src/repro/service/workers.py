@@ -12,6 +12,13 @@ Determinism carries over unchanged: jobs lower onto the same task builders
 and sweep plans the CLI uses, and the runtime guarantees serial == parallel
 bitwise.
 
+A finished job of a recorded kind (``JobKind.record``) leaves its payload
+in the task cache under its job key, where the scheduler answers later
+submissions of the same key at admission: a warm repeat never reaches a
+worker.  The entries share the cache's layout and lifetime, so ``repro
+cache clear`` drops them and a restarted service on the same cache root
+answers from them.
+
 A :class:`WorkerPool` runs N daemon threads that claim work from the
 :class:`~repro.service.scheduler.JobScheduler` and execute it; the
 :class:`JobService` facade wires store, scheduler, executor and pool
@@ -33,7 +40,7 @@ from repro.obs import spans as obs_spans
 from repro.service.retry import is_transient, transient_reason
 from repro.runtime.cache import ResultCache, TaskCache, cache_layout
 from repro.runtime.engine import SweepRunner
-from repro.runtime.tasks import TaskRunner, default_worker_count, task_pool
+from repro.runtime.tasks import TaskRunner, code_version, default_worker_count, task_pool
 from repro.service.jobs import Job, JobStore
 from repro.service.scheduler import JobScheduler, job_kind
 from repro.store.core import ResultStore
@@ -131,14 +138,22 @@ class JobExecutor:
         return payload
 
     def record_payload(self, job: Job, payload: dict[str, Any]) -> None:
-        """Ingest one finished job's result into the result store.
+        """Keep one finished job's payload: under its job key, and in the store.
 
-        The one place a job's result is recorded, stamped with the job's
-        trace.  Best-effort by design: recording history must never fail or
-        retry a job that already finished.  Kinds whose table entry says
-        ``record=False`` are not ingested.
+        The one place a job's result is kept.  The task cache entry under
+        the job key lets the scheduler answer a repeat at admission; it is
+        written before the scheduler releases the key, so a repeat
+        submitted once the job is done finds it.  The result store gets the
+        payload stamped with the job's trace.  Best-effort by design:
+        keeping history must never fail or retry a job that already
+        finished.  Kinds whose table entry says ``record=False`` are not
+        kept.
         """
-        if self.result_store is None or not job_kind(job.kind, job.params).record:
+        if not job_kind(job.kind, job.params).record:
+            return
+        if self.task_cache is not None:
+            self.task_cache.store(job.key, payload, label=f"job:{job.kind}")
+        if self.result_store is None:
             return
         try:
             receipt = ingest_payload(
@@ -449,13 +464,20 @@ class JobService:
         max_queue_depth: int | None = None,
         spans: bool = True,
     ) -> None:
+        # Read the code version at boot, not at the first key: payloads are
+        # kept under job keys, so a key must name the code this process
+        # loaded even when its source is edited before the first job.
+        code_version()
         self.spans = spans
         self.store = JobStore(state_path)
-        self.scheduler = JobScheduler(
-            self.store, max_queue_depth=max_queue_depth, workers_hint=workers
-        )
         self.executor = JobExecutor(
             cache_dir=cache_dir, parallel=parallel, max_workers=max_workers
+        )
+        self.scheduler = JobScheduler(
+            self.store,
+            answers=self.executor.task_cache,
+            max_queue_depth=max_queue_depth,
+            workers_hint=workers,
         )
         self.pool = WorkerPool(self.scheduler, self.executor, count=workers)
         self.started_at = time.time()

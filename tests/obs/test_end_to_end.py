@@ -14,6 +14,8 @@ from repro.service import JobService, ServiceClient, serve
 from repro.service.jobs import DONE
 
 SWEEP = {"kernel": "matmul", "memory_sizes": [64, 256, 1024], "scale": 64}
+#: Two of ``SWEEP``'s points: the same point keys under another job key.
+SWEEP_SUB_GRID = {**SWEEP, "memory_sizes": [64, 256]}
 
 
 @pytest.fixture
@@ -239,8 +241,9 @@ class TestMetricsEndpoint:
         _, client = live_service()
         _, _, before = self._fetch_text(client)
 
-        client.submit_and_wait("sweep", SWEEP)
-        client.submit_and_wait("sweep", SWEEP)  # warm: cache hits
+        cold = client.submit_and_wait("sweep", SWEEP)
+        warm = client.submit_and_wait("sweep", SWEEP)  # answered at admission
+        client.submit_and_wait("sweep", SWEEP_SUB_GRID)  # replays its points
         client.submit_and_wait("experiment", {"experiment": "warp"})
 
         status, content_type, after = self._fetch_text(client)
@@ -252,11 +255,18 @@ class TestMetricsEndpoint:
         def delta(series: str) -> float:
             return _sample(after, series) - _sample(before, series)
 
+        # The warm identical sweep is answered with the cold one's payload:
+        # it completes, but executes nothing, so no job latency is observed.
+        assert warm["result"] == cold["result"]
+        assert delta("repro_scheduler_answered_total") == 1
         assert delta('repro_job_seconds_count{kind="sweep"}') == 2
-        assert delta('repro_jobs_submitted_total{kind="sweep"}') == 2
-        assert delta('repro_jobs_completed_total{kind="sweep"}') == 2
-        # The warm identical sweep replays its points from the result cache.
-        assert delta('repro_cache_hits_total{cache="results"}') > 0
+        assert delta('repro_jobs_submitted_total{kind="sweep"}') == 3
+        assert delta('repro_jobs_completed_total{kind="sweep"}') == 3
+        # The sub-grid sweep shares the cold sweep's point keys but not its
+        # job key, so it runs and replays its points from the result cache.
+        assert delta('repro_cache_hits_total{cache="results"}') == len(
+            SWEEP_SUB_GRID["memory_sizes"]
+        )
         # The experiment lowered onto the task runtime.
         assert delta("repro_tasks_executed_total") >= 1
         # Everything drained: the queue-depth gauge is back to zero.
@@ -266,7 +276,8 @@ class TestMetricsEndpoint:
         submitted = sum(
             delta(f'repro_jobs_submitted_total{{kind="{kind}"}}') for kind in ("sweep", "experiment")
         )
-        assert client.health()["scheduler"]["submitted"] == submitted == 3
+        assert client.health()["scheduler"]["submitted"] == submitted == 4
+        assert client.health()["scheduler"]["answered"] == 1
         caches = client.cache_stats()
         for cache in ("results", "tasks"):
             for event in ("hits", "misses"):

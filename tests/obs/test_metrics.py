@@ -84,6 +84,15 @@ class TestCounts:
             "a": 1, "b": 3
         }
 
+    def test_a_wrong_label_set_raises_after_a_right_one(self, registry):
+        family = registry.counter("hits_total", "help", labelnames=("cache",))
+        counts = Counts({"hits": family})
+        counts.add("hits", cache="a")
+        counts.add("hits", cache="a")
+        with pytest.raises(ConfigurationError):
+            counts.add("hits", kind="a")
+        assert family.labels(cache="a").value == 2
+
     def test_concurrent_adds_lose_no_update(self, registry):
         family = registry.counter("adds_total", "help")
         counts = Counts({"adds": family})

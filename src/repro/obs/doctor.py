@@ -1,6 +1,6 @@
 """``repro doctor`` -- structured diagnostics for the service stack.
 
-Four check groups, each producing pass/warn/fail :class:`Finding` records:
+Six check groups, each producing pass/warn/fail :class:`Finding` records:
 
 * **cache integrity** -- walk both on-disk caches (sweep-point JSON entries,
   task pickle entries) and the result store, decoding every entry with that
@@ -11,7 +11,7 @@ Four check groups, each producing pass/warn/fail :class:`Finding` records:
   segments (segments without lines, lines without segments, torn lines)
   are warnings.  The check only reads; it constructs no cache or store.
 * **journal replayability** -- parse every line of the JSON-lines job
-  journal with :func:`~repro.service.jobs.parse_snapshot`, the validator
+  journal with :func:`~repro.service.jobs.parse_record`, the validator
   replay uses, so every line replay skips is reported: a bad *tail* line
   is a warning (the documented crash artifact a single torn append can
   leave); a mid-file line that is a truncated JSON prefix is also a
@@ -356,7 +356,7 @@ def check_journal(state_path: str | Path | None) -> list[Finding]:
             )
         ]
 
-    from repro.service.jobs import JobStore, parse_snapshot
+    from repro.service.jobs import JobStore, parse_record
 
     lines = path.read_text().splitlines()
     bad_lines: list[int] = []
@@ -366,13 +366,13 @@ def check_journal(state_path: str | Path | None) -> list[Finding]:
         if not line.strip():
             continue
         try:
-            parse_snapshot(line)  # the validator replay uses
+            parse_record(line)  # the validator replay uses
         except json.JSONDecodeError:
-            # A truncated snapshot *prefix* is the repaired-torn-write
+            # A truncated record *prefix* is the repaired-torn-write
             # artifact: the store newline-terminates a torn tail before
             # its next append, so the partial line ends up mid-file but
-            # still recognisably snapshot-shaped.  Arbitrary garbage that
-            # never looked like a snapshot is a different (worse) story.
+            # still recognisably record-shaped.  Arbitrary garbage that
+            # never looked like a record is a different (worse) story.
             if line.lstrip().startswith('{"'):
                 torn_lines.append(number)
             else:
@@ -411,9 +411,9 @@ def check_journal(state_path: str | Path | None) -> list[Finding]:
                 "journal",
                 WARN,
                 f"{len(mid_file_torn)} torn-write artifacts (truncated "
-                "snapshot lines, newline-terminated by the store's tail "
-                "repair); replay skips them, later snapshots of the same "
-                "jobs carry the state",
+                "record lines, newline-terminated by the store's tail "
+                "repair); replay skips them, and the same jobs' other "
+                "records carry their identity and state",
                 data,
             )
         )
@@ -432,7 +432,7 @@ def check_journal(state_path: str | Path | None) -> list[Finding]:
             Finding(
                 "journal",
                 PASS,
-                f"all {parsed} snapshot lines parse",
+                f"all {parsed} record lines parse",
                 data,
             )
         )
@@ -507,10 +507,7 @@ def check_jobs(
         if job.terminal:
             continue
         open_jobs += 1
-        last_stamp = job.created_at
-        if job.timeline:
-            last_stamp = float(job.timeline[-1].get("wall_time") or last_stamp)
-        age = now - last_stamp
+        age = now - job.timeline[-1]["wall_time"]
         policy = retry_policy(job)
         if job.attempts > policy.max_attempts:
             over_budget.append(

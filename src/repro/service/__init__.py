@@ -32,9 +32,10 @@ injector in :mod:`repro.faults` can rehearse all of it reproducibly.
 
 Observability rides on :mod:`repro.obs`: every submission carries a trace
 ID (minted or taken from ``X-Repro-Trace``) through the scheduler, the
-journal and the job's spans; ``GET /jobs/{id}`` exposes the
-per-job state-transition timeline; ``GET /metrics`` exposes the process
-metrics registry; ``repro doctor`` diagnoses cache/journal/worker health.
+journal and the job's spans; the journal holds one record per state
+transition, and ``GET /jobs/{id}`` exposes those records' events as the
+job's timeline; ``GET /metrics`` exposes the process metrics registry;
+``repro doctor`` diagnoses cache/journal/worker health.
 See ``docs/operations.md``.
 
 Everything is stdlib-only (``threading`` + ``http.server``): no web

@@ -25,11 +25,13 @@ API reference
 ``GET /jobs/{id}``
     One job's status document -- ``id``, ``kind``, ``params``, ``state``
     (``queued | running | done | failed``), ``key``, ``deduped_into``,
-    ``trace_id``, ``error``, the coarse wall stamps (``created_at`` /
-    ``started_at`` / ``finished_at`` / ``elapsed_seconds``), ``has_result``
-    and the ``timeline``: one entry per state transition with ``state``,
-    ``wall_time``, ``monotonic`` and ``seconds_in_state`` (time until the
-    next transition; ``null`` on the last entry).  Never carries the result
+    ``trace_id``, ``error``, ``attempts``, ``retry``, the wall stamps
+    (``created_at`` / ``started_at`` / ``finished_at`` /
+    ``elapsed_seconds``, read off the timeline), ``has_result`` and the
+    ``timeline``: the event of each of the job's journal records, with
+    ``state``, ``wall_time``, ``monotonic``, ``attempt`` on ``running``,
+    ``reason`` on a requeue, and ``seconds_in_state`` (time until the next
+    transition; ``null`` on the last entry).  Never carries the result
     payload.  Responses: **200**, or **404** for an unknown id.
 
 ``GET /jobs/{id}/result[?wait=S]``

@@ -6,28 +6,32 @@ driver, or a whole scenario suite -- moving through the state machine
     queued -> running -> done | failed
 
 with one extra edge, ``queued -> done``/``queued -> failed``: a submission
-that the scheduler deduplicated against an identical in-flight job never
-runs itself, it observes the primary's outcome directly.
+that the scheduler deduplicated against an identical in-flight job, or
+answered from a stored payload, never runs itself, it observes the outcome
+directly.
+
+Every transition is one *record*: the job's identity and attempt count, the
+event it entered -- the state, stamped twice (wall clock ``time.time`` for
+humans and cross-process ordering, ``time.monotonic`` for durations immune
+to clock steps), plus ``attempt`` on ``running`` and ``reason`` on a
+requeue -- and, on a terminal record, the result or error.
+:meth:`Job.apply` is the one way a job changes: a live transition builds its
+record and applies it, and a restart applies the journaled records in
+order, so a replayed job is built by the code that built it live.  The
+job's ``timeline`` is its records' events.  It answers "why was this job
+slow" from ``GET /jobs/{id}``: how long it sat queued, how long it ran,
+when it was requeued and why.
 
 The :class:`JobStore` is a thread-safe in-memory map with optional JSON-lines
-persistence: every state transition appends one self-contained snapshot line
-to the state file, and a restarted service replays the file to recover
-terminal jobs (results included) and requeue the ones that were interrupted.
-Appends are single ``write`` calls of one line, so a crash can at worst leave
-one truncated line at the tail, which replay skips.  Every terminal
+persistence: every transition appends its record as one line to the state
+file, and a restarted service replays the file to recover terminal jobs
+(results included) and requeue the ones that were interrupted.  Appends are
+single ``write`` calls of one line, so a crash can at worst leave one
+truncated line at the tail, which replay skips; since every record repeats
+the job's identity, a lost line costs at most its own event.  Every terminal
 transition notifies one condition variable, so a caller can block until a
 job settles (:meth:`JobStore.wait_terminal`, behind the result long-poll)
 or until nothing is open (:meth:`JobStore.wait_idle`, behind drain).
-
-Every state transition is stamped twice -- wall clock (``time.time``, for
-humans and cross-process ordering) and monotonic (``time.monotonic``, for
-durations immune to clock steps) -- into the job's ``timeline``.  The
-timeline answers "why was this job slow" from ``GET /jobs/{id}``: how long
-it sat queued, how long it ran, when it was requeued after a crash.  Old
-journals written before timelines existed replay gracefully: a best-effort
-timeline is reconstructed from the persisted ``created_at`` /
-``started_at`` / ``finished_at`` wall stamps with ``monotonic=None``, and
-duration computation falls back accordingly.
 """
 
 from __future__ import annotations
@@ -48,12 +52,11 @@ __all__ = [
     "Job",
     "JobStore",
     "JOB_STATES",
-    "MAX_TIMELINE_EVENTS",
     "QUEUED",
     "RUNNING",
     "DONE",
     "FAILED",
-    "parse_snapshot",
+    "parse_record",
 ]
 
 QUEUED = "queued"
@@ -62,32 +65,32 @@ DONE = "done"
 FAILED = "failed"
 JOB_STATES = (QUEUED, RUNNING, DONE, FAILED)
 
-#: Legal state-machine edges; anything else is a programming error.
+#: Legal state-machine edges; anything else is a programming error.  An
+#: open job may also requeue (``-> queued``), and a new job enters ``queued``.
 _TRANSITIONS = {
-    QUEUED: {RUNNING, DONE, FAILED},
-    RUNNING: {DONE, FAILED},
+    QUEUED: {QUEUED, RUNNING, DONE, FAILED},
+    RUNNING: {QUEUED, DONE, FAILED},
     DONE: set(),
     FAILED: set(),
 }
 
-STATE_SCHEMA = "repro-service-job/v1"
+RECORD_SCHEMA = "repro-service-job/v2"
 
-#: Upper bound on per-job timeline events.  A job riding the retry path for
-#: hours would otherwise grow its timeline (and every journal snapshot, which
-#: embeds it whole) without bound; older transitions are compacted away and
-#: counted in ``Job.truncated_transitions`` instead.
-MAX_TIMELINE_EVENTS = 40
+#: The job fields every record repeats, so any one record rebuilds its job.
+_IDENTITY = ("id", "kind", "params", "key", "deduped_into", "trace_id", "retry", "attempts")
+#: The record fields that make up its timeline event.
+_EVENT = ("state", "wall_time", "monotonic", "attempt", "reason")
 
 #: Journal appends that could not be written (disk full, permissions).  The
 #: journal is best-effort durable: a failed append degrades recovery, never
 #: a live job, and the metric is how operators find out.
 _METRIC_JOURNAL_WRITE_FAILURES = REGISTRY.counter(
     "repro_journal_write_failures_total",
-    "Journal snapshot appends that failed with an I/O error.",
+    "Journal record appends that failed with an I/O error.",
 )
 _METRIC_JOURNAL_TORN_REPAIRS = REGISTRY.counter(
     "repro_journal_torn_tail_repairs_total",
-    "Torn journal tail lines terminated before appending new snapshots.",
+    "Torn journal tail lines terminated before appending new records.",
 )
 
 
@@ -95,104 +98,73 @@ def _new_job_id() -> str:
     return uuid.uuid4().hex[:12]
 
 
-def _timeline_event(state: str, **extra: Any) -> dict[str, Any]:
-    """One timeline entry: the state entered plus both clock stamps.
-
-    ``extra`` carries transition context -- ``attempt`` on ``running``
-    events, ``reason`` on requeues -- and rides along in the journal.
-    """
-    event = {
-        "state": state,
-        "wall_time": time.time(),
-        "monotonic": time.monotonic(),
-    }
-    event.update({key: value for key, value in extra.items() if value is not None})
-    return event
-
-
 def _seconds_between(earlier: dict[str, Any], later: dict[str, Any]) -> float | None:
     """Duration between two timeline events, preferring monotonic stamps.
 
     Monotonic differences are only meaningful within one process; a requeue
     after a restart pairs an old process's stamp with a new one, which can
-    even be negative.  Such pairs (and events replayed from pre-timeline
-    journals with ``monotonic=None``) fall back to wall-clock differences,
-    and to ``None`` when not even those are available.
+    even be negative.  Such pairs fall back to wall-clock differences, and
+    to ``None`` when even those run backwards.
     """
     for clock in ("monotonic", "wall_time"):
-        first, second = earlier.get(clock), later.get(clock)
-        if first is not None and second is not None and second >= first:
-            return second - first
+        if later[clock] >= earlier[clock]:
+            return later[clock] - earlier[clock]
     return None
-
-
-def _replayed_timeline(fields: dict[str, Any]) -> list[dict[str, Any]]:
-    """Reconstruct raw timeline events from one persisted snapshot.
-
-    Persisted timelines carry the derived ``seconds_in_state`` field, which
-    must not survive replay (it is recomputed from whatever events follow).
-    Journals written before timelines existed have no ``timeline`` at all;
-    for those, synthesize events from the coarse per-job wall stamps with
-    ``monotonic=None`` -- the backfill path the duration computation
-    degrades around.
-    """
-    persisted = fields.get("timeline")
-    if isinstance(persisted, list) and persisted:
-        events = []
-        for event in persisted:
-            if isinstance(event, dict) and "state" in event:
-                replayed = {
-                    "state": event["state"],
-                    "wall_time": event.get("wall_time"),
-                    "monotonic": event.get("monotonic"),
-                }
-                for extra in ("attempt", "reason"):
-                    if event.get(extra) is not None:
-                        replayed[extra] = event[extra]
-                events.append(replayed)
-        if events:
-            return events
-    events = []
-    state = fields.get("state", QUEUED)
-    created, started = fields.get("created_at"), fields.get("started_at")
-    finished = fields.get("finished_at")
-    if created is not None:
-        events.append({"state": QUEUED, "wall_time": created, "monotonic": None})
-    if started is not None:
-        events.append({"state": RUNNING, "wall_time": started, "monotonic": None})
-    if finished is not None and state in (DONE, FAILED):
-        events.append({"state": state, "wall_time": finished, "monotonic": None})
-    return events
 
 
 @dataclass
 class Job:
-    """One service job and its full observable history."""
+    """One service job: its identity and the state its records built."""
 
     id: str
     kind: str
     params: dict[str, Any]
-    state: str = QUEUED
     key: str | None = None
     deduped_into: str | None = None
     trace_id: str | None = None
-    result: Any = None
-    error: str | None = None
-    created_at: float = field(default_factory=time.time)
-    started_at: float | None = None
-    finished_at: float | None = None
-    timeline: list[dict[str, Any]] = field(default_factory=list)
-    #: Timeline events dropped by compaction (see ``MAX_TIMELINE_EVENTS``).
-    truncated_transitions: int = 0
-    #: Execution attempts started (each ``queued -> running`` transition).
-    attempts: int = 0
     #: The retry policy the job was admitted under, as a plain dict so it
     #: journals verbatim (see :mod:`repro.service.retry`).
     retry: dict[str, Any] | None = None
+    #: Execution attempts started (each ``queued -> running`` transition).
+    attempts: int = 0
+    state: str = QUEUED
+    result: Any = None
+    error: str | None = None
+    #: The event of each record applied, oldest first.
+    timeline: list[dict[str, Any]] = field(default_factory=list)
+
+    def apply(self, record: dict[str, Any]) -> None:
+        """Enter the state one transition record names.
+
+        The one way a job changes, live and at replay: the identity and the
+        attempt count become the record's, its event joins the timeline, and
+        a terminal record sets the outcome.
+        """
+        for name in _IDENTITY:
+            setattr(self, name, record.get(name))
+        self.state = record["state"]
+        self.timeline.append({name: record[name] for name in _EVENT if name in record})
+        if self.terminal:
+            self.result, self.error = record.get("result"), record.get("error")
 
     @property
     def terminal(self) -> bool:
         return self.state in (DONE, FAILED)
+
+    @property
+    def created_at(self) -> float:
+        """Wall clock of the job's first event: its submission."""
+        return self.timeline[0]["wall_time"]
+
+    @property
+    def started_at(self) -> float | None:
+        """Wall clock the latest attempt started (``None`` while queued)."""
+        events = self.timeline[:-1] if self.terminal else self.timeline
+        return events[-1]["wall_time"] if events and events[-1]["state"] == RUNNING else None
+
+    @property
+    def finished_at(self) -> float | None:
+        return self.timeline[-1]["wall_time"] if self.terminal else None
 
     @property
     def elapsed_seconds(self) -> float | None:
@@ -200,22 +172,6 @@ class Job:
         if self.finished_at is None:
             return None
         return self.finished_at - self.created_at
-
-    def record_event(self, state: str, **extra: Any) -> None:
-        """Append one stamped state-transition event to the timeline.
-
-        The timeline is compacted to the most recent
-        :data:`MAX_TIMELINE_EVENTS` entries -- the recent history is what
-        answers "why is this job slow", while a long-retrying job's full
-        churn would bloat every journal snapshot.  Dropped events are
-        counted in :attr:`truncated_transitions` (journaled, so the count
-        survives replay).
-        """
-        self.timeline.append(_timeline_event(state, **extra))
-        overflow = len(self.timeline) - MAX_TIMELINE_EVENTS
-        if overflow > 0:
-            del self.timeline[:overflow]
-            self.truncated_transitions += overflow
 
     def timeline_payload(self) -> list[dict[str, Any]]:
         """The timeline with per-state durations, for API consumers.
@@ -252,7 +208,6 @@ class Job:
             "finished_at": self.finished_at,
             "elapsed_seconds": self.elapsed_seconds,
             "timeline": self.timeline_payload(),
-            "truncated_transitions": self.truncated_transitions,
             "has_result": self.result is not None,
         }
         if include_result:
@@ -261,7 +216,7 @@ class Job:
 
 
 class JobStore:
-    """Thread-safe job map with optional JSON-lines snapshot persistence."""
+    """Thread-safe job map with an optional JSON-lines journal of records."""
 
     def __init__(self, state_path: str | Path | None = None) -> None:
         self._jobs: dict[str, Job] = {}
@@ -271,7 +226,7 @@ class JobStore:
         self.state_path = Path(state_path).expanduser() if state_path else None
         # A crash mid-append leaves a torn (newline-less) tail line.  Detect
         # it now so the next append terminates it first -- otherwise the new
-        # snapshot would concatenate onto the torn prefix, turning one
+        # record would concatenate onto the torn prefix, turning one
         # harmless crash artifact into an unparseable mid-file line.
         self._tail_torn = False
         # One unbuffered append handle, opened at the first write and closed
@@ -363,10 +318,9 @@ class JobStore:
             trace_id=trace_id,
             retry=dict(retry) if retry else None,
         )
-        job.record_event(QUEUED)
         with self._lock:
             self._jobs[job.id] = job
-            self._persist(job)
+            self._transition(job, QUEUED)
         return job
 
     def mark_running(self, job: Job) -> None:
@@ -382,51 +336,45 @@ class JobStore:
         """Reset an open job to ``queued`` (restart recovery, crash retry).
 
         ``reason`` names why -- ``worker-crash``, ``restart-recovery``, a
-        transient error class -- and is stamped on the timeline event, so
-        the journal records every requeue with its cause.
+        transient error class -- and rides on the requeue's record, so the
+        journal and the timeline name every requeue's cause.  A requeued
+        follower runs as its own primary.
         """
-        with self._lock:
-            if job.terminal:
-                raise ConfigurationError(
-                    f"job {job.id} is {job.state}; only open jobs requeue"
-                )
-            job.state = QUEUED
-            job.started_at = None
-            job.deduped_into = None
-            job.record_event(QUEUED, reason=reason)
-            self._persist(job)
+        self._transition(job, QUEUED, reason=reason, deduped_into=None)
 
     def _transition(
-        self, job: Job, state: str, *, result: Any = None, error: str | None = None
+        self, job: Job, state: str, *, reason: str | None = None, **change: Any
     ) -> None:
+        """Apply the record of ``job`` entering ``state`` and journal it.
+
+        ``change`` overrides identity fields or carries the terminal outcome
+        (``result`` or ``error``).
+        """
         with self._lock:
             if state not in _TRANSITIONS[job.state]:
                 raise ConfigurationError(
                     f"job {job.id} cannot move {job.state!r} -> {state!r}"
                 )
-            job.state = state
-            extra: dict[str, Any] = {}
+            record = {name: getattr(job, name) for name in _IDENTITY}
+            record.update(
+                change, schema=RECORD_SCHEMA, state=state,
+                wall_time=time.time(), monotonic=time.monotonic(),
+            )
             if state == RUNNING:
-                job.started_at = time.time()
-                job.attempts += 1
-                extra["attempt"] = job.attempts
-            else:
-                job.finished_at = time.time()
-                job.result = result
-                job.error = error
-            job.record_event(state, **extra)
-            self._persist(job)
+                record["attempts"] = record["attempt"] = job.attempts + 1
+            if reason is not None:
+                record["reason"] = reason
+            job.apply(record)
+            self._persist(record)
             if job.terminal:
                 self._settled.notify_all()
 
     # -- persistence ---------------------------------------------------------
 
-    def _persist(self, job: Job) -> None:
+    def _persist(self, record: dict[str, Any]) -> None:
         if self.state_path is None:
             return
-        snapshot = {"schema": STATE_SCHEMA, "job": job.as_dict(include_result=True)}
-        line = json.dumps(snapshot, sort_keys=True, default=str) + "\n"
-        data = line.encode()
+        data = (json.dumps(record, sort_keys=True, default=str) + "\n").encode()
         try:
             if self._journal is None:
                 self.state_path.parent.mkdir(parents=True, exist_ok=True)
@@ -435,11 +383,11 @@ class JobStore:
             if self._tail_torn:
                 # Terminate the torn line a crash (or injected torn
                 # write) left, so it stays one skippable bad line
-                # instead of corrupting this snapshot.
+                # instead of corrupting this record.
                 handle.write(b"\n")
                 self._tail_torn = False
                 _METRIC_JOURNAL_TORN_REPAIRS.inc()
-            if torn_write_armed(site=f"journal:{job.id}"):
+            if torn_write_armed(site=f"journal:{record['id']}"):
                 # Chaos mode: emulate a crash mid-append by persisting
                 # only a prefix of the line and "losing" the rest.
                 handle.write(data[: max(1, len(data) // 2)])
@@ -461,65 +409,56 @@ class JobStore:
 
     def _replay(self) -> None:
         for line in self.state_path.read_text().splitlines():
-            if not line.strip():
-                continue
             try:
-                job = parse_snapshot(line)
+                record = parse_record(line)
             except ValueError:
-                continue  # a torn tail line, or not a replayable snapshot
-            self._jobs[job.id] = job  # later snapshots win
+                continue  # a torn line, or not a job record
+            job = self._jobs.get(record["id"])
+            if job is None:
+                job = Job(record["id"], record["kind"], record["params"])
+                self._jobs[job.id] = job
+            job.apply(record)
 
 
-#: Optional snapshot fields and the types replay accepts for them.
-_SNAPSHOT_FIELD_TYPES: dict[str, type | tuple[type, ...]] = {
-    "params": dict,
-    "retry": dict,
-    "attempts": int,
-    "truncated_transitions": int,
-    "created_at": (int, float),
-    "started_at": (int, float),
-    "finished_at": (int, float),
+_NONE = type(None)
+
+#: Each record field and the types the validator accepts for it; a field
+#: that may be absent or null accepts ``None``.
+_RECORD_TYPES: dict[str, tuple[type, ...]] = {
+    "id": (str,),
+    "kind": (str,),
+    "params": (dict,),
+    "attempts": (int,),
+    "wall_time": (int, float),
+    "monotonic": (int, float),
+    "key": (str, _NONE),
+    "deduped_into": (str, _NONE),
+    "trace_id": (str, _NONE),
+    "retry": (dict, _NONE),
+    "attempt": (int, _NONE),
+    "reason": (str, _NONE),
+    "error": (str, _NONE),
 }
 
 
-def parse_snapshot(line: str) -> Job:
-    """The job one journal line snapshots.
+def parse_record(line: str) -> dict[str, Any]:
+    """The transition record one journal line holds.
 
     The one validator behind journal replay and ``repro doctor``.  Raises
     :class:`json.JSONDecodeError` for a line that is not JSON (a torn write)
-    and :class:`ValueError` for JSON that is not a replayable job snapshot:
-    another schema, no job object, no string ``id``/``kind``, an unknown
-    state, or a field of the wrong type.
+    and :class:`ValueError` for JSON that is not a job record: another
+    schema (a ``repro-service-job/v1`` snapshot too), an unknown state, or
+    a field missing or of the wrong type.
     """
-    snapshot = json.loads(line)
-    fields = snapshot.get("job") if isinstance(snapshot, dict) else None
+    record = json.loads(line)
     if (
-        not isinstance(fields, dict)
-        or snapshot.get("schema") != STATE_SCHEMA
-        or not isinstance(fields.get("id"), str)
-        or not isinstance(fields.get("kind"), str)
-        or fields.get("state", QUEUED) not in JOB_STATES
-        or any(
-            fields.get(name) is not None and not isinstance(fields[name], types)
-            for name, types in _SNAPSHOT_FIELD_TYPES.items()
+        not isinstance(record, dict)
+        or record.get("schema") != RECORD_SCHEMA
+        or record.get("state") not in JOB_STATES
+        or not all(
+            isinstance(record.get(name), types)
+            for name, types in _RECORD_TYPES.items()
         )
     ):
-        raise ValueError("not a job snapshot")
-    return Job(
-        id=fields["id"],
-        kind=fields["kind"],
-        params=fields.get("params") or {},
-        state=fields.get("state", QUEUED),
-        key=fields.get("key"),
-        deduped_into=fields.get("deduped_into"),
-        trace_id=fields.get("trace_id"),
-        result=fields.get("result"),
-        error=fields.get("error"),
-        created_at=fields.get("created_at") or time.time(),
-        started_at=fields.get("started_at"),
-        finished_at=fields.get("finished_at"),
-        timeline=_replayed_timeline(fields),
-        truncated_transitions=fields.get("truncated_transitions") or 0,
-        attempts=fields.get("attempts") or 0,
-        retry=fields.get("retry") or None,
-    )
+        raise ValueError("not a job record")
+    return record

@@ -548,7 +548,7 @@ class JobScheduler:
         (the caches make the repeats cheap), which keeps recovery
         independent of replay order.
         """
-        if job.key is None:  # journal predates key persistence; recompute
+        if job.key is None:  # no key journaled: recompute, which validates the params
             job.key = job_key(job.kind, normalize_job_params(job.kind, job.params))
         if job.state == RUNNING:
             return self.retry(job, reason="restart-recovery")
@@ -640,7 +640,7 @@ class JobScheduler:
     def _complete(self, job: Job, *, result: Any, error: str | None) -> None:
         # Detach the followers and release the key under the lock -- no new
         # follower can attach once the key is gone -- but persist the (large)
-        # result snapshots outside it, so submit/claim never stall behind
+        # result records outside it, so submit/claim never stall behind
         # journal writes.
         with self._cond:
             follower_ids = self._followers.pop(job.id, [])

@@ -23,7 +23,7 @@ from repro.obs.doctor import (
     run_doctor,
 )
 from repro.runtime.cache import MISS, ResultCache, TaskCache
-from repro.service.jobs import STATE_SCHEMA, JobStore
+from repro.service.jobs import RECORD_SCHEMA, JobStore
 
 
 def _write_result_entry(root, key):
@@ -251,7 +251,7 @@ class TestJournal:
     def test_truncated_tail_is_a_warning(self, tmp_path):
         path = self._journal_with_jobs(tmp_path)
         with path.open("a") as handle:
-            handle.write('{"schema": "repro-service-job/v1", "jo')  # torn append
+            handle.write('{"attempts": 0, "deduped_into": null, "i')  # torn append
         finding = _by_check(check_journal(path))["journal"]
         assert finding.status == WARN
         assert "truncated tail" in finding.detail
@@ -259,26 +259,29 @@ class TestJournal:
     def test_mid_file_garbage_is_a_failure(self, tmp_path):
         path = self._journal_with_jobs(tmp_path)
         lines = path.read_text().splitlines()
-        lines.insert(1, "not a snapshot at all")
+        lines.insert(1, "not a record at all")
         path.write_text("\n".join(lines) + "\n")
         finding = _by_check(check_journal(path))["journal"]
         assert finding.status == FAIL
         assert finding.data["bad_lines"] == [2]
 
     @pytest.mark.parametrize(
-        "job",
-        [None, {"id": "x"}, "bogus-state"],
-        ids=["null-job", "no-kind", "unknown-state"],
+        "malformed",
+        [
+            lambda record: {**record, "id": None},
+            lambda record: {**record, "kind": None},
+            lambda record: {**record, "state": "bogus"},
+            # A snapshot line of the journal format before records.
+            lambda record: {"schema": "repro-service-job/v1", "job": record},
+        ],
+        ids=["no-id", "no-kind", "unknown-state", "v1-snapshot"],
     )
-    def test_malformed_snapshot_is_a_bad_line(self, tmp_path, job):
+    def test_malformed_record_is_a_bad_line(self, tmp_path, malformed):
         path = self._journal_with_jobs(tmp_path)
         lines = path.read_text().splitlines()
-        if job == "bogus-state":
-            snapshot = json.loads(lines[0])
-            snapshot["job"]["state"] = "bogus"
-        else:
-            snapshot = {"schema": STATE_SCHEMA, "job": job}
-        lines.insert(1, json.dumps(snapshot))
+        record = json.loads(lines[0])
+        assert record["schema"] == RECORD_SCHEMA
+        lines.insert(1, json.dumps(malformed(record)))
         path.write_text("\n".join(lines) + "\n")
         statuses = _by_check(run_doctor(state_path=path).findings)
         assert statuses["journal"].status == FAIL
@@ -298,8 +301,8 @@ class TestJournal:
         assert [f.status for f in findings] == [WARN]
 
     def test_mid_file_torn_artifact_is_a_warning(self, tmp_path):
-        # A repaired torn write: a truncated snapshot prefix that ended up
-        # newline-terminated mid-file.  Recognisably snapshot-shaped, so a
+        # A repaired torn write: a truncated record prefix that ended up
+        # newline-terminated mid-file.  Recognisably record-shaped, so a
         # WARN -- unlike arbitrary mid-file garbage, which stays a FAIL.
         path = self._journal_with_jobs(tmp_path)
         lines = path.read_text().splitlines()

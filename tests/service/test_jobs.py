@@ -4,30 +4,52 @@ from __future__ import annotations
 
 import json
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, ServiceError
 from repro.service.jobs import (
     DONE,
     FAILED,
-    MAX_TIMELINE_EVENTS,
     QUEUED,
+    RECORD_SCHEMA,
     RUNNING,
-    STATE_SCHEMA,
     Job,
     JobStore,
 )
 
-#: Journal lines replay must skip: no job object, a job without a kind, and
-#: a job in a state the machine does not have.
-MALFORMED_JOBS = pytest.mark.parametrize(
-    "job",
-    [None, {"id": "x"}, {"id": "x", "kind": "suite", "state": "bogus"}],
-    ids=["null-job", "no-kind", "unknown-state"],
+
+def _record(**fields) -> dict:
+    """A well-formed queued record of job ``x``, with ``fields`` replaced."""
+    record = {
+        "schema": RECORD_SCHEMA, "id": "x", "kind": "suite",
+        "params": {"suite": "quick"}, "key": None, "deduped_into": None,
+        "trace_id": None, "retry": None, "attempts": 0, "state": QUEUED,
+        "wall_time": 1.0, "monotonic": 0.0,
+    }
+    record.update(fields)
+    return record
+
+
+#: Journal lines replay must skip: a record without an id, one without a
+#: kind, one in a state the machine does not have, one without its clock
+#: stamps, and a ``repro-service-job/v1`` snapshot.
+MALFORMED_RECORDS = pytest.mark.parametrize(
+    "record",
+    [
+        _record(id=None),
+        _record(kind=None),
+        _record(state="bogus"),
+        _record(wall_time=None),
+        {"schema": "repro-service-job/v1", "job": _record()},
+    ],
+    ids=["no-id", "no-kind", "unknown-state", "no-wall-time", "v1-snapshot"],
 )
 
 
@@ -191,7 +213,7 @@ class TestPersistence:
         store.mark_done(job, {"ok": True})
         store.close()
         with path.open("a") as handle:
-            handle.write('{"schema": "repro-service-job/v1", "job": {"id": "tr')
+            handle.write('{"attempts": 0, "deduped_into": null, "id": "tr')
 
         recovered = JobStore(path)
         assert recovered.get(job.id).state == DONE
@@ -202,8 +224,8 @@ class TestPersistence:
         path.write_text('not json\n[1, 2]\n{"schema": "other/v9", "job": {}}\n')
         assert len(JobStore(path)) == 0
 
-    @MALFORMED_JOBS
-    def test_malformed_snapshots_are_skipped(self, tmp_path, job):
+    @MALFORMED_RECORDS
+    def test_malformed_records_are_skipped(self, tmp_path, record):
         path = tmp_path / "jobs.jsonl"
         store = JobStore(path)
         done = store.create("suite", {"suite": "quick"})
@@ -211,13 +233,13 @@ class TestPersistence:
         store.mark_done(done, {"ok": True})
         store.close()
         with path.open("a") as handle:
-            handle.write(json.dumps({"schema": STATE_SCHEMA, "job": job}) + "\n")
+            handle.write(json.dumps(record) + "\n")
 
         recovered = JobStore(path)
         assert [job.id for job in recovered.jobs()] == [done.id]
         assert recovered.state_counts() == {QUEUED: 0, RUNNING: 0, DONE: 1, FAILED: 0}
 
-    def test_later_snapshots_win(self, tmp_path):
+    def test_later_records_win(self, tmp_path):
         path = tmp_path / "jobs.jsonl"
         store = JobStore(path)
         job = store.create("suite", {"suite": "quick"})
@@ -226,7 +248,7 @@ class TestPersistence:
         store.close()
         lines = path.read_text().splitlines()
         assert len(lines) == 3
-        states = [json.loads(line)["job"]["state"] for line in lines]
+        states = [json.loads(line)["state"] for line in lines]
         assert states == [QUEUED, RUNNING, FAILED]
         assert JobStore(path).get(job.id).state == FAILED
 
@@ -283,21 +305,10 @@ class TestRecoveryResilience:
         # A queued job whose params no longer validate (e.g. a suite renamed
         # between versions) must not stop the service from starting; it is
         # marked failed instead.
-        from repro.service.jobs import STATE_SCHEMA
         from repro.service.workers import JobService
 
         path = tmp_path / "jobs.jsonl"
-        stale = {
-            "schema": STATE_SCHEMA,
-            "job": {
-                "id": "stale0badjob",
-                "kind": "suite",
-                "params": {"suite": "renamed-away"},
-                "state": QUEUED,
-                "key": None,
-                "created_at": 1.0,
-            },
-        }
+        stale = _record(id="stale0badjob", params={"suite": "renamed-away"})
         path.write_text(json.dumps(stale) + "\n")
 
         service = JobService(state_path=path, workers=1)
@@ -308,12 +319,12 @@ class TestRecoveryResilience:
         assert service.scheduler.queue_depth == 0
 
 
-    @MALFORMED_JOBS
-    def test_malformed_snapshot_does_not_block_boot(self, tmp_path, job):
+    @MALFORMED_RECORDS
+    def test_malformed_record_does_not_block_boot(self, tmp_path, record):
         from repro.service.workers import JobService
 
         path = tmp_path / "jobs.jsonl"
-        path.write_text(json.dumps({"schema": STATE_SCHEMA, "job": job}) + "\n")
+        path.write_text(json.dumps(record) + "\n")
         service = JobService(state_path=path, workers=1)
         assert len(service.store) == 0
         assert service.scheduler.queue_depth == 0
@@ -352,41 +363,161 @@ class TestRecoveryResilience:
         assert progress.status == "pass"
 
 
-class TestTimelineCompaction:
-    def _churn(self, store, job, cycles):
-        for _ in range(cycles):
+#: JSON values a job's params and result may hold.
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+#: One job's life: its identity, requeue cycles (each after a run or not),
+#: an optional last run and an optional outcome.
+_LIVES = st.fixed_dictionaries(
+    {
+        "kind": st.sampled_from(["sweep", "experiment", "suite"]),
+        "params": st.dictionaries(st.text(max_size=5), _JSON, max_size=3),
+        "key": st.none() | st.text(max_size=8),
+        "deduped_into": st.none() | st.text(max_size=8),
+        "trace_id": st.none() | st.text(max_size=8),
+        "retry": st.none() | st.fixed_dictionaries({"max_attempts": st.integers(1, 5)}),
+        "requeues": st.lists(
+            st.tuples(st.booleans(), st.none() | st.sampled_from(["worker-crash", "timeout"])),
+            max_size=4,
+        ),
+        "runs": st.booleans(),
+        "outcome": st.none()
+        | st.tuples(st.just(DONE), _JSON)
+        | st.tuples(st.just(FAILED), st.text(max_size=8)),
+    }
+)
+
+
+def _transitions(life: dict) -> list[tuple[str, object]]:
+    """One job's legal transition sequence, its create first."""
+    steps: list[tuple[str, object]] = [("create", None)]
+    for ran, reason in life["requeues"]:
+        steps += [(RUNNING, None)] * ran + [("requeue", reason)]
+    steps += [(RUNNING, None)] * life["runs"]
+    if life["outcome"]:
+        steps.append(life["outcome"])
+    return steps
+
+
+class TestRecordJournal:
+    """One record per transition; replay applies the records with the live code."""
+
+    #: No record embeds the job's history, so no line outgrows this.
+    MAX_LINE_BYTES = 512
+
+    def test_long_retry_keeps_every_event_in_bounded_lines(self, tmp_path):
+        path = tmp_path / "jobs.jsonl"
+        store = JobStore(path)
+        job = store.create("suite", {"suite": "quick"}, retry={"max_attempts": 2})
+        for _ in range(30):
             store.mark_running(job)
             store.requeue(job, reason="test-churn")
-
-    def test_timeline_keeps_only_the_recent_tail(self):
-        store = JobStore()
-        job = store.create("suite", {"suite": "quick"})
+        store.close()
         # create records 1 event; each running/requeue cycle records 2 more.
-        cycles = 30
-        self._churn(store, job, cycles)
-        total = 1 + 2 * cycles
-        assert len(job.timeline) == MAX_TIMELINE_EVENTS
-        assert job.truncated_transitions == total - MAX_TIMELINE_EVENTS
-        # The tail is the *recent* history: it ends with the last requeue.
-        assert job.timeline[-1]["state"] == QUEUED
-        assert job.as_dict()["truncated_transitions"] == job.truncated_transitions
+        assert len(job.timeline) == 61
+        assert (job.timeline[-2]["state"], job.timeline[-2]["attempt"]) == (RUNNING, 30)
+        assert job.timeline[-1]["reason"] == "test-churn"
+        twin = JobStore(path).get(job.id)
+        assert twin.timeline == job.timeline
+        assert twin.attempts == job.attempts == 30
+        lines = path.read_bytes().splitlines()
+        assert len(lines) == 61
+        assert max(len(line) for line in lines) <= self.MAX_LINE_BYTES
 
-    def test_short_timelines_are_untouched(self):
-        store = JobStore()
-        job = store.create("suite", {"suite": "quick"})
-        store.mark_running(job)
-        store.mark_done(job, {"ok": True})
-        assert len(job.timeline) == 3
-        assert job.truncated_transitions == 0
-
-    def test_truncation_count_survives_journal_replay(self, tmp_path):
+    def test_no_line_holds_derived_fields(self, tmp_path):
         path = tmp_path / "jobs.jsonl"
         store = JobStore(path)
         job = store.create("suite", {"suite": "quick"})
-        self._churn(store, job, 25)
+        store.mark_running(job)
+        store.mark_done(job, {"ok": True})
         store.close()
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [record["state"] for record in records] == [QUEUED, RUNNING, DONE]
+        for record in records:
+            assert record["schema"] == RECORD_SCHEMA
+            assert not {"timeline", "seconds_in_state", "elapsed_seconds", "has_result"} & set(
+                record
+            )
+        assert ["result" in record for record in records] == [False, False, True]
 
-        recovered = JobStore(path)
-        twin = recovered.get(job.id)
-        assert len(twin.timeline) == MAX_TIMELINE_EVENTS
-        assert twin.truncated_transitions == job.truncated_transitions > 0
+    @pytest.mark.parametrize("torn", ["create", "running", "requeue", "done"])
+    def test_a_torn_record_costs_only_its_event(self, tmp_path, torn):
+        from repro.service.workers import JobService
+
+        path = tmp_path / "jobs.jsonl"
+        store = JobStore(path)
+        job = store.create(
+            "experiment", {"experiment": "warp"}, key="k-warp", trace_id="torn-1",
+            retry={"max_attempts": 3},
+        )
+        store.mark_running(job)
+        store.requeue(job, reason="worker-crash")
+        store.mark_running(job)
+        store.mark_done(job, {"ok": True})
+        store.close()
+        # Tear one record the way a crash mid-append does, mid-file.
+        index = {"create": 0, "running": 1, "requeue": 2, "done": 4}[torn]
+        lines = path.read_text().splitlines()
+        lines[index] = lines[index][: len(lines[index]) // 2]
+        path.write_text("\n".join(lines) + "\n")
+
+        twin = JobStore(path).get(job.id)
+        for name in ("kind", "params", "key", "trace_id", "retry", "attempts"):
+            assert getattr(twin, name) == getattr(job, name), name
+        assert twin.timeline == job.timeline[:index] + job.timeline[index + 1 :]
+        if torn != "done":
+            assert twin.state == DONE and twin.result == {"ok": True}
+            return
+        # A torn terminal record leaves the job running, as its last record
+        # said; restart recovery retries it under its budget.
+        assert twin.state == RUNNING
+        service = JobService(state_path=path, parallel=False)
+        service.stop()
+        recovered = service.job(job.id)
+        assert recovered.state == QUEUED and recovered.attempts == 2
+        assert recovered.timeline[-1]["reason"] == "restart-recovery"
+
+    @settings(max_examples=60, deadline=None)
+    @given(lives=st.lists(_LIVES, min_size=1, max_size=4), data=st.data())
+    def test_replay_rebuilds_every_job_as_it_was_live(self, lives, data):
+        plans = [_transitions(life) for life in lives]
+        order = data.draw(
+            st.permutations([index for index, plan in enumerate(plans) for _ in plan])
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "jobs.jsonl"
+            store = JobStore(path)
+            jobs: list[Job | None] = [None] * len(lives)
+            pending = [iter(plan) for plan in plans]
+            for index in order:
+                step, value = next(pending[index])
+                job, life = jobs[index], lives[index]
+                if step == "create":
+                    jobs[index] = store.create(
+                        life["kind"], life["params"], key=life["key"],
+                        deduped_into=life["deduped_into"], trace_id=life["trace_id"],
+                        retry=life["retry"],
+                    )
+                elif step == RUNNING:
+                    store.mark_running(job)
+                elif step == "requeue":
+                    store.requeue(job, reason=value)
+                elif step == DONE:
+                    store.mark_done(job, value)
+                else:
+                    store.mark_failed(job, value)
+            store.close()
+            replayed = JobStore(path)
+            assert len(path.read_text().splitlines()) == sum(map(len, plans))
+            assert {job.id: job.as_dict(include_result=True) for job in replayed.jobs()} == {
+                job.id: job.as_dict(include_result=True) for job in jobs
+            }

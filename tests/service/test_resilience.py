@@ -522,7 +522,7 @@ class TestBestEffortDurability:
             service.start()
             # First persist is torn; every later append must first repair
             # the tail so exactly one bad line remains, and every later
-            # snapshot parses.
+            # record parses.
             job = service.submit(
                 "sweep",
                 {"kernel": "matmul", "memory_sizes": [16], "analytic": True},
@@ -543,6 +543,6 @@ class TestBestEffortDurability:
             except json_mod.JSONDecodeError:
                 bad += 1
         assert bad == 1 and parsed >= 2
-        # Replay recovers the job's terminal state from later snapshots.
+        # Replay recovers the job, identity included, from later records.
         recovered = JobService(state_path=state_path, parallel=False)
         assert recovered.job(job.id).state == DONE

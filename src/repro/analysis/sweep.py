@@ -14,7 +14,7 @@ one problem at a series of local-memory sizes, as the sweep engine
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Sequence
 
 from repro.analysis.fitting import (
     LogLawFit,
@@ -62,7 +62,6 @@ class MemorySweepResult:
     """
 
     kernel_name: str
-    problem: Mapping[str, Any]
     memory_sizes: tuple[int, ...]
     executions: tuple[KernelExecution, ...]
     point_keys: tuple[str, ...]

@@ -8,14 +8,14 @@ This package replaces per-point serial experiment loops with these layers:
   :func:`analytic_sweep_payload`);
 * :mod:`repro.runtime.tasks` -- the generic task abstraction: any top-level
   callable plus parameters, content-addressed by the callable, the package's
-  code version and the parameters (the one key scheme), and the one resolve
-  loop that looks keys up in a cache, runs each distinct miss once
+  code version, numpy's version and the parameters (the one key scheme), and
+  the one resolve loop that looks keys up in a cache, runs each distinct miss once
   (in-process or on its owner's long-lived :class:`TaskPool`, in
   deterministic order, always on one BLAS thread) and stores the fresh
   results;
 * :mod:`repro.runtime.engine` -- the memory-sweep client of the task layer:
-  every (kernel, memory size, problem) point is a task, resolved against a
-  :class:`ResultCache`;
+  every (kernel, memory size, scale) point is a task keyed by that recipe,
+  resolved against a :class:`ResultCache`;
 * :mod:`repro.runtime.cache` -- the content-addressed on-disk caches, two
   codecs over one entry store (measured sweep points in
   :class:`ResultCache`, whole experiment results in :class:`TaskCache`),

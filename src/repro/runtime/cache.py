@@ -3,10 +3,11 @@
 Every cached computation is a :class:`~repro.runtime.tasks.Task`, keyed by
 its :func:`~repro.runtime.tasks.task_key`: a SHA-256 digest of the
 callable, the package's code version (a digest of every ``repro`` source
-file, so any source edit makes every entry miss once), and a structural
-fingerprint of the parameters (:func:`_fingerprint`, array contents
-included).  A sweep point is the task ``run_point(kernel, memory_words,
-problem)`` (:func:`repro.runtime.engine.execution_key`).
+file, so any source edit makes every entry miss once), numpy's version, and
+a structural fingerprint of the parameters (:func:`_fingerprint`, array
+contents included).  A sweep point is the task ``run_point(kernel,
+memory_words, scale=scale)``, or ``problem=problem`` for a fixed problem
+(:func:`repro.runtime.engine.execution_key`).
 
 The two caches are two codecs over one :class:`EntryStore`, which owns the
 shard layout (``<root>/<key[:2]>/<key><suffix>``), the atomic write, the
@@ -216,14 +217,12 @@ class ResultCache(EntryStore):
     suffix = ".json"
     label = "results"
 
-    def key_for(
-        self, kernel: Kernel, memory_words: int, problem: Mapping[str, Any]
-    ) -> str:
-        """The key the sweep engine stores this point under."""
+    def key_for(self, kernel: Kernel, memory_words: int, **recipe: Any) -> str:
+        """The key the sweep engine stores this point under (``scale=`` or ``problem=``)."""
         # Imported here: the engine builds on this module.
         from repro.runtime.engine import execution_key
 
-        return execution_key(kernel, memory_words, problem)
+        return execution_key(kernel, memory_words, **recipe)
 
     @staticmethod
     def read_entry(path: Path) -> KernelExecution:

@@ -1,14 +1,18 @@
 """Parallel, cached execution of memory sweeps: the sweep client of the task runtime.
 
-A :class:`SweepRunner` flattens any number of sweeps (one kernel x one
-problem x a memory grid) into one batch of *points*.  A point is the task
-``run_point(kernel, memory_words, problem)`` (:func:`point_task`), so its
-content address is that task's key (:func:`execution_key`), and the batch
-goes through the runtime's one resolve loop,
-:func:`~repro.runtime.tasks.resolve_tasks`, against a
-:class:`~repro.runtime.cache.ResultCache`.  Results come back in
-deterministic order, so serial and parallel runs are bitwise identical, and
-every sweep result carries the keys its points were resolved under.
+A :class:`SweepRunner` flattens any number of sweeps (one kernel x a memory
+grid) into one batch of *points*.  A point is the task :func:`run_point`
+(:func:`point_task`), so its content address is that task's key
+(:func:`execution_key`), and the batch goes through the runtime's one
+resolve loop, :func:`~repro.runtime.tasks.resolve_tasks`, against a
+:class:`~repro.runtime.cache.ResultCache`.  A point of a scaled plan is
+keyed by its recipe (the kernel, the memory size and the scale) and builds
+its problem where it runs, so a warm replay builds and hashes no array: the
+builders are seeded by the scale, and every key hashes the code version and
+numpy's version.  A fixed problem has no recipe, so its arrays are hashed.
+Results come back in deterministic order, so serial and parallel runs are
+bitwise identical, and every sweep result carries the keys its points were
+resolved under.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from typing import Any, Mapping, Sequence
 from repro.analysis.sweep import MemorySweepResult, normalize_memory_sizes
 from repro.exceptions import ConfigurationError
 from repro.kernels.base import Kernel, KernelExecution
-from repro.obs import spans as obs_spans
 from repro.runtime.cache import ResultCache
 from repro.runtime.tasks import Task, TaskPool, default_worker_count, resolve_tasks, task_pool
 
@@ -27,28 +30,38 @@ __all__ = ["SweepPlan", "SweepRunner", "execution_key", "point_task"]
 
 
 def run_point(
-    kernel: Kernel, memory_words: int, problem: Mapping[str, Any]
+    kernel: Kernel,
+    memory_words: int,
+    *,
+    scale: int | None = None,
+    problem: Mapping[str, Any] | None = None,
 ) -> KernelExecution:
-    """Task entry for one sweep point (picklable, top-level)."""
+    """Task entry for one sweep point (picklable, top-level): the kernel on
+    ``problem``, else on ``kernel.problem_for_memory(memory_words, scale)``."""
+    if problem is None:
+        problem = kernel.problem_for_memory(memory_words, scale)
     return kernel.execute(memory_words, **problem)
 
 
 def point_task(
-    kernel: Kernel, memory_words: int, problem: Mapping[str, Any]
+    kernel: Kernel,
+    memory_words: int,
+    *,
+    scale: int | None = None,
+    problem: Mapping[str, Any] | None = None,
 ) -> Task:
-    """The task that runs ``kernel.execute(memory_words, **problem)``."""
+    """The task of one sweep point, on its problem at ``scale`` or on ``problem``."""
+    recipe = {"scale": scale} if problem is None else {"problem": problem}
     return Task(
         fn=run_point,
-        params={"kernel": kernel, "memory_words": memory_words, "problem": problem},
+        params={"kernel": kernel, "memory_words": memory_words, **recipe},
         name=f"{kernel.name}@M={memory_words}",
     )
 
 
-def execution_key(
-    kernel: Kernel, memory_words: int, problem: Mapping[str, Any]
-) -> str:
-    """Content address of one ``kernel.execute(memory_words, **problem)`` call."""
-    return point_task(kernel, memory_words, problem).key()
+def execution_key(kernel: Kernel, memory_words: int, **recipe: Any) -> str:
+    """Content address of one sweep point; takes what :func:`point_task` takes."""
+    return point_task(kernel, memory_words, **recipe).key()
 
 
 @dataclass(frozen=True)
@@ -74,23 +87,6 @@ class SweepPlan:
         object.__setattr__(
             self, "memory_sizes", normalize_memory_sizes(self.memory_sizes)
         )
-
-    @property
-    def problem_ignores_memory(self) -> bool:
-        """True when every memory size runs the same problem: a fixed one, or
-        the problem of a kernel that keeps the base
-        :meth:`Kernel.problem_for_memory` (the grid kernels scale theirs with M).
-        """
-        return (
-            self.problem is not None
-            or type(self.kernel).problem_for_memory is Kernel.problem_for_memory
-        )
-
-    def problem_at(self, memory_words: int) -> dict[str, Any]:
-        """The problem instance for one memory size of this sweep."""
-        if self.problem is not None:
-            return dict(self.problem)
-        return self.kernel.problem_for_memory(memory_words, self.scale)
 
 
 class SweepRunner:
@@ -165,19 +161,16 @@ class SweepRunner:
 
         All points from all plans share the worker pool, so a multi-kernel
         suite saturates the machine even when individual sweeps are short.
-        A plan whose problem ignores the memory size builds it once and its
-        points share it; each point's key is still the content hash of its
-        problem.  The returned list is ordered like ``plans``.
+        A scaled point builds its problem where it executes, so a warm batch
+        builds none.  The returned list is ordered like ``plans``.
         """
         points: list[Task] = []
-        with obs_spans.phase("sweep.problems"):
-            for plan in plans:
-                problem = None
-                for size in plan.memory_sizes:
-                    plan.kernel.validate_memory(size)
-                    if problem is None or not plan.problem_ignores_memory:
-                        problem = plan.problem_at(size)
-                    points.append(point_task(plan.kernel, size, problem))
+        for plan in plans:
+            for size in plan.memory_sizes:
+                plan.kernel.validate_memory(size)
+                points.append(
+                    point_task(plan.kernel, size, scale=plan.scale, problem=plan.problem)
+                )
 
         executions = resolve_tasks(points, None if self.verify else self.cache, self.pool)
         if self.verify:
@@ -197,9 +190,6 @@ class SweepRunner:
             results.append(
                 MemorySweepResult(
                     kernel_name=plan.kernel.name,
-                    # A scaled plan reports the problem of its largest
-                    # memory size.
-                    problem=dict(points[batch][-1].params["problem"]),
                     memory_sizes=plan.memory_sizes,
                     executions=tuple(executions[batch]),
                     point_keys=tuple(point.key() for point in points[batch]),

@@ -6,6 +6,8 @@ content-addressed by :func:`task_key`, a SHA-256 digest of
 * the callable's fully qualified name,
 * the package's code version (:func:`code_version`, a digest of every source
   file of ``repro``, so any source edit invalidates every cached result once),
+* numpy's version: seeded problems and experiment inputs come from numpy's
+  generators, whose streams numpy does not promise across versions,
 * and a structural fingerprint of the parameters.
 
 This is the runtime's one key scheme.  :func:`resolve_tasks` is its one
@@ -43,6 +45,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
+
+import numpy as np
 
 from repro.exceptions import ConfigurationError, TaskExecutionError
 from repro.obs import spans as obs_spans
@@ -302,6 +306,7 @@ def task_key(fn: Callable[..., Any], params: Mapping[str, Any]) -> str:
         "schema": TASK_KEY_SCHEMA,
         "callable": f"{fn.__module__}.{fn.__qualname__}",
         "code_version": code_version(),
+        "numpy": np.__version__,
         "params": _fingerprint(dict(params)),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -7,7 +7,7 @@
 
 * **Dedup by content address.**  Every job gets a key derived from the
   runtime's content-addressed task keys (callable identity + the package's
-  code version + parameter fingerprint -- see
+  code version + numpy's version + parameter fingerprint -- see
   :func:`repro.runtime.tasks.task_key`).  While a job with a given key is
   queued or running, identical submissions attach to it as *followers*: the
   underlying work executes once and every submission observes the same
@@ -222,8 +222,8 @@ def _normalize_measured_sweep(params: Mapping[str, Any]) -> dict[str, Any]:
 
 
 def _measured_sweep_key(params: Mapping[str, Any]) -> str:
-    # The code version covers the seeded problem generator too, so the key
-    # never needs the generated problem arrays.
+    # The code version and numpy's version cover the seeded problem
+    # generator, so the key never needs the generated problem arrays.
     return task_key(_run_measured_sweep, params)
 
 
@@ -546,10 +546,10 @@ class JobScheduler:
         it.  Queued jobs requeue as they are.  Recovered duplicates are not
         re-deduplicated against each other: each runs as its own primary
         (the caches make the repeats cheap), which keeps recovery
-        independent of replay order.
+        independent of replay order.  The key is recomputed, which validates
+        the params: a journaled one hashes the code of the admitting build.
         """
-        if job.key is None:  # no key journaled: recompute, which validates the params
-            job.key = job_key(job.kind, normalize_job_params(job.kind, job.params))
+        job.key = job_key(job.kind, normalize_job_params(job.kind, job.params))
         if job.state == RUNNING:
             return self.retry(job, reason="restart-recovery")
         with self._cond:

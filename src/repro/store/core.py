@@ -467,7 +467,10 @@ def _locked(manifest: Path) -> Iterator[int]:
 
     Every manifest writer holds this exclusive lock.  A compaction replaces
     the file while it holds the lock on the old one, so a writer that waited
-    re-opens until the file it locked is the one at ``manifest``.
+    re-opens until the file it locked is the one at ``manifest``.  The lock
+    is released explicitly, not by the close: a process forked while it is
+    held (a task pool's child) keeps a copy of the descriptor, and the lock
+    would live as long as that copy.
     """
     while True:
         fd = os.open(manifest, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
@@ -481,6 +484,7 @@ def _locked(manifest: Path) -> Iterator[int]:
                 yield fd
                 return
         finally:
+            fcntl.flock(fd, fcntl.LOCK_UN)
             os.close(fd)
 
 

@@ -28,39 +28,52 @@ def _one_execution(kernel=None, memory=27, scale=12):
 
 
 class TestExecutionKey:
+    """A scaled point is keyed by its recipe; a fixed problem by its arrays."""
+
     def test_key_is_deterministic_across_instances(self):
-        kernel_a = BlockedMatrixMultiply()
-        kernel_b = BlockedMatrixMultiply()
-        problem_a = kernel_a.problem_for_memory(27, 12)
-        problem_b = kernel_b.problem_for_memory(27, 12)
-        assert execution_key(kernel_a, 27, problem_a) == execution_key(
-            kernel_b, 27, problem_b
+        assert execution_key(BlockedMatrixMultiply(), 27, scale=12) == execution_key(
+            BlockedMatrixMultiply(), 27, scale=12
+        )
+        assert execution_key(GridRelaxation(3), 64, scale=4) == execution_key(
+            GridRelaxation(3), 64, scale=4
         )
 
     def test_key_depends_on_memory_size(self):
         kernel = BlockedMatrixMultiply()
-        problem = kernel.problem_for_memory(27, 12)
-        assert execution_key(kernel, 27, problem) != execution_key(kernel, 48, problem)
+        assert execution_key(kernel, 27, scale=12) != execution_key(kernel, 48, scale=12)
 
-    def test_key_depends_on_problem_contents(self):
+    def test_key_depends_on_scale(self):
         kernel = BlockedMatrixMultiply()
-        problem_small = kernel.problem_for_memory(27, 12)
-        problem_large = kernel.problem_for_memory(27, 16)
-        assert execution_key(kernel, 27, problem_small) != execution_key(
-            kernel, 27, problem_large
-        )
+        assert execution_key(kernel, 27, scale=12) != execution_key(kernel, 27, scale=16)
 
     def test_key_depends_on_kernel_configuration(self):
         """Two GridRelaxation instances share source but not configuration."""
         grid2 = GridRelaxation(dimension=2)
         grid3 = GridRelaxation(dimension=3)
-        problem = {"n": 64}
-        assert execution_key(grid2, 512, problem) != execution_key(grid3, 512, problem)
+        assert execution_key(grid2, 512, scale=8) != execution_key(grid3, 512, scale=8)
 
     def test_key_differs_between_kernel_classes(self):
-        problem = BlockedMatrixMultiply().problem_for_memory(27, 12)
-        assert execution_key(BlockedMatrixMultiply(), 27, problem) != execution_key(
-            BlockedLUTriangularization(), 27, problem
+        assert execution_key(BlockedMatrixMultiply(), 27, scale=12) != execution_key(
+            BlockedLUTriangularization(), 27, scale=12
+        )
+
+    def test_scaled_key_builds_and_hashes_no_problem(
+        self, refuse_problem_builders, fingerprinted_arrays
+    ):
+        refuse_problem_builders()
+        assert execution_key(GridRelaxation(2), 64, scale=12)
+        assert fingerprinted_arrays == []
+
+    def test_key_depends_on_problem_contents(self):
+        """A fixed problem has no recipe, so its key hashes its arrays."""
+        kernel = BlockedMatrixMultiply()
+        problem_small = kernel.problem_for_memory(27, 12)
+        problem_large = kernel.problem_for_memory(27, 16)
+        assert execution_key(kernel, 27, problem=problem_small) != execution_key(
+            kernel, 27, problem=problem_large
+        )
+        assert execution_key(kernel, 27, problem=problem_small) == execution_key(
+            kernel, 27, problem=kernel.problem_for_memory(27, 12)
         )
 
 
@@ -95,7 +108,7 @@ class TestFingerprint:
 class TestResultCache:
     def test_miss_then_hit_roundtrip(self, cache):
         kernel, problem, execution = _one_execution()
-        key = cache.key_for(kernel, 27, problem)
+        key = cache.key_for(kernel, 27, scale=12)
         assert cache.load(key) is MISS
         cache.store(key, execution)
         cached = cache.load(key)
@@ -114,15 +127,15 @@ class TestResultCache:
         kernel, problem, execution = _one_execution()
         for memory in (12, 27, 48):
             run = kernel.execute(memory, **problem)
-            cache.store(cache.key_for(kernel, memory, problem), run)
+            cache.store(cache.key_for(kernel, memory, scale=12), run)
         assert len(cache) == 3
         assert cache.clear() == 3
         assert len(cache) == 0
-        assert cache.load(cache.key_for(kernel, 12, problem)) is MISS
+        assert cache.load(cache.key_for(kernel, 12, scale=12)) is MISS
 
     def test_corrupt_entry_is_a_miss_and_removed(self, cache):
         kernel, problem, execution = _one_execution()
-        key = cache.key_for(kernel, 27, problem)
+        key = cache.key_for(kernel, 27, scale=12)
         cache.store(key, execution)
         path = cache._path(key)
         path.write_text("{not json")
@@ -131,7 +144,7 @@ class TestResultCache:
 
     def test_wrong_schema_is_a_miss(self, cache):
         kernel, problem, execution = _one_execution()
-        key = cache.key_for(kernel, 27, problem)
+        key = cache.key_for(kernel, 27, scale=12)
         cache.store(key, execution)
         path = cache._path(key)
         entry = json.loads(path.read_text())
@@ -141,7 +154,7 @@ class TestResultCache:
 
     def test_refuses_to_store_cached_replay_without_output(self, cache):
         kernel, problem, execution = _one_execution()
-        key = cache.key_for(kernel, 27, problem)
+        key = cache.key_for(kernel, 27, scale=12)
         cache.store(key, execution)
         replay = cache.load(key)
         fake = type(replay)(
@@ -162,7 +175,7 @@ class TestDiskUsage:
     def test_result_cache_reports_entry_bytes(self, cache):
         assert cache.disk_usage_bytes() == 0
         kernel, problem, execution = _one_execution()
-        key = cache.key_for(kernel, 27, problem)
+        key = cache.key_for(kernel, 27, scale=12)
         cache.store(key, execution)
         usage = cache.disk_usage_bytes()
         assert usage == cache._path(key).stat().st_size > 0
@@ -250,7 +263,7 @@ class TestConcurrentWriters:
     def test_racing_result_stores_agree(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         kernel, problem, execution = _one_execution()
-        key = cache.key_for(kernel, 27, problem)
+        key = cache.key_for(kernel, 27, scale=12)
         start = threading.Barrier(4)
         misses_before = cache.stats.misses
 

@@ -19,6 +19,7 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Callable
 
+import numpy
 import pytest
 
 import repro
@@ -46,7 +47,7 @@ def _point(name: str) -> Task:
     """One sweep point of a kernel, small enough for any dimension."""
     kernel = KERNEL_FACTORIES[name]()
     memory = max(16, 4 ** getattr(kernel, "dimension", 1), kernel.minimum_memory_words)
-    return point_task(kernel, memory, kernel.problem_for_memory(memory, 8))
+    return point_task(kernel, memory, scale=8)
 
 
 def _first_quick_task(kind: str) -> Task:
@@ -168,6 +169,15 @@ def _keys() -> dict[str, list[str]]:
         "points": [_point(name).key() for name in KERNEL_FACTORIES],
         "tasks": [_first_quick_task(kind).key() for kind in EXPERIMENT_KINDS],
     }
+
+
+def test_every_key_changes_with_numpy_version(monkeypatch):
+    """Recipes and seeds name arrays only through numpy's generators."""
+    before = _keys()
+    monkeypatch.setattr(numpy, "__version__", "0.0.0+another-stream")
+    after = _keys()
+    for kind in ("points", "tasks"):
+        assert all(b != a for b, a in zip(before[kind], after[kind], strict=True)), kind
 
 
 def test_a_fresh_interpreter_computes_the_same_keys():

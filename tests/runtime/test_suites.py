@@ -9,7 +9,6 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.kernels.base import Kernel
-from repro.obs import spans as obs_spans
 from repro.runtime.cache import MISS, EntryStore, ResultCache, TaskCache
 from repro.runtime.engine import SweepRunner
 from repro.runtime.suites import (
@@ -259,18 +258,25 @@ class TestRunSuiteRuntimeInfo:
         runtime = run_suite(mini_suite).runtime
         assert runtime["cache"] is None and runtime["task_cache"] is None
 
-    def test_traced_suite_times_problem_building_under_its_root(
-        self, mini_suite, monkeypatch
+    def test_warm_quick_suite_builds_and_hashes_no_problem(
+        self, tmp_path, refuse_problem_builders, fingerprinted_arrays
     ):
-        monkeypatch.setattr(obs_spans, "_COLLECTOR", None)
-        sink = obs_spans.enable(build_info={"git_rev": "testrev0"})
-        run_suite(mini_suite)
-        spans = sink.spans()
-        (root,) = [s for s in spans if s["name"] == "suite.run"]
-        (problems,) = [s for s in spans if s["name"] == "sweep.problems"]
-        assert problems["kind"] == "phase"
-        assert problems["parent_id"] == root["span_id"]
-        assert problems["attributes"]["calls"] == 1
+        """A warm replay resolves every point by its recipe: it builds no
+        problem, hashes no array, and returns the cold payload."""
+        root = tmp_path / "cache"
+        cold = run_suite("quick", SweepRunner(cache=ResultCache(root)), record=False)
+        del fingerprinted_arrays[:]
+        refuse_problem_builders()
+        warm = run_suite("quick", SweepRunner(cache=ResultCache(root)), record=False)
+        cold, warm = cold.as_dict(), warm.as_dict()
+        runtime = warm["runtime"]
+        assert runtime["cache"]["hits"] == runtime["points"] > 0
+        assert runtime["cache"]["misses"] == 0
+        assert runtime["task_cache"]["hits"] == runtime["experiment_tasks"] > 0
+        assert runtime["task_cache"]["misses"] == 0
+        assert warm["scenarios"] == cold["scenarios"]
+        assert warm["experiments"] == cold["experiments"]
+        assert fingerprinted_arrays == []
 
 
 class TestRunSuiteExperiments:

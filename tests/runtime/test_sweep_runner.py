@@ -17,7 +17,7 @@ GRID_MEMORIES = (16, 36, 64)
 
 
 def _mixed_plans() -> list[SweepPlan]:
-    """Two plans whose problem ignores the memory size, and one grid plan."""
+    """Two plans on one problem per scale, and one grid plan whose problem grows with M."""
     return [
         SweepPlan(kernel=BlockedMatrixMultiply(), memory_sizes=MEMORIES, scale=SCALE),
         SweepPlan(kernel=BlockedFFT(), memory_sizes=(4, 8, 64), scale=10),
@@ -168,14 +168,22 @@ class TestPointKeys:
         kernel = BlockedMatrixMultiply()
         cache = ResultCache(tmp_path / "cache")
         result = SweepRunner(cache=cache).run_default(kernel, MEMORIES, SCALE)
-        expected = tuple(
-            execution_key(kernel, m, kernel.problem_for_memory(m, SCALE))
-            for m in MEMORIES
-        )
+        expected = tuple(execution_key(kernel, m, scale=SCALE) for m in MEMORIES)
         assert result.point_keys == expected
         for memory, key in zip(MEMORIES, expected):
-            assert cache.key_for(kernel, memory, kernel.problem_for_memory(memory, SCALE)) == key
+            assert cache.key_for(BlockedMatrixMultiply(), memory, scale=SCALE) == key
             assert cache.load(key) is not MISS
+
+    def test_fixed_problem_points_are_keyed_by_their_arrays(self, small_matrices):
+        a, b = small_matrices
+        result = SweepRunner().run(BlockedMatrixMultiply(), MEMORIES, a=a, b=b)
+        assert result.point_keys == tuple(
+            execution_key(BlockedMatrixMultiply(), m, problem={"a": a.copy(), "b": b})
+            for m in MEMORIES
+        )
+        assert result.point_keys != SweepRunner().run(
+            BlockedMatrixMultiply(), MEMORIES, a=a, b=b + 1.0
+        ).point_keys
 
     def test_verified_sweep_resolves_under_the_same_keys(self):
         plain = SweepRunner().run_default(BlockedMatrixMultiply(), MEMORIES, SCALE)
@@ -206,34 +214,41 @@ class TestPointKeys:
             SweepRunner(verify=True).run_default(BlockedMatrixMultiply(), MEMORIES, SCALE)
 
 
-class TestSharedProblems:
-    """A plan whose problem ignores M builds it once; grids build one per size."""
+class TestRecipePoints:
+    """A scaled point is keyed by its recipe and builds its problem where it runs."""
 
-    def test_problem_ignores_memory(self):
-        matmul, fft, grid = _mixed_plans()
-        assert matmul.problem_ignores_memory and fft.problem_ignores_memory
-        assert not grid.problem_ignores_memory
-        fixed = SweepPlan(
-            kernel=GridRelaxation(2), memory_sizes=GRID_MEMORIES,
-            problem=GridRelaxation(2).default_problem(4),
-        )
-        assert fixed.problem_ignores_memory
+    def test_point_keys_are_the_keys_of_each_points_recipe(self):
+        plans = _mixed_plans()
+        for plan, result in zip(plans, SweepRunner().run_plans(plans)):
+            assert result.point_keys == tuple(
+                point_task(plan.kernel, m, scale=plan.scale).key()
+                for m in plan.memory_sizes
+            )
+            assert len(set(result.point_keys)) == len(plan.memory_sizes)
 
-    def test_cold_run_builds_each_plans_problem_once(self, monkeypatch):
+    def test_each_cold_point_builds_its_own_problem(self, monkeypatch):
         matmul = _count_calls(monkeypatch, BlockedMatrixMultiply, "default_problem")
         fft = _count_calls(monkeypatch, BlockedFFT, "default_problem")
         grid = _count_calls(monkeypatch, GridRelaxation, "problem_for_memory")
         results = SweepRunner().run_plans(_mixed_plans())
-        assert matmul == [(SCALE,)]
-        assert fft == [(10,)]
+        assert matmul == [(SCALE,)] * len(MEMORIES)
+        assert fft == [(10,)] * 3
         assert grid == [(memory, 7) for memory in GRID_MEMORIES]
         assert all(len(result.executions) == 3 for result in results)
 
-    def test_point_keys_hash_each_points_own_problem(self):
-        plans = _mixed_plans()
-        for plan, result in zip(plans, SweepRunner().run_plans(plans)):
-            assert result.point_keys == tuple(
-                point_task(plan.kernel, m, plan.problem_at(m)).key()
-                for m in plan.memory_sizes
-            )
-            assert len(set(result.point_keys)) == len(plan.memory_sizes)
+    def test_pooled_cold_run_builds_no_problem_here_and_equals_serial(
+        self, refuse_problem_builders
+    ):
+        serial = SweepRunner().run_plans(_mixed_plans())
+        refuse_problem_builders(here_only=True)
+        runner = SweepRunner(parallel=True, max_workers=2)
+        try:
+            pooled = runner.run_plans(_mixed_plans())
+        finally:
+            runner.pool.close()
+        for s, p in zip(serial, pooled):
+            assert p.point_keys == s.point_keys
+            assert [e.cost for e in p.executions] == [e.cost for e in s.executions]
+            assert [e.peak_memory_words for e in p.executions] == [
+                e.peak_memory_words for e in s.executions
+            ]

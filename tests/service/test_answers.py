@@ -22,8 +22,8 @@ import pytest
 import repro
 from repro.cli import main
 from repro.service import JobService
-from repro.service.jobs import DONE, FAILED, QUEUED
-from repro.service.scheduler import JOB_TABLE
+from repro.service.jobs import DONE, FAILED, QUEUED, JobStore
+from repro.service.scheduler import JOB_TABLE, JobScheduler
 
 PACKAGE = Path(repro.__file__).resolve().parent
 
@@ -218,3 +218,29 @@ def test_a_service_keys_with_the_code_it_booted_on(package_copy):
     assert edited_after_boot["key"] == unedited["key"]
     # The edit does change the key of a process that starts after it.
     assert _service_run(package_copy)["key"] != unedited["key"]
+
+
+def test_a_recovered_job_is_keyed_by_the_build_that_recovers_it(services, tmp_path):
+    """A journaled key hashes the admitting build's code version; recovery
+    re-keys the job, so a repeat attaches to it and is later answered."""
+    journal = tmp_path / "jobs.jsonl"
+    store = JobStore(journal)
+    queued = JobScheduler(store).submit("experiment", {"experiment": "warp"})
+    store.close()
+    stale = "0" * 64  # a key no submission under this build computes
+    journal.write_text(journal.read_text().replace(queued.key, stale))
+
+    service = services(state_path=journal)
+    recovered = service.job(queued.id)
+    assert recovered.state == QUEUED and recovered.key == queued.key
+    attached = service.submit("experiment", {"experiment": "warp"})
+    assert attached.deduped_into == queued.id
+    service.start()
+    done = service.wait(attached.id, 60.0)
+    assert done.state == DONE and service.job(queued.id).state == DONE
+    assert service.executor.stats.jobs_executed == 1
+    answered = service.submit("experiment", {"experiment": "warp"})
+    assert answered.state == DONE and answered.result == done.result
+    assert service.scheduler.stats.answered == 1
+    # Only the record the admitting build wrote still carries its key.
+    assert journal.read_text().count(stale) == 1

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import fcntl
 import json
+import multiprocessing
 import os
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -653,6 +656,24 @@ class TestConcurrency:
         }
         fresh = ResultStore(root)
         assert fresh.run_count() == 90 and fresh.stats.segments_read == 0
+
+    def test_a_child_forked_under_the_manifest_lock_does_not_keep_it(self, tmp_path):
+        """A task pool forked while another thread appends inherits the locked
+        descriptor; once the appender is done the lock must be free."""
+        manifest = tmp_path / "manifest.jsonl"
+        with core._locked(manifest):
+            child = multiprocessing.get_context("fork").Process(target=time.sleep, args=(30,))
+            child.start()
+        try:
+            fd = os.open(manifest, os.O_RDWR)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)  # BlockingIOError if held
+            finally:
+                os.close(fd)
+        finally:
+            child.kill()
+            child.join(timeout=10)
+        assert not child.is_alive()
 
     def test_queries_racing_appends_keep_the_segment_cache_whole(self, tmp_path, monkeypatch):
         """Query threads share one handle's cache with its appender, under a

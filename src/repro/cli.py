@@ -28,12 +28,13 @@ Examples
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.analysis.report import Table
 from repro.analysis.sweep import normalize_memory_sizes
@@ -53,6 +54,7 @@ from repro.runtime import (
     ResultCache,
     SweepRunner,
     TaskCache,
+    TaskRunner,
     analytic_sweep_payload,
     build_kernel,
     cache_layout,
@@ -179,7 +181,8 @@ def _cmd_list(_: argparse.Namespace) -> int:
 def _cmd_summary(args: argparse.Namespace) -> int:
     _print(analytic_summary_table().render_ascii())
     runner = SweepRunner(parallel=args.jobs > 1, max_workers=args.jobs)
-    experiment = run_summary_experiment(quick=args.quick, runner=runner)
+    with _closing_pool(runner):
+        experiment = run_summary_experiment(quick=args.quick, runner=runner)
     records = experiment.records()
     store = _store_from_args(args)
     if store is not None:
@@ -221,7 +224,8 @@ def _experiment_command(
     experiment passed its own checks (exit status 0, else 1).
     """
     runner = task_runner_for(_runner_from_args(args, parallel_default=True))
-    experiments = run_experiments(scenarios, runner)
+    with _closing_pool(runner):
+        experiments = run_experiments(scenarios, runner)
     passed = render(*(experiment.results for experiment in experiments))
     if runner.cache is not None:
         stats = runner.cache.stats
@@ -336,6 +340,20 @@ def _runner_from_args(args: argparse.Namespace, *, parallel_default: bool) -> Sw
     )
 
 
+@contextlib.contextmanager
+def _closing_pool(runner: SweepRunner | TaskRunner) -> Iterator[None]:
+    """Close a runner's task pool, if it has one, on the way out.
+
+    An open pool leaves its children to ``concurrent.futures``' exit hook,
+    which can race the interpreter's teardown (``OSError: [Errno 9]``).
+    """
+    try:
+        yield
+    finally:
+        if runner.pool is not None:
+            runner.pool.close()
+
+
 def _add_task_runtime_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
@@ -412,7 +430,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     runner = _runner_from_args(args, parallel_default=False)
     scale = default_scale if args.scale is None else args.scale
-    payload = sweep_payload(runner, args.kernel, memory_sizes, scale)
+    with _closing_pool(runner):
+        payload = sweep_payload(runner, args.kernel, memory_sizes, scale)
     table = records_table(
         payload["rows"],
         columns=("memory_words", "compute_ops", "io_words", "intensity"),
@@ -483,7 +502,8 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     name = "quick" if args.quick else (args.name or "quick")
     suite = get_suite(name)
     runner = _runner_from_args(args, parallel_default=True)
-    result = run_suite(suite, runner)
+    with _closing_pool(runner):
+        result = run_suite(suite, runner)
 
     table = Table(
         columns=("scenario", "kernel", "points", "exponent", "best model", "class"),
@@ -555,7 +575,6 @@ def _format_bytes(size: int) -> str:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import contextlib
     import signal
     import threading
 
@@ -649,16 +668,16 @@ def _submit_params(args: argparse.Namespace) -> dict:
 def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.service import ServiceClient
 
-    client = ServiceClient(args.host, args.port, timeout=min(args.timeout, 30.0))
-    job = client.submit(args.kind, _submit_params(args), trace_id=args.trace)
-    note = f" (deduplicated into {job['deduped_into']})" if job["deduped_into"] else ""
-    print(
-        f"job {job['id']} submitted: {args.kind} {args.spec}{note} "
-        f"[trace {job['trace_id']}]"
-    )
-    if args.no_wait:
-        return 0
-    document = client.wait(job["id"], timeout=args.timeout)
+    with ServiceClient(args.host, args.port, timeout=min(args.timeout, 30.0)) as client:
+        job = client.submit(args.kind, _submit_params(args), trace_id=args.trace)
+        note = f" (deduplicated into {job['deduped_into']})" if job["deduped_into"] else ""
+        print(
+            f"job {job['id']} submitted: {args.kind} {args.spec}{note} "
+            f"[trace {job['trace_id']}]"
+        )
+        if args.no_wait:
+            return 0
+        document = client.wait(job["id"], timeout=args.timeout)
     print(f"job {job['id']} done in {document['elapsed_seconds']:.2f}s")
     if args.json:
         args.json.parent.mkdir(parents=True, exist_ok=True)
@@ -673,8 +692,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.spans import chrome_trace, render_tree, spans_payload
     from repro.service import ServiceClient
 
-    client = ServiceClient(args.host, args.port, timeout=args.timeout)
-    document = client.trace(args.trace_id)
+    with ServiceClient(args.host, args.port, timeout=args.timeout) as client:
+        document = client.trace(args.trace_id)
     if args.action == "show":
         print(
             f"trace {document['trace_id']}: {document['span_count']} spans, "

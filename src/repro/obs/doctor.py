@@ -582,9 +582,9 @@ def check_service(host: str, port: int, *, timeout: float = 5.0) -> list[Finding
     from repro.exceptions import ServiceError
     from repro.service.client import ServiceClient
 
-    client = ServiceClient(host, port, timeout=timeout)
     try:
-        health = client.health()
+        with ServiceClient(host, port, timeout=timeout) as client:
+            health = client.health()
     except ServiceError as exc:
         return [
             Finding(

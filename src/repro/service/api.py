@@ -88,9 +88,14 @@ API reference
 Anything else is **404** ``{"error": ...}``.  All other responses are
 ``application/json``; error bodies are ``{"error": "<message>"}``.
 
-Built on :class:`http.server.ThreadingHTTPServer` -- one thread per
-connection, no third-party framework -- because the heavy lifting happens in
-the worker pool; the HTTP layer only moves small JSON documents.
+Built on :class:`http.server.ThreadingHTTPServer`, no third-party
+framework, because the heavy lifting happens in the worker pool; the HTTP
+layer only moves small JSON documents.  Connections persist (HTTP/1.1): one
+handler thread serves each open connection, request after request, until the
+client closes it or it sits idle for 60 seconds (``_Handler.timeout``).  A
+request whose body the handler did not read in full -- a POST to an unknown
+path, a 413, a GET that carries a body -- is answered with ``Connection:
+close``, so its leftover bytes are never parsed as the next request.
 """
 
 from __future__ import annotations
@@ -136,6 +141,15 @@ class ServiceHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server: ServiceHTTPServer
 
+    # One kept connection carries many requests.  Each response leaves in two
+    # writes (headers, then body), and with Nagle's algorithm on the second
+    # waits for the client's delayed ACK of the first, about 40 ms.
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    #: Seconds a connection may sit idle before the server closes it, which
+    #: also frees a handler thread held by a client that never sends.
+    timeout = 60.0
+
     # Keep the access log quiet by default: the service is driven by tests,
     # benchmarks and CI where per-request stderr lines are pure noise.  With
     # ``repro serve --log-json`` the structured log is the point, so requests
@@ -151,14 +165,35 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- plumbing ------------------------------------------------------------
 
+    def parse_request(self) -> bool:
+        # Runs at the start of every request a connection carries.
+        self._body_read = False
+        if self.server.socket.fileno() < 0:
+            # The server was closed while this connection sat idle: hang up
+            # unanswered, as an exited process would, so the client retries
+            # on a fresh connection.
+            self.close_connection = True
+            return False
+        return super().parse_request()
+
     def _send(self, status: int, payload: dict[str, Any]) -> None:
         body = json.dumps(payload).encode()
         self._send_bytes(status, body, "application/json")
 
-    def _send_bytes(self, status: int, body: bytes, content_type: str) -> None:
+    def _send_bytes(
+        self, status: int, body: bytes, content_type: str, *headers: tuple[str, str]
+    ) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        for name, value in headers:
+            self.send_header(name, value)
+        if not self._body_read and (
+            "Transfer-Encoding" in self.headers
+            or self.headers.get("Content-Length", "0") != "0"
+        ):
+            # The unread body would be parsed as the next request.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -166,18 +201,13 @@ class _Handler(BaseHTTPRequestHandler):
         self, status: int, message: str, *, retry_after: float | None = None
     ) -> None:
         body: dict[str, Any] = {"error": message}
+        headers = []
         if retry_after is not None:
             body["retry_after"] = retry_after
-        data = json.dumps(body).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        if retry_after is not None:
             # The header form is integral seconds per RFC 9110; the JSON
             # body keeps the fractional estimate for precise clients.
-            self.send_header("Retry-After", str(max(1, round(retry_after))))
-        self.end_headers()
-        self.wfile.write(data)
+            headers.append(("Retry-After", str(max(1, round(retry_after)))))
+        self._send_bytes(status, json.dumps(body).encode(), "application/json", *headers)
 
     def _read_json(self) -> dict[str, Any]:
         length = int(self.headers.get("Content-Length") or 0)
@@ -188,8 +218,10 @@ class _Handler(BaseHTTPRequestHandler):
                 f"request body of {length} bytes exceeds {MAX_BODY_BYTES}",
                 status=413,
             )
+        data = self.rfile.read(length)
+        self._body_read = True
         try:
-            payload = json.loads(self.rfile.read(length))
+            payload = json.loads(data)
         except json.JSONDecodeError as exc:
             raise ServiceError(f"invalid JSON body: {exc}", status=400) from exc
         if not isinstance(payload, dict):

@@ -8,6 +8,10 @@ failed one (500).
 
 Resilience built in:
 
+* each calling thread keeps one persistent connection, so a submit and its
+  wait cost no TCP handshake and no new server thread; when a kept
+  connection turns out closed (the server's idle timeout, a restart) the
+  request is retried once at once on a fresh connection;
 * transient connection failures (refused, reset) are retried with capped
   exponential backoff before surfacing -- safe even for submissions,
   because the scheduler's content-addressed dedup attaches an accidental
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 from typing import Any
 from urllib.parse import urlencode
@@ -38,8 +43,19 @@ __all__ = ["ServiceClient"]
 _BUSY_STATUSES = (429, 503)
 
 
+class _ThreadConnection(http.client.HTTPConnection):
+    """One thread's kept connection; its socket closes when the thread ends."""
+
+    def __del__(self) -> None:
+        self.close()
+
+
 class ServiceClient:
-    """Blocking JSON-over-HTTP client for one service endpoint."""
+    """Blocking JSON-over-HTTP client for one service endpoint.
+
+    Safe to share between threads: each thread keeps its own connection,
+    which closes when the thread ends or calls :meth:`close`.
+    """
 
     def __init__(
         self,
@@ -53,8 +69,27 @@ class ServiceClient:
         self.port = port
         self.timeout = timeout
         self.connect_retries = max(0, connect_retries)
+        self._local = threading.local()
+
+    def close(self) -> None:
+        """Close the calling thread's connection; its next request opens one."""
+        self._connection().close()
+
+    def __enter__(self) -> ServiceClient:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # -- plumbing ------------------------------------------------------------
+
+    def _connection(self) -> _ThreadConnection:
+        """The calling thread's connection; it opens at its first request."""
+        if not hasattr(self._local, "connection"):
+            self._local.connection = _ThreadConnection(
+                self.host, self.port, timeout=self.timeout
+            )
+        return self._local.connection
 
     def _request(
         self,
@@ -87,9 +122,10 @@ class ServiceClient:
         payload: dict[str, Any] | None,
         extra_headers: dict[str, str] | None,
     ) -> tuple[int, dict[str, Any]]:
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
+        connection = self._connection()
+        # http.client reopens a closed connection at the next request, and
+        # closes it itself after a response that says the server will close.
+        reused = connection.sock is not None
         try:
             body = None
             headers = dict(extra_headers or {})
@@ -100,13 +136,20 @@ class ServiceClient:
             response = connection.getresponse()
             raw = response.read()
         except ConnectionError:
+            connection.close()
+            if reused:
+                # A kept connection the server has since closed (its idle
+                # timeout, a restart): retry once, at once, on a fresh one.
+                return self._request_once(method, path, payload, extra_headers)
             raise  # retried by _request
         except OSError as exc:
+            connection.close()
             raise ServiceError(
                 f"cannot reach repro service at {self.host}:{self.port}: {exc}"
             ) from exc
-        finally:
-            connection.close()
+        except BaseException:
+            connection.close()  # a half-done exchange leaves it unusable
+            raise
         try:
             document = json.loads(raw) if raw else {}
         except json.JSONDecodeError as exc:

@@ -210,7 +210,7 @@ _READ_FROM_OUTSIDE_SRC = {
     "repro.faults.injector.uninstall",
 }
 _REGISTRY_DECORATORS = {"register_reader", "register_transform"}
-_HTTP_HANDLER_HOOKS = {"do_GET", "do_POST", "log_message"}
+_HTTP_HANDLER_HOOKS = {"do_GET", "do_POST", "log_message", "parse_request"}
 
 
 @functools.cache

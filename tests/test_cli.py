@@ -9,7 +9,12 @@ import pytest
 from repro import cli
 from repro.cli import _DEFAULT_SWEEPS, build_parser, main
 from repro.core.intensity import PowerLawIntensity
-from repro.runtime import ExperimentScenario, analytic_sweep_payload, kernel_factories
+from repro.runtime import (
+    ExperimentScenario,
+    TaskPool,
+    analytic_sweep_payload,
+    kernel_factories,
+)
 from repro.service.scheduler import JOB_TABLE
 from repro.service.workers import JobExecutor
 from repro.store import ResultStore, query
@@ -450,6 +455,33 @@ class TestSuiteCommand:
             "figure2", "linear-array", "mesh-array", "systolic", "pebble", "warp"
         }
         assert csv_path.exists()
+
+
+class TestPooledCommandsCloseTheirPool:
+    """A command that forks a task pool joins it before returning, so the
+    interpreter's exit never races ``concurrent.futures``' exit hook."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["suite", "quick", "--jobs", "2", "--no-cache"],
+            ["sweep", "fft", "--memory", "4,8", "--scale", "8", "--jobs", "2", "--no-cache"],
+            ["warp", "--jobs", "2", "--no-cache"],
+            ["summary", "--quick", "--jobs", "2", "--no-cache"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_the_pool_is_closed_once(self, argv, monkeypatch, capsys):
+        closed = []
+        close = TaskPool.close
+
+        def counting(pool, **kwargs):
+            closed.append(pool)
+            close(pool, **kwargs)
+
+        monkeypatch.setattr(TaskPool, "close", counting)
+        assert main(argv) == 0
+        assert len(closed) == 1
 
 
 class TestIntListParsing:
